@@ -17,6 +17,13 @@ machines, no fault plan) three ways:
   *less* probing work; it is timed for the user-visible wall clock, not
   for an apples-to-apples hot-path comparison.
 
+Every run pins ``kernel="object"``.  An attached policy forces the
+per-object probing pass, so under ``kernel="auto"`` the baseline would
+time the columnar pass instead and the comparison would measure the
+kernel, not the control plane.  The three configurations are timed in
+interleaved rounds (baseline, inert, default, ``ROUNDS`` times), so a
+slow episode of the host lands on all three instead of on one.
+
 Overhead budget
 ---------------
 Both policy-attached runs must stay within **5%** of the baseline wall
@@ -46,8 +53,9 @@ from repro.resilience import ResiliencePolicy
 OVERHEAD_BUDGET = 1.05
 #: Absolute slack (seconds) so short runs tolerate scheduler jitter.
 NOISE_SLACK = 0.5
-#: Timed repetitions per configuration (minimum taken -- noise is
-#: strictly additive, so the fastest repetition is the best estimate).
+#: Interleaved rounds, each timing every configuration once (minimum
+#: taken per configuration -- noise is strictly additive, so the fastest
+#: repetition is the best estimate).
 ROUNDS = 3
 
 
@@ -66,7 +74,8 @@ def inert_policy() -> ResiliencePolicy:
 
 def _timed_run(policy):
     """One timed run; returns ``(coordinator, n_samples, wall_seconds)``."""
-    cfg = ExperimentConfig(days=bench_days(), seed=bench_seed())
+    cfg = ExperimentConfig(days=bench_days(), seed=bench_seed(),
+                           kernel="object")
     gc.collect()
     t0 = time.perf_counter()
     result = run_experiment(cfg, collect_nbench=False, resilience=policy)
@@ -74,20 +83,25 @@ def _timed_run(policy):
     return result.coordinator, len(result.store), elapsed
 
 
-def _best_of(policy_factory, rounds=ROUNDS):
-    runs = [_timed_run(policy_factory()) for _ in range(rounds)]
-    coord, n_samples, _ = runs[0]
-    return coord, n_samples, min(t for _, _, t in runs)
+def _best_of_interleaved(policy_factories, rounds=ROUNDS):
+    """Per configuration: ``(coordinator, n_samples, best wall s)``."""
+    runs = [[] for _ in policy_factories]
+    for _ in range(rounds):
+        for timed, factory in zip(runs, policy_factories):
+            timed.append(_timed_run(factory()))
+    return [(timed[0][0], timed[0][1], min(t for _, _, t in timed))
+            for timed in runs]
 
 
 def test_resilience_overhead_within_budget():
     # warm up imports/allocators so the first timed config isn't penalised
-    run_experiment(ExperimentConfig(days=1, seed=bench_seed()),
+    run_experiment(ExperimentConfig(days=1, seed=bench_seed(),
+                                    kernel="object"),
                    collect_nbench=False)
 
-    _, n_base, base = _best_of(lambda: None)
-    inert_coord, n_inert, inert = _best_of(inert_policy)
-    coord, _, on = _best_of(ResiliencePolicy)
+    (_, n_base, base), (inert_coord, n_inert, inert), (coord, _, on) = (
+        _best_of_interleaved([lambda: None, inert_policy, ResiliencePolicy])
+    )
 
     # the inert policy did bit-identical work: same trace volume, no
     # mechanism ever fired
@@ -110,6 +124,8 @@ def test_resilience_overhead_within_budget():
         "days": bench_days(),
         "seed": bench_seed(),
         "cpu_count": os.cpu_count() or 1,
+        "kernel": "object",
+        "rounds": ROUNDS,
         "overhead_target": OVERHEAD_BUDGET,
         "noise_slack_seconds": NOISE_SLACK,
         "target_asserted": True,

@@ -230,25 +230,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.compat import switches, violation
+    from repro.errors import RecoveryError, ShardWorkerError
     from repro.experiment import run_experiment
+    from repro.recovery import CampaignManifest, RecoveryConfig, is_campaign_dir
 
-    # Kernel pre-flight: combinations that are statically known to be
-    # columnar-ineligible must exit 2 here, before any run directory or
-    # observer is created, instead of failing mid-build.
-    if args.kernel == "columnar":
-        for flag, present in (
-            ("--obs-out", bool(args.obs_out)),
-            ("--resilience", bool(args.resilience)),
-            ("--recover-dir", args.recover_dir is not None),
-            ("--resume", bool(args.resume)),
-        ):
-            if present:
-                print(f"error: --kernel columnar is incompatible with "
-                      f"{flag}; the columnar pass replicates none of "
-                      "that hook's behaviour (use --kernel auto to fall "
-                      "back to the object path; see docs/columnar.md)",
-                      file=sys.stderr)
-                return 2
+    # Combination pre-flight: every rule of the compatibility table
+    # exits 2 here, before any run directory or observer is created.
+    rule = violation(switches(
+        columnar=args.kernel == "columnar",
+        one_shard=args.shards < 2,
+        sharded=args.shards > 1,
+        resume=args.resume,
+        recovery=bool(args.recover_dir) and not args.resume,
+        resilience=args.resilience,
+        policy=args.resilience,
+        net=args.listen is not None or args.workers is not None,
+        supervise=args.supervise,
+        observer=bool(args.obs_out),
+        no_run_dir=not args.recover_dir,
+        machines=args.machines is not None,
+    ))
+    if rule is not None:
+        print(f"error: {rule.message}", file=sys.stderr)
+        return 2
     if (args.behavioural_threshold is not None
             and args.behavioural_threshold < 0):
         print(f"error: --behavioural-threshold must be non-negative, got "
@@ -259,20 +264,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import Observer
 
         observer = Observer()
-    if args.resume and not args.recover_dir:
-        print("error: --resume needs --recover-dir", file=sys.stderr)
-        return 2
-    if args.resume and args.resilience:
-        print("error: --resilience cannot be changed on --resume; the "
-              "resumed run keeps its checkpointed policy", file=sys.stderr)
-        return 2
     if args.shards < 1:
         print(f"error: --shards must be at least 1, got {args.shards}",
               file=sys.stderr)
         return 2
     # Networked-mode validation happens here, before anything touches
-    # the filesystem: a conflicting or malformed invocation must exit 2
-    # without creating a run directory.
+    # the filesystem: a malformed invocation must exit 2 without
+    # creating a run directory.
     net = None
     if args.listen is not None or args.workers is not None:
         from repro.shard.net.config import NetConfig, parse_endpoint
@@ -280,22 +278,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.workers is not None and args.workers < 1:
             print(f"error: --workers must be at least 1, got "
                   f"{args.workers}", file=sys.stderr)
-            return 2
-        if args.shards < 2:
-            print("error: --listen/--workers run a networked campaign, "
-                  f"which needs --shards >= 2 (got {args.shards})",
-                  file=sys.stderr)
-            return 2
-        if args.supervise:
-            print("error: --supervise conflicts with --listen/--workers; "
-                  "the networked coordinator is the campaign's control "
-                  "plane", file=sys.stderr)
-            return 2
-        if args.resume:
-            print("error: --resume cannot drive a networked campaign "
-                  "(the shard-<k>/ namespaces are worker-host-local); "
-                  "resume it locally without --listen/--workers",
-                  file=sys.stderr)
             return 2
         endpoint = args.listen if args.listen is not None \
             else "tcp://127.0.0.1:0"
@@ -310,8 +292,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Validate the recovery directory up front, before anything is
         # created on disk: a missing or foreign directory must fail
         # with a usage error, not half-build a run.
-        from repro.recovery import CampaignManifest, is_campaign_dir
-
         rd = pathlib.Path(args.recover_dir)
         if not rd.is_dir():
             print(f"error: --resume: no such recovery directory "
@@ -333,8 +313,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         if campaign:
-            from repro.errors import RecoveryError
-
             try:
                 resume_shards = CampaignManifest.load(rd).n_shards
             except RecoveryError as exc:
@@ -348,10 +326,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.machines is not None and args.machines < 1:
         print(f"error: --machines must be at least 1, got {args.machines}",
               file=sys.stderr)
-        return 2
-    if args.machines is not None and args.resume:
-        print("error: --machines cannot be changed on --resume; the "
-              "resumed run keeps its checkpointed fleet", file=sys.stderr)
         return 2
     policy = None
     if args.resilience:
@@ -369,57 +343,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         **({} if args.behavioural_threshold is None
            else {"behavioural_threshold": args.behavioural_threshold}),
     )
-    supervise = True if args.supervise else None
-    run_kwargs = {}
-    if args.machines is not None:
-        from repro.machines.hardware import scaled_labs
-
-        run_kwargs["labs"] = scaled_labs(args.machines)
+    rcfg = (RecoveryConfig(run_dir=args.recover_dir,
+                           checkpoint_every=args.checkpoint_every)
+            if args.recover_dir else None)
+    run_kwargs = {"supervise": True if args.supervise else None}
     if args.resume:
-        from repro.errors import RecoveryError, ShardWorkerError
-        from repro.recovery import RecoveryConfig
-
-        rcfg = RecoveryConfig(run_dir=args.recover_dir,
-                              checkpoint_every=args.checkpoint_every)
-        try:
-            result = run_experiment(config, resume_from=rcfg,
-                                    supervise=supervise)
-        except ShardWorkerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except RecoveryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.recover_dir:
-        from repro.errors import RecoveryError, ShardWorkerError
-        from repro.recovery import RecoveryConfig
-
-        rcfg = RecoveryConfig(run_dir=args.recover_dir,
-                              checkpoint_every=args.checkpoint_every)
-        try:
-            result = run_experiment(config, observer=observer, recovery=rcfg,
-                                    resilience=policy, supervise=supervise,
-                                    net=net, **run_kwargs)
-        except ShardWorkerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except RecoveryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        run_kwargs["resume_from"] = rcfg
     else:
-        from repro.errors import ShardWorkerError
+        run_kwargs.update(observer=observer, recovery=rcfg,
+                          resilience=policy, net=net)
+        if args.machines is not None:
+            from repro.machines.hardware import scaled_labs
 
-        try:
-            result = run_experiment(config, observer=observer,
-                                    resilience=policy, supervise=supervise,
-                                    net=net, **run_kwargs)
-        except ShardWorkerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            # e.g. kernel='columnar' on an ineligible configuration
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            run_kwargs["labs"] = scaled_labs(args.machines)
+    try:
+        result = run_experiment(config, **run_kwargs)
+    except ShardWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecoveryError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = pathlib.Path(args.out)
     if out.suffix == ".jsonl":
         result.store.write_jsonl(out)

@@ -37,7 +37,7 @@ from repro.ddc.postcollect import (
     PostCollector,
     SamplePostCollector,
 )
-from repro.ddc.probe import Probe
+from repro.ddc.probe import Probe, ProbeResult
 from repro.ddc.remote import Credentials, RemoteExecutor, RemoteOutcome
 from repro.errors import AccessDenied, MachineUnreachable
 from repro.faults.plan import FaultPlan
@@ -47,10 +47,30 @@ from repro.sim.engine import Simulator
 from repro.traces.records import TraceMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.machines.winapi import Win32Api
     from repro.obs.observer import Observer
     from repro.recovery.runtime import RecoveryRuntime
 
 __all__ = ["DdcCoordinator"]
+
+
+class _StandInProbe(Probe):
+    """What a shard coordinator runs on a foreign machine.
+
+    Returns the real probe's fixed ``shadow_cost_seconds`` without
+    reading the machine.  The executor still performs every draw and
+    control-plane call of a real attempt, so the shared latency stream
+    and the pass clock advance exactly as in the owning shard, which
+    alone materialises the report.
+    """
+
+    name = "stand-in.exe"
+
+    def __init__(self, cost: float):
+        self._result = ProbeResult(stdout="", cpu_seconds=cost)
+
+    def run(self, api: "Win32Api", now: float) -> ProbeResult:
+        return self._result
 
 
 class _LabInstruments:
@@ -116,11 +136,12 @@ class DdcCoordinator:
         means all: the classic sequential run).  A shard coordinator
         still walks the **whole** roster every iteration so that the
         shared latency stream, the fault hooks and the resilience
-        control plane evolve exactly as in the sequential run, but for
-        foreign machines it only replicates the draws and the elapsed
-        time (see :meth:`_shadow_elapsed`): no probe output is
-        materialised, no sample stored, and no counter incremented.
-        Merged shard accounting therefore sums to the sequential run's.
+        control plane evolve exactly as in the sequential run, but a
+        foreign machine's attempts run unaccounted (``count=False`` in
+        :meth:`_execute_with_retry`), with a stand-in probe wherever
+        that is draw-exact: no sample is stored and no counter
+        incremented.  Merged shard accounting therefore sums to the
+        sequential run's.
     """
 
     def __init__(
@@ -149,10 +170,16 @@ class DdcCoordinator:
         self.faults = faults if faults is not None and not faults.empty else None
         self.owned_labs = (frozenset(owned_labs) if owned_labs is not None
                            else None)
-        #: Foreign cursor advance without probe materialisation is only
-        #: sound for draw-free fixed-cost probes; others fall back to a
-        #: full (but unaccounted) execution.
         self._shadow_cost = probe.shadow_cost_seconds
+        #: The probe a foreign machine runs.  Skipping the real probe is
+        #: only sound for a draw-free fixed-cost probe with no fault plan
+        #: (fault hooks see the machine and draw from the plan's streams
+        #: in roster order); otherwise the real probe runs, unaccounted.
+        self._foreign_probe: Probe = (
+            _StandInProbe(self._shadow_cost)
+            if self.faults is None and self._shadow_cost is not None
+            else probe
+        )
         self._obs = observer if observer is not None and observer.enabled else None
         self._lab_instruments: Dict[str, _LabInstruments] = {}
         if self._obs is not None:
@@ -241,6 +268,10 @@ class DdcCoordinator:
 
     def _iteration(self, k: int) -> None:
         start = self.sim.now
+        if k == 0:
+            # Later iterations stay on the period grid anchored here (a
+            # staggered schedule's first iteration fires at its offset).
+            self._origin = start
         obs = self._obs
         ran = False
         self.iterations_scheduled += 1
@@ -251,12 +282,8 @@ class DdcCoordinator:
         elif self.rng.random() < self.params.coordinator_availability:
             self.iterations_run += 1
             ran = True
-            if self.resilience is not None:
-                run_pass = self._run_pass_resilient
-            elif self._cols is not None:
-                run_pass = self._run_pass_columnar
-            else:
-                run_pass = self._run_pass
+            run_pass = (self._run_pass if self._cols is None
+                        else self._run_pass_columnar)
             if obs is not None:
                 with obs.span("ddc.iteration", iteration=k) as span:
                     elapsed = run_pass(k, start)
@@ -268,7 +295,7 @@ class DdcCoordinator:
             self.iteration_durations.append(elapsed)
         elif obs is not None:
             self._c_iter_lost.inc()
-        nxt = (k + 1) * self.params.sample_period
+        nxt = self._origin + (k + 1) * self.params.sample_period
         if nxt < self.horizon:
             self.sim.schedule(nxt, self._iteration, k + 1, name="ddc_iter")
         if self.recovery is not None:
@@ -303,23 +330,21 @@ class DdcCoordinator:
             error, MachineUnreachable
         )
 
-    def _skip_retry(self, li: Optional[_LabInstruments]) -> None:
-        """Account one retry opportunity withheld as futile."""
-        self.retries_skipped += 1
-        if li is not None:
-            li.retries_skipped.inc()
-
     def _execute_with_retry(
         self, machine: SimMachine, start: float, count: bool = True
     ) -> "tuple[RemoteOutcome, float]":
         """One attempt plus bounded retries; returns (outcome, elapsed).
 
-        ``count=False`` replicates a foreign machine's execution (same
-        draws, same elapsed time) without touching the retry counters --
-        the owning shard accounts it.
+        The resilience control plane, when attached, rides every
+        executor call (retries included).  ``count=False`` replicates a
+        foreign machine's attempts with :attr:`_foreign_probe` -- same
+        draws, same control-plane evidence, same elapsed time -- without
+        touching the retry counters: the owning shard accounts them.
         """
+        probe = self.probe if count else self._foreign_probe
+        rc = self.resilience
         outcome = self.executor.execute(
-            machine, self.probe, start, self.credentials
+            machine, probe, start, self.credentials, rc
         )
         elapsed = outcome.elapsed
         if outcome.ok or self.params.retry_limit == 0:
@@ -330,7 +355,10 @@ class DdcCoordinator:
         for _ in range(self.params.retry_limit):
             if not self._retryable(outcome.error):
                 if count:
-                    self._skip_retry(li)
+                    # a retry opportunity withheld as futile
+                    self.retries_skipped += 1
+                    if li is not None:
+                        li.retries_skipped.inc()
                 break
             if count:
                 self.retries += 1
@@ -338,7 +366,7 @@ class DdcCoordinator:
                     li.retries.inc()
             elapsed += backoff
             outcome = self.executor.execute(
-                machine, self.probe, start + elapsed, self.credentials
+                machine, probe, start + elapsed, self.credentials, rc
             )
             elapsed += outcome.elapsed
             backoff *= 2.0
@@ -351,10 +379,19 @@ class DdcCoordinator:
         return outcome, elapsed
 
     def _run_pass(self, k: int, start: float) -> float:
-        """One sequential pass over the roster; returns its duration."""
+        """One sequential pass over the roster; returns its duration.
+
+        With the resilience control plane attached, each machine first
+        passes :meth:`~repro.resilience.control.ResilienceControl.admit`
+        (circuit breaker, load shedder).  Skipped machines are fully
+        accounted: ``iterations_run * n_machines == attempts + shed +
+        breaker_skipped`` holds at all times.
+        """
+        rc = self.resilience
+        if rc is not None:
+            rc.begin_pass(k, start)
         observing = self._obs is not None
         owned = self.owned_labs
-        shadow = self.faults is None and self._shadow_cost is not None
         cursor = start
         lab_start = start
         current_lab: Optional[str] = None
@@ -370,45 +407,36 @@ class DdcCoordinator:
                 mine = owned is None or current_lab in owned
                 li = self._lab(current_lab) if observing and mine else None
                 lab_start = cursor
-            if mine:
-                outcome, elapsed = self._execute_with_retry(machine, cursor)
-                self.attempts += 1
-                cursor += elapsed
-                self._account_outcome(machine, outcome, cursor, k, li)
-            elif shadow:
-                cursor += self._shadow_elapsed(machine, cursor)
-            else:
-                # Fault hooks see the machine object and draw from the
-                # plan's own streams in roster order, so a foreign machine
-                # must really execute -- just unaccounted.
+            if rc is not None:
+                verdict = rc.admit(machine.spec.machine_id, cursor)
+                if verdict != PROBE:
+                    if mine:
+                        if verdict == SHED:
+                            self._shed += 1
+                        else:
+                            self._breaker_skipped += 1
+                    continue
+            if not mine:
                 _, elapsed = self._execute_with_retry(
                     machine, cursor, count=False
                 )
                 cursor += elapsed
+                continue
+            if rc is not None:
+                # Hedge dispatches happen inside the executor (retries
+                # included); the before/after delta attributes them to
+                # this owned machine.
+                h0, w0 = rc.hedges, rc.hedge_wins
+            outcome, elapsed = self._execute_with_retry(machine, cursor)
+            if rc is not None:
+                self._hedges += rc.hedges - h0
+                self._hedge_wins += rc.hedge_wins - w0
+            self.attempts += 1
+            cursor += elapsed
+            self._account_outcome(machine, outcome, cursor, k, li)
         if li is not None:
             li.pass_seconds.observe(cursor - lab_start)
         return cursor - start
-
-    def _shadow_elapsed(self, machine: SimMachine, start: float) -> float:
-        """Elapsed time of a foreign machine's attempt, draws replicated.
-
-        Mirrors :meth:`_execute_with_retry` exactly for the fault-free
-        case: an off machine costs ``off_timeout`` per attempt and draws
-        nothing; a powered machine costs one shared-stream latency draw
-        plus the probe's fixed ``shadow_cost_seconds``.  The coordinator
-        authenticates with the executor's own credentials, so the access
-        checks cannot fail and no other path exists.
-        """
-        ex = self.executor
-        if not machine.powered:
-            elapsed = ex.off_timeout
-            if self.params.retry_limit and self.params.retry_unreachable:
-                backoff = self.params.retry_backoff
-                for _ in range(self.params.retry_limit):
-                    elapsed += backoff + ex.off_timeout
-                    backoff *= 2.0
-            return elapsed
-        return ex.draw_latency() + self._shadow_cost
 
     def _account_outcome(
         self,
@@ -462,20 +490,24 @@ class DdcCoordinator:
         the full roster -- replicating the sequential cursor chain and
         RNG cursor exactly -- and restricts materialisation (samples,
         statics, counters) to the owned mask, the vectorised twin of the
-        per-object shadow path.
+        per-object foreign path.
+
+        The hooks a run request can switch on are read from the
+        :mod:`repro.compat` table, so this verdict and the up-front
+        rejection of ``kernel="columnar"`` agree by construction.
         """
+        from repro.compat import columnar_reason, switches
         from repro.ddc.w32probe import W32Probe
 
-        if self.faults is not None:
-            return "fault plan attached"
-        if self.resilience is not None:
-            return "resilience control plane attached"
-        if self._obs is not None:
-            return "observer attached"
-        if self.recovery is not None:
-            return "recovery runtime attached"
-        if self.params.retry_limit != 0:
-            return "retries enabled"
+        reason = columnar_reason(switches(
+            faults=self.faults is not None,
+            policy=self.resilience is not None,
+            observer=self._obs is not None,
+            recovery=self.recovery is not None,
+            retries=self.params.retry_limit != 0,
+        ))
+        if reason is not None:
+            return reason
         if type(self.probe) is not W32Probe:
             return f"probe is {type(self.probe).__name__}, not W32Probe"
         if type(self.post_collect) is not SamplePostCollector:
@@ -625,156 +657,6 @@ class DdcCoordinator:
                     meta.statics[int(cols.machine_id[j])] = cols.static_info(j)
                 self._registered[fresh] = True
         return duration
-
-    # -- resilient variants (policy attached) --------------------------
-    def _execute_with_retry_resilient(
-        self, machine: SimMachine, start: float, rc: ResilienceControl,
-        count: bool = True,
-    ) -> "tuple[RemoteOutcome, float]":
-        """:meth:`_execute_with_retry` against the resilient executor.
-
-        Health/latency evidence is fed to the control plane inside
-        :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`
-        itself (once per attempt, retries included).  ``count=False``
-        replicates a foreign machine's attempts -- evidence still flows
-        to the (replicated) control plane, counters stay untouched.
-        """
-        outcome = self.executor.execute_resilient(
-            machine, self.probe, start, self.credentials, rc
-        )
-        elapsed = outcome.elapsed
-        if outcome.ok or self.params.retry_limit == 0:
-            return outcome, elapsed
-        backoff = self.params.retry_backoff
-        li = (self._lab(machine.spec.lab)
-              if count and self._obs is not None else None)
-        for _ in range(self.params.retry_limit):
-            if not self._retryable(outcome.error):
-                if count:
-                    self._skip_retry(li)
-                break
-            if count:
-                self.retries += 1
-                if li is not None:
-                    li.retries.inc()
-            elapsed += backoff
-            outcome = self.executor.execute_resilient(
-                machine, self.probe, start + elapsed, self.credentials, rc
-            )
-            elapsed += outcome.elapsed
-            backoff *= 2.0
-            if outcome.ok:
-                if count:
-                    self.retries_recovered += 1
-                    if li is not None:
-                        li.retries_recovered.inc()
-                break
-        return outcome, elapsed
-
-    def _run_pass_resilient(self, k: int, start: float) -> float:
-        """One roster pass with the resilience control plane engaged.
-
-        Identical to :meth:`_run_pass` except that each machine first
-        passes through :meth:`~repro.resilience.control.ResilienceControl
-        .admit` (circuit breaker, load shedder) and every executor call
-        feeds health/latency evidence back.  Skipped machines are fully
-        accounted: ``iterations_run * n_machines == attempts + shed +
-        breaker_skipped`` holds at all times.
-        """
-        rc = self.resilience
-        rc.begin_pass(k, start)
-        observing = self._obs is not None
-        owned = self.owned_labs
-        shadow = self.faults is None and self._shadow_cost is not None
-        cursor = start
-        lab_start = start
-        current_lab: Optional[str] = None
-        li: Optional[_LabInstruments] = None
-        mine = True
-        for machine in self.machines:
-            if machine.spec.lab != current_lab:
-                if li is not None:
-                    li.pass_seconds.observe(cursor - lab_start)
-                current_lab = machine.spec.lab
-                mine = owned is None or current_lab in owned
-                li = self._lab(current_lab) if observing and mine else None
-                lab_start = cursor
-            verdict = rc.admit(machine.spec.machine_id, cursor)
-            if verdict != PROBE:
-                if mine:
-                    if verdict == SHED:
-                        self._shed += 1
-                    else:
-                        self._breaker_skipped += 1
-                continue
-            if mine:
-                # Hedge dispatches happen inside the executor (retries
-                # included); the before/after delta attributes them to
-                # this owned machine.
-                h0, w0 = rc.hedges, rc.hedge_wins
-                outcome, elapsed = self._execute_with_retry_resilient(
-                    machine, cursor, rc
-                )
-                self._hedges += rc.hedges - h0
-                self._hedge_wins += rc.hedge_wins - w0
-                self.attempts += 1
-                cursor += elapsed
-                self._account_outcome(machine, outcome, cursor, k, li)
-            elif shadow:
-                cursor += self._shadow_elapsed_resilient(machine, cursor, rc)
-            else:
-                _, elapsed = self._execute_with_retry_resilient(
-                    machine, cursor, rc, count=False
-                )
-                cursor += elapsed
-        if li is not None:
-            li.pass_seconds.observe(cursor - lab_start)
-        return cursor - start
-
-    def _shadow_elapsed_resilient(
-        self, machine: SimMachine, start: float, rc: ResilienceControl
-    ) -> float:
-        """Resilient-path twin of :meth:`_shadow_elapsed`.
-
-        The control plane is replicated in every shard, so a foreign
-        machine's evidence (:meth:`~repro.resilience.control
-        .ResilienceControl.observe`), fast-fail cuts and hedge-budget
-        consumption must happen exactly as inside
-        :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`; only
-        the probe run and the accounting are skipped.
-        """
-        ex = self.executor
-        spec = machine.spec
-
-        if not machine.powered:
-            def attempt(now: float) -> float:
-                cost = ex.off_timeout
-                deadline = rc.pass_deadline[spec.lab]
-                if deadline is not None and deadline < cost:
-                    rc.note_fastfail_cut()
-                    rc.observe(spec.machine_id, now + deadline, False, None)
-                    return deadline
-                rc.observe(spec.machine_id, now + cost, False, None)
-                return cost
-
-            elapsed = attempt(start)
-            if self.params.retry_limit and self.params.retry_unreachable:
-                backoff = self.params.retry_backoff
-                for _ in range(self.params.retry_limit):
-                    elapsed += backoff
-                    elapsed += attempt(start + elapsed)
-                    backoff *= 2.0
-            return elapsed
-        primary = ex.draw_latency()
-        latency = primary
-        threshold = rc.pass_hedge[spec.lab]
-        if threshold is not None and primary > threshold and rc.take_hedge():
-            duplicate = rc.draw_hedge_latency(*ex.latency_range)
-            hedge_won = threshold + duplicate < primary
-            latency = min(primary, threshold + duplicate)
-            rc.note_hedge(hedge_won)
-        rc.observe(spec.machine_id, start + latency, True, primary)
-        return latency + self._shadow_cost
 
     # ------------------------------------------------------------------
     def progress(self) -> dict:

@@ -99,10 +99,10 @@ class RemoteOutcome:
         return self.result is not None and self.result.ok
 
     # Resilience annotation defaults.  Deliberately *unannotated* class
-    # attributes (so they are not dataclass fields): the resilient
-    # executor returns a plain, cheap RemoteOutcome on its fast paths
-    # (unhedged success, uncut timeout) and callers still read the
-    # annotations uniformly.
+    # attributes (so they are not dataclass fields): the executor
+    # returns a plain, cheap RemoteOutcome unless the control plane cut
+    # or hedged the attempt, and callers still read the annotations
+    # uniformly.
     latency = None
     hedged = False
     hedge_won = False
@@ -111,14 +111,17 @@ class RemoteOutcome:
 
 @dataclass(frozen=True)
 class ResilientOutcome(RemoteOutcome):
-    """A :class:`RemoteOutcome` annotated by the resilience control plane.
+    """A :class:`RemoteOutcome` the resilience control plane changed.
+
+    Returned for a hedged attempt or a deadline-cut fast-fail; every
+    other attempt is a plain :class:`RemoteOutcome`.
 
     Attributes
     ----------
     latency:
-        The *primary* connect latency on live machines (pre-hedge), the
-        observation fed to the per-lab quantile trackers; ``None`` for
-        unreachable fast-fails.
+        The *primary* connect latency of a hedged attempt (pre-hedge),
+        the observation fed to the per-lab quantile trackers; ``None``
+        for unreachable fast-fails.
     hedged / hedge_won:
         Whether a duplicate probe was dispatched for this attempt, and
         whether the duplicate finished first.
@@ -188,26 +191,6 @@ class RemoteExecutor:
         self._owned_labs = owned_labs
         self._lat_hists: dict = {}
 
-    # -- shard-shadow helpers (see DdcCoordinator._shadow_elapsed) ------
-    @property
-    def latency_range(self) -> Tuple[float, float]:
-        """The ``(lo, hi)`` live-execution latency bounds."""
-        return self._latency
-
-    @property
-    def off_timeout(self) -> float:
-        """Seconds one unreachable fast-fail costs."""
-        return self._off_timeout
-
-    def draw_latency(self) -> float:
-        """One latency draw from the shared stream (no other effects).
-
-        Exactly the draw :meth:`execute` performs for a powered machine;
-        shard coordinators use it to keep the stream position aligned
-        while skipping a foreign machine's probe.
-        """
-        return float(self._rng.uniform(*self._latency))
-
     def _observes(self, lab: str) -> bool:
         """Whether this executor accounts executions of ``lab``."""
         return (self._obs is not None
@@ -231,74 +214,12 @@ class RemoteExecutor:
         probe: Probe,
         now: float,
         credentials: Credentials,
+        control: Optional["ResilienceControl"] = None,
     ) -> RemoteOutcome:
-        """Attempt to run ``probe`` on ``machine`` at time ``now``."""
-        faults = self._faults
-        if faults is not None and faults.unreachable(now, machine):
-            # A dead switch looks exactly like a dead PC from here: the
-            # coordinator pays the same fast-fail timeout.
-            return RemoteOutcome(
-                result=None,
-                elapsed=self._off_timeout,
-                error=MachineUnreachable(
-                    f"{machine.spec.hostname}: no route to host (partition)"
-                ),
-            )
-        if not machine.powered:
-            return RemoteOutcome(
-                result=None,
-                elapsed=self._off_timeout,
-                error=MachineUnreachable(
-                    f"{machine.spec.hostname}: no route to host"
-                ),
-            )
-        latency = float(self._rng.uniform(*self._latency))
-        if faults is not None:
-            latency *= faults.latency_factor(now, machine)
-        if self._obs is not None and self._observes(machine.spec.lab):
-            self._latency_hist(machine.spec.lab).observe(latency)
-        if not credentials.matches(self._admin):
-            return RemoteOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{machine.spec.hostname}: logon failure for "
-                    f"{credentials.username!r}"
-                ),
-            )
-        if faults is not None and faults.denies_access(now, machine):
-            return RemoteOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{machine.spec.hostname}: transient logon failure for "
-                    f"{credentials.username!r}",
-                    transient=True,
-                ),
-            )
-        api = Win32Api(machine)
-        # The probe observes the machine at the instant it actually runs,
-        # i.e. after the remote-execution latency has elapsed.
-        exec_time = now + latency
-        result = probe.run(api, exec_time)
-        if faults is not None:
-            corrupted = faults.corrupt_stdout(exec_time, machine, result.stdout)
-            if corrupted is not None:
-                result = dataclasses.replace(result, stdout=corrupted)
-        return RemoteOutcome(result=result, elapsed=latency + result.cpu_seconds)
+        """Attempt to run ``probe`` on ``machine`` at time ``now``.
 
-    def execute_resilient(
-        self,
-        machine: SimMachine,
-        probe: Probe,
-        now: float,
-        credentials: Credentials,
-        control: "ResilienceControl",
-    ) -> RemoteOutcome:
-        """:meth:`execute` with the resilience control plane engaged.
-
-        Two behavioural deltas, both latency-only (the probe itself and
-        the failure taxonomy are untouched):
+        A resilience ``control`` plane adds two latency-only deltas (the
+        probe itself and the failure taxonomy are untouched):
 
         - an unreachable machine fast-fails after
           ``min(off_timeout, lab deadline)`` instead of the fixed
@@ -315,86 +236,81 @@ class RemoteExecutor:
         network, so only an unreachable timeout counts against its
         health and breaker.  The deadline and hedge threshold come from
         the control plane's pass-frozen ``pass_deadline`` /
-        ``pass_hedge`` dicts (recomputed each ``begin_pass``), keeping
-        this path within the control plane's overhead budget.
-
-        Kept separate from :meth:`execute` so the policy-off hot path
-        stays byte-for-byte identical to pre-resilience builds.
+        ``pass_hedge`` dicts (recomputed each ``begin_pass``).  Without
+        a control plane none of this runs and nothing extra is drawn.
         """
         faults = self._faults
         spec = machine.spec
-        lab = spec.lab
-        unreachable = (
-            faults is not None and faults.unreachable(now, machine)
-        ) or not machine.powered
-        if unreachable:
+        if faults is not None and faults.unreachable(now, machine):
+            # A dead switch looks exactly like a dead PC from here: the
+            # coordinator pays the same fast-fail timeout.
+            down = "no route to host (partition)"
+        elif not machine.powered:
+            down = "no route to host"
+        else:
+            down = None
+        if down is not None:
+            error = MachineUnreachable(f"{spec.hostname}: {down}")
             elapsed = self._off_timeout
-            deadline = control.pass_deadline[lab]
-            error = MachineUnreachable(f"{spec.hostname}: no route to host")
-            if deadline is not None and deadline < elapsed:
-                control.note_fastfail_cut()
-                control.observe(spec.machine_id, now + deadline, False, None)
-                return ResilientOutcome(
-                    result=None, elapsed=deadline, error=error,
-                    fastfail_cut=True,
-                )
-            control.observe(spec.machine_id, now + elapsed, False, None)
-            # un-annotated fast path: class-attribute defaults cover the
-            # resilience annotations (fastfail_cut is False here)
+            if control is not None:
+                deadline = control.pass_deadline[spec.lab]
+                if deadline is not None and deadline < elapsed:
+                    control.note_fastfail_cut()
+                    control.observe(spec.machine_id, now + deadline, False,
+                                    None)
+                    return ResilientOutcome(result=None, elapsed=deadline,
+                                            error=error, fastfail_cut=True)
+                control.observe(spec.machine_id, now + elapsed, False, None)
             return RemoteOutcome(result=None, elapsed=elapsed, error=error)
         primary = float(self._rng.uniform(*self._latency))
         if faults is not None:
             primary *= faults.latency_factor(now, machine)
         latency = primary
         hedged = hedge_won = False
-        threshold = control.pass_hedge[lab]
-        if threshold is not None and primary > threshold and control.take_hedge():
-            # The duplicate is dispatched the moment the primary is known
-            # slow (the threshold instant) and races it.  It rides a fresh
-            # connection, so it does not inherit the transient stall that
-            # is inflating the primary -- that is what makes hedging win.
-            duplicate = control.draw_hedge_latency(*self._latency)
-            hedged = True
-            hedge_won = threshold + duplicate < primary
-            latency = min(primary, threshold + duplicate)
-            control.note_hedge(hedge_won)
-        if self._obs is not None and self._observes(lab):
-            self._latency_hist(lab).observe(latency)
-        control.observe(spec.machine_id, now + latency, True, primary)
+        if control is not None:
+            threshold = control.pass_hedge[spec.lab]
+            if (threshold is not None and primary > threshold
+                    and control.take_hedge()):
+                # The duplicate is dispatched the moment the primary is
+                # known slow (the threshold instant) and races it.  It
+                # rides a fresh connection, so it does not inherit the
+                # transient stall inflating the primary -- that is what
+                # makes hedging win.
+                duplicate = control.draw_hedge_latency(*self._latency)
+                hedged = True
+                hedge_won = threshold + duplicate < primary
+                latency = min(primary, threshold + duplicate)
+                control.note_hedge(hedge_won)
+        if self._obs is not None and self._observes(spec.lab):
+            self._latency_hist(spec.lab).observe(latency)
+        if control is not None:
+            control.observe(spec.machine_id, now + latency, True, primary)
+        result = None
+        error = None
+        elapsed = latency
         if not credentials.matches(self._admin):
-            return ResilientOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{spec.hostname}: logon failure for "
-                    f"{credentials.username!r}"
-                ),
-                latency=primary, hedged=hedged, hedge_won=hedge_won,
+            error = AccessDenied(
+                f"{spec.hostname}: logon failure for {credentials.username!r}"
             )
-        if faults is not None and faults.denies_access(now, machine):
-            return ResilientOutcome(
-                result=None,
-                elapsed=latency,
-                error=AccessDenied(
-                    f"{spec.hostname}: transient logon failure for "
-                    f"{credentials.username!r}",
-                    transient=True,
-                ),
-                latency=primary, hedged=hedged, hedge_won=hedge_won,
+        elif faults is not None and faults.denies_access(now, machine):
+            error = AccessDenied(
+                f"{spec.hostname}: transient logon failure for "
+                f"{credentials.username!r}",
+                transient=True,
             )
-        api = Win32Api(machine)
-        exec_time = now + latency
-        result = probe.run(api, exec_time)
-        if faults is not None:
-            corrupted = faults.corrupt_stdout(exec_time, machine, result.stdout)
-            if corrupted is not None:
-                result = dataclasses.replace(result, stdout=corrupted)
+        else:
+            # The probe observes the machine at the instant it actually
+            # runs, i.e. after the remote-execution latency has elapsed.
+            exec_time = now + latency
+            result = probe.run(Win32Api(machine), exec_time)
+            if faults is not None:
+                corrupted = faults.corrupt_stdout(exec_time, machine,
+                                                  result.stdout)
+                if corrupted is not None:
+                    result = dataclasses.replace(result, stdout=corrupted)
+            elapsed = latency + result.cpu_seconds
         if hedged:
-            return ResilientOutcome(
-                result=result,
-                elapsed=latency + result.cpu_seconds,
-                latency=primary, hedged=True, hedge_won=hedge_won,
-            )
-        # un-annotated fast path (the common case: live, no hedge)
-        return RemoteOutcome(result=result,
-                             elapsed=latency + result.cpu_seconds)
+            return ResilientOutcome(result=result, elapsed=elapsed,
+                                    error=error, latency=primary,
+                                    hedged=True, hedge_won=hedge_won)
+        return RemoteOutcome(result=result, elapsed=elapsed, error=error)

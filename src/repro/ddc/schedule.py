@@ -62,7 +62,11 @@ class ProbeJob:
 
 
 class _OffsetCoordinator(DdcCoordinator):
-    """Coordinator whose first iteration fires at a configurable offset."""
+    """Coordinator whose first iteration fires at a configurable offset.
+
+    Later iterations need nothing extra: the base iteration keeps the
+    period grid anchored at the first iteration's start.
+    """
 
     def __init__(self, *args, start_offset: float = 0.0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -74,16 +78,6 @@ class _OffsetCoordinator(DdcCoordinator):
         self._started = True
         self.sim.schedule(self.sim.now + self._offset, self._iteration, 0,
                           name="ddc_iter")
-
-    def _iteration(self, k: int) -> None:
-        start = self.sim.now
-        self.iterations_scheduled += 1
-        if self.rng.random() < self.params.coordinator_availability:
-            self.iterations_run += 1
-            self.iteration_durations.append(self._run_pass(k, start))
-        nxt = self._offset + (k + 1) * self.params.sample_period
-        if nxt < self.horizon:
-            self.sim.schedule(nxt, self._iteration, k + 1, name="ddc_iter")
 
 
 class MultiProbeDdc:

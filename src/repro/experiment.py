@@ -26,10 +26,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro import compat
 from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
 from repro.errors import CheckpointError, ShardWorkerError
-from repro.faults.plan import FAULT_CATEGORIES, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs.observer import Observer, maybe_phase
 from repro.obs.snapshot import ObsSnapshot
 from repro.machines.hardware import TABLE1_LABS, LabSpec
@@ -39,21 +40,17 @@ from repro.recovery.manifest import (
     load_campaign_state,
     write_campaign_state,
 )
-from repro.recovery.runtime import (
-    RecoveryConfig,
-    RecoveryInfo,
-    RecoveryRuntime,
-    fresh_runtime,
-)
+from repro.recovery.runtime import RecoveryConfig, RecoveryInfo, fresh_runtime
 from repro.resilience.policy import ResiliencePolicy
 from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
 from repro.shard.net.config import NetConfig
 from repro.shard.plan import ShardPlan
 from repro.shard.supervisor import CampaignReport, Supervisor, SupervisorPolicy
 from repro.shard.worker import (
+    ShardOutcome,
     ShardTask,
     _run_shard_task,
-    attach_nbench_indexes,
+    resume_shard,
     run_shard,
 )
 from repro.sim.fleet import FleetSimulator
@@ -192,9 +189,13 @@ def run_experiment(
         segments are quarantined, not crashed on) and the simulation
         continues to the horizon; the regenerated iterations are checked
         against the journaled digests.  Mutually exclusive with
-        ``recovery``; per-run arguments (``labs``, ``faults``,
-        ``fleet_factory``, ``observer``) come from the checkpoint, and a
-        ``config`` passed here must digest-match the checkpointed one.
+        ``recovery``.  A sequential directory resumes as the single
+        all-labs shard (:func:`repro.shard.worker.resume_shard`): the
+        config, fault plan and observer come from the checkpoint, and a
+        ``config`` passed here must digest-match the checkpointed one;
+        when no checkpoint survived, the cold restart rebuilds the run
+        from ``config`` (or :func:`~repro.config.paper_config`),
+        ``labs``, ``faults``, ``fleet_factory`` and ``observer``.
         A directory holding a campaign manifest (a ``shards>1`` run
         collected with ``recovery=``) resumes the *whole campaign*:
         every shard continues from its own checkpoint under supervision
@@ -246,25 +247,38 @@ def run_experiment(
         path.  Mutually exclusive with ``supervise`` (the coordinator
         *is* the control plane), ``fleet_factory`` and ``resume_from``;
         requires ``shards >= 2``.  See ``docs/distributed.md``.
+
+    Combinations that cannot work together are rejected by the
+    :mod:`repro.compat` table before anything touches the filesystem.
     """
+    cfg = config or paper_config()
+    if resilience is not None:
+        cfg = cfg.replace(
+            ddc=dataclasses.replace(cfg.ddc, resilience=resilience)
+        )
+    n_shards = cfg.shards if shards is None else shards
+    compat.check(compat.switches(
+        columnar=cfg.kernel == "columnar",
+        one_shard=n_shards < 2,
+        sharded=n_shards > 1,
+        resume=resume_from is not None,
+        recovery=recovery is not None,
+        resilience=resilience is not None,
+        policy=cfg.ddc.resilience is not None,
+        net=net is not None,
+        supervise=bool(supervise),
+        fleet_factory=fleet_factory is not None,
+        faults=faults is not None and not faults.empty,
+        observer=observer is not None and observer.enabled,
+        retries=cfg.ddc.retry_limit != 0,
+    ))
+    # A sequential run, fresh or resumed, is the single all-labs shard.
+    single = ShardTask(
+        config=cfg, shard=ShardPlan.build(labs, 1).specs[0],
+        labs=tuple(labs), collect_nbench=collect_nbench,
+        strict_postcollect=strict_postcollect, faults=faults,
+    )
     if resume_from is not None:
-        if net is not None:
-            raise CheckpointError(
-                "networked campaign resume (net= with resume_from=) is "
-                "not supported: the shard-<k>/ namespaces are worker-"
-                "host-local; resume the campaign locally with "
-                "resume_from= alone"
-            )
-        if recovery is not None:
-            raise CheckpointError(
-                "pass either recovery= (fresh run) or resume_from= "
-                "(continue a crashed run), not both"
-            )
-        if resilience is not None:
-            raise CheckpointError(
-                "resilience= cannot be changed on resume; the policy and "
-                "its control-plane state come from the checkpoint"
-            )
         rcfg = (resume_from if isinstance(resume_from, RecoveryConfig)
                 else RecoveryConfig(run_dir=resume_from))
         if is_campaign_dir(rcfg.run_dir):
@@ -274,88 +288,30 @@ def run_experiment(
                 observer=observer,
                 supervise=supervise,
             )
-        if (shards is not None and shards > 1) or (
-                config is not None and config.shards > 1):
+        if n_shards > 1:
             raise CheckpointError(
                 f"{rcfg.run_dir} holds no campaign manifest: the journal "
                 "and checkpoints describe one sequential process; resume "
                 "it with shards=1 (only a run collected with shards>1 "
                 "and recovery= resumes as a sharded campaign)"
             )
-        return _resume_experiment(
-            resume_from,
-            config,
-            labs=labs,
-            collect_nbench=collect_nbench,
-            strict_postcollect=strict_postcollect,
-            fleet_factory=fleet_factory,
-            faults=faults,
-            observer=observer,
-        )
-    cfg = config or paper_config()
-    if resilience is not None:
-        cfg = cfg.replace(
-            ddc=dataclasses.replace(cfg.ddc, resilience=resilience)
-        )
-    n_shards = cfg.shards if shards is None else shards
+        # config=None adopts the checkpointed configuration.
+        task = dataclasses.replace(single, config=config, recovery=rcfg,
+                                   resume=True)
+        return _in_process_result(resume_shard(
+            task, observer=observer, fleet_factory=fleet_factory))
     if n_shards < 1:
         raise ValueError("shards must be at least 1")
-    if net is not None:
-        if n_shards < 2:
-            raise ValueError(
-                "net= needs shards >= 2: a networked campaign exists to "
-                "fan shards out over workers"
-            )
-        if supervise:
-            raise ValueError(
-                "net= and supervise= are mutually exclusive: the "
-                "networked coordinator is the campaign's control plane"
-            )
-        if fleet_factory is not None:
-            raise ValueError(
-                "fleet_factory is not supported with net=: networked "
-                "workers rebuild their fleet from the picklable config"
-            )
     if n_shards == 1:
-        plan = ShardPlan.build(labs, 1)
-        task = ShardTask(
-            config=cfg, shard=plan.specs[0], labs=tuple(labs),
-            collect_nbench=collect_nbench,
-            strict_postcollect=strict_postcollect, faults=faults,
-        )
         runtime = fresh_runtime(recovery) if recovery is not None else None
-        outcome = run_shard(task, observer=observer,
-                            fleet_factory=fleet_factory, runtime=runtime)
-        return MonitoringResult(config=cfg, fleet=outcome.fleet,
-                                coordinator=outcome.coordinator,
-                                store=outcome.store, faults=faults,
-                                observer=observer, recovery=outcome.recovery)
-    if fleet_factory is not None:
-        raise ValueError(
-            "fleet_factory is not supported with shards > 1: worker "
-            "processes rebuild their fleet from the picklable config"
-        )
+        return _in_process_result(run_shard(
+            single, observer=observer, fleet_factory=fleet_factory,
+            runtime=runtime))
     plan = ShardPlan.build(labs, n_shards)
     instrument = observer is not None and observer.enabled
-    tasks = [
-        ShardTask(config=cfg, shard=spec, labs=tuple(labs),
-                  collect_nbench=collect_nbench,
-                  strict_postcollect=strict_postcollect, faults=faults,
-                  instrument=instrument)
-        for spec in plan.specs
-    ]
-    if net is not None:
-        manifest = None
-        if recovery is not None:
-            manifest, tasks = _lay_out_campaign(
-                cfg, plan, tasks,
-                recovery=recovery, labs=labs, faults=faults,
-                collect_nbench=collect_nbench,
-                strict_postcollect=strict_postcollect,
-                instrument=instrument,
-            )
-        return _run_networked(cfg, plan, tasks, net=net, recovery=recovery,
-                              manifest=manifest, observer=observer)
+    tasks = [dataclasses.replace(single, shard=spec, instrument=instrument)
+             for spec in plan.specs]
+    manifest = None
     if recovery is not None:
         manifest, tasks = _lay_out_campaign(
             cfg, plan, tasks,
@@ -364,12 +320,13 @@ def run_experiment(
             strict_postcollect=strict_postcollect,
             instrument=instrument,
         )
+    if net is not None:
+        return _run_networked(cfg, plan, tasks, net=net, recovery=recovery,
+                              manifest=manifest, observer=observer)
+    if recovery is not None or supervise:
         return _run_supervised(cfg, tasks, recovery=recovery,
                                manifest=manifest, observer=observer,
                                supervise=supervise)
-    if supervise:
-        return _run_supervised(cfg, tasks, recovery=None, manifest=None,
-                               observer=observer, supervise=supervise)
     with ProcessPoolExecutor(max_workers=n_shards) as pool:
         futures = [pool.submit(_run_shard_task, task) for task in tasks]
         outcomes = []
@@ -389,6 +346,15 @@ def run_experiment(
     return MonitoringResult(config=cfg, fleet=None, coordinator=None,
                             store=store, faults=merged_faults,
                             observer=None, obs_snapshot=snapshot)
+
+
+def _in_process_result(outcome: ShardOutcome) -> MonitoringResult:
+    """The result of the single all-labs shard, run in this process."""
+    return MonitoringResult(config=outcome.config, fleet=outcome.fleet,
+                            coordinator=outcome.coordinator,
+                            store=outcome.store, faults=outcome.faults,
+                            observer=outcome.observer,
+                            recovery=outcome.recovery)
 
 
 def _run_supervised(
@@ -597,149 +563,6 @@ def _resume_campaign(
     ]
     return _run_supervised(cfg, tasks, recovery=rcfg, manifest=manifest,
                            observer=observer, supervise=supervise)
-
-
-def _finish_experiment(
-    cfg: ExperimentConfig,
-    fleet: FleetSimulator,
-    coordinator: DdcCoordinator,
-    store: TraceStore,
-    meta: TraceMeta,
-    *,
-    faults: Optional[FaultPlan],
-    observer: Optional[Observer],
-    obs: Optional[Observer],
-    collect_nbench: bool,
-    runtime: Optional[RecoveryRuntime],
-) -> MonitoringResult:
-    """Post-simulation stages shared by fresh and resumed runs."""
-    coordinator.finalize_meta(meta)
-    if collect_nbench:
-        with maybe_phase(obs, "collect"):
-            _attach_nbench_indexes(fleet, meta)
-    if obs is not None and faults is not None and not faults.empty:
-        for category in FAULT_CATEGORIES:
-            obs.metrics.counter("faults.injected", category=category).inc(
-                faults.injected.get(category, 0)
-            )
-    info = runtime.finish() if runtime is not None else None
-    return MonitoringResult(config=cfg, fleet=fleet, coordinator=coordinator,
-                            store=store, faults=faults, observer=observer,
-                            recovery=info)
-
-
-def _resume_experiment(
-    resume_from: Union[str, Path, RecoveryConfig],
-    config: Optional[ExperimentConfig],
-    *,
-    labs: Sequence[LabSpec],
-    collect_nbench: bool,
-    strict_postcollect: bool,
-    fleet_factory,
-    faults: Optional[FaultPlan],
-    observer: Optional[Observer],
-) -> MonitoringResult:
-    """Continue a crashed recovery-enabled run from its run directory."""
-    from repro.recovery.checkpoint import config_digest, load_latest_checkpoint
-    from repro.recovery.journal import Quarantine, retro_seal, scan_journal
-
-    rcfg = (resume_from if isinstance(resume_from, RecoveryConfig)
-            else RecoveryConfig(run_dir=resume_from))
-    quarantine = Quarantine(rcfg.run_dir)
-    ckpt = load_latest_checkpoint(rcfg.checkpoint_dir, quarantine)
-    scan = scan_journal(rcfg.journal_dir, quarantine)
-    retro_seal(scan)
-    if ckpt is None:
-        # Crash before the first checkpoint survived: cold-restart from
-        # iteration 0.  The journal tail then covers the whole crashed
-        # generation, so every regenerated iteration is still verified.
-        runtime = RecoveryRuntime(
-            rcfg,
-            quarantine=quarantine,
-            expected_digests=scan.iteration_digests,
-            cold_restart=True,
-            start_segment=scan.next_segment,
-        )
-        cfg = config or paper_config()
-        return _run_fresh_graph(
-            cfg, labs=labs, collect_nbench=collect_nbench,
-            strict_postcollect=strict_postcollect,
-            fleet_factory=fleet_factory, faults=faults,
-            observer=observer, runtime=runtime,
-        )
-    if config is not None and config_digest(config) != ckpt.config:
-        raise CheckpointError(
-            f"configuration mismatch: resume was given a config whose "
-            f"digest {config_digest(config)[:12]}... differs from the "
-            f"checkpointed run's {ckpt.config[:12]}...; resuming it would "
-            "silently diverge"
-        )
-    state = ckpt.state
-    cfg: ExperimentConfig = state["config"]
-    fleet: FleetSimulator = state["fleet"]
-    coordinator: DdcCoordinator = state["coordinator"]
-    store: TraceStore = state["store"]
-    ckpt_faults: Optional[FaultPlan] = state["faults"]
-    ckpt_observer: Optional[Observer] = state["observer"]
-    obs = (ckpt_observer if ckpt_observer is not None
-           and ckpt_observer.enabled else None)
-    expected = {k: v for k, v in scan.iteration_digests.items()
-                if k > ckpt.iteration}
-    runtime = RecoveryRuntime(
-        rcfg,
-        quarantine=quarantine,
-        expected_digests=expected,
-        resumed_from=ckpt.iteration,
-        start_segment=scan.next_segment,
-    )
-    runtime.bind(fleet=fleet, coordinator=coordinator, store=store,
-                 config=cfg, faults=ckpt_faults, observer=ckpt_observer)
-    with maybe_phase(obs, "simulate"):
-        try:
-            fleet.sim.run_until(cfg.horizon)
-        except BaseException:
-            runtime.hard_stop()
-            raise
-    assert store.meta is not None
-    return _finish_experiment(cfg, fleet, coordinator, store, store.meta,
-                              faults=ckpt_faults, observer=ckpt_observer,
-                              obs=obs, collect_nbench=collect_nbench,
-                              runtime=runtime)
-
-
-def _run_fresh_graph(
-    cfg: ExperimentConfig,
-    *,
-    labs: Sequence[LabSpec],
-    collect_nbench: bool,
-    strict_postcollect: bool,
-    fleet_factory,
-    faults: Optional[FaultPlan],
-    observer: Optional[Observer],
-    runtime: RecoveryRuntime,
-) -> MonitoringResult:
-    """Build and run a fresh graph under an existing recovery runtime.
-
-    Used by the cold-restart resume path, where the runtime carries the
-    crashed generation's iteration digests for replay verification.
-    """
-    plan = ShardPlan.build(labs, 1)
-    task = ShardTask(
-        config=cfg, shard=plan.specs[0], labs=tuple(labs),
-        collect_nbench=collect_nbench,
-        strict_postcollect=strict_postcollect, faults=faults,
-    )
-    outcome = run_shard(task, observer=observer,
-                        fleet_factory=fleet_factory, runtime=runtime)
-    return MonitoringResult(config=cfg, fleet=outcome.fleet,
-                            coordinator=outcome.coordinator,
-                            store=outcome.store, faults=faults,
-                            observer=observer, recovery=outcome.recovery)
-
-
-def _attach_nbench_indexes(fleet: FleetSimulator, meta: TraceMeta) -> None:
-    """Back-compat alias for :func:`repro.shard.worker.attach_nbench_indexes`."""
-    attach_nbench_indexes(fleet, meta)
 
 
 def run_paper_experiment(seed: int = 2005) -> MonitoringResult:

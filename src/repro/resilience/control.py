@@ -18,9 +18,10 @@ Hook points
 - the executor reads the pass-frozen ``pass_deadline`` / ``pass_hedge``
   dicts and calls :meth:`observe`, :meth:`take_hedge` and
   :meth:`draw_hedge_latency` inside
-  :meth:`~repro.ddc.remote.RemoteExecutor.execute_resilient`.  Both
-  dicts are recomputed once per :meth:`begin_pass`: control values
-  change between iterations, never inside one.
+  :meth:`~repro.ddc.remote.RemoteExecutor.execute` when it is handed
+  the control plane.  Both dicts are recomputed once per
+  :meth:`begin_pass`: control values change between iterations, never
+  inside one.
 
 Determinism
 -----------

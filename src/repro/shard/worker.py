@@ -5,14 +5,15 @@ seed -- full fleet, full calendar, full DDC pass structure -- so that
 every random stream advances exactly as in the sequential run, and
 *materialises* results only for the labs it owns: probes really execute,
 samples are stored and counters tick for owned machines, while foreign
-machines take the coordinator's draw-exact shadow path (or a full
-unaccounted execution when fault hooks are attached).  The merged
+machines run through the same pass unaccounted (with a stand-in probe
+where skipping the real one is draw-exact).  The merged
 per-shard artefacts are therefore byte-identical to the sequential
 run's; ``docs/sharding.md`` lays out the argument.
 
 :func:`run_shard` is also the *sequential* runtime: ``shards=1`` is a
 single shard owning every lab, run in-process by
-:func:`repro.experiment.run_experiment`.
+:func:`repro.experiment.run_experiment` -- and :func:`resume_shard` on
+that shard is the sequential ``resume_from=`` path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.config import ExperimentConfig
+from repro.compat import columnar_reason, switches
+from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
 from repro.errors import CheckpointError
 from repro.ddc.nbenchprobe import NBenchProbe, parse_nbench_output
@@ -63,7 +65,10 @@ class ShardTask:
     cross the process boundary and are only available in-process.
     """
 
-    config: ExperimentConfig
+    #: ``None`` only on a sequential resume, which adopts the
+    #: checkpointed configuration (a cold restart runs
+    #: :func:`~repro.config.paper_config`).
+    config: Optional[ExperimentConfig]
     shard: ShardSpec
     labs: Tuple[LabSpec, ...]
     collect_nbench: bool = True
@@ -105,6 +110,9 @@ class ShardOutcome:
     #: Last iteration the shard completed (-1 when it never finished
     #: one); meaningful mainly for stopped outcomes.
     last_iteration: int = -1
+    #: The configuration the shard ran: the task's, or on a warm resume
+    #: the checkpointed one.
+    config: Optional[ExperimentConfig] = None
 
 
 def run_shard(
@@ -161,48 +169,52 @@ def run_shard(
             observer=observer,
             owned_labs=owned,
         )
+        graph = dict(config=cfg, fleet=fleet, coordinator=coordinator,
+                     store=store, faults=task.faults, observer=observer)
         if runtime is not None:
-            runtime.bind(fleet=fleet, coordinator=coordinator, store=store,
-                         config=cfg, faults=task.faults, observer=observer)
-        if control is not None:
-            control.bind(fleet.sim)
-            coordinator.heartbeat = control.on_iteration
+            runtime.bind(**graph)
         _resolve_kernel(cfg, coordinator, fleet,
                         custom_fleet=fleet_factory is not None,
                         observer=observer)
-    with maybe_phase(obs, "simulate"):
-        fleet.start()
-        coordinator.start()
-        try:
-            fleet.sim.run_until(cfg.horizon)
-        except BaseException:
-            if runtime is not None:
-                # Emulates the process dying: handles drop, no seal.
-                runtime.hard_stop()
-            raise
-    return _finish_shard(task, fleet=fleet, coordinator=coordinator,
-                         store=store, faults=task.faults, observer=observer,
-                         obs=obs, runtime=runtime, control=control)
+    return _run_to_horizon(task, runtime=runtime, control=control, **graph)
 
 
-def _finish_shard(
+def _run_to_horizon(
     task: ShardTask,
     *,
+    config: ExperimentConfig,
     fleet: FleetSimulator,
     coordinator: DdcCoordinator,
     store: TraceStore,
     faults: Optional[FaultPlan],
     observer: Optional[Observer],
-    obs: Optional[Observer],
     runtime: Optional[RecoveryRuntime],
     control,
 ) -> ShardOutcome:
-    """Post-simulation stages shared by fresh and resumed shard runs.
+    """Simulate a fresh or revived graph to the horizon and finish it.
 
-    A worker that honoured STOP returns early with a partial store --
-    meta unfinalised, no NBench pass -- but still seals its journal, so
-    the campaign stays resumable from exactly where it paused.
+    Shared by fresh and resumed shard runs: ``start`` is idempotent, so
+    a graph revived from a checkpoint simply continues.  The graph
+    arguments are the ones :meth:`~repro.recovery.runtime.RecoveryRuntime
+    .bind` takes and a checkpoint's state holds.  A worker that
+    honoured STOP returns early with a partial store -- meta
+    unfinalised, no NBench pass -- but still seals its journal, so the
+    campaign stays resumable from exactly where it paused.
     """
+    obs = observer if observer is not None and observer.enabled else None
+    if control is not None:
+        control.bind(fleet.sim)
+        coordinator.heartbeat = control.on_iteration
+    with maybe_phase(obs, "simulate"):
+        fleet.start()
+        coordinator.start()
+        try:
+            fleet.sim.run_until(config.horizon)
+        except BaseException:
+            if runtime is not None:
+                # Emulates the process dying: handles drop, no seal.
+                runtime.hard_stop()
+            raise
     shard = task.shard
     owned = None if shard.all_labs else frozenset(shard.labs)
     last = control.last_iteration if control is not None else -1
@@ -211,7 +223,8 @@ def _finish_shard(
         return ShardOutcome(shard_index=shard.index, store=store,
                             faults=faults, recovery=info, fleet=fleet,
                             coordinator=coordinator, observer=observer,
-                            stopped=True, last_iteration=last)
+                            stopped=True, last_iteration=last,
+                            config=config)
     meta = store.meta
     assert meta is not None
     coordinator.finalize_meta(meta)
@@ -230,23 +243,29 @@ def _finish_shard(
     info = runtime.finish() if runtime is not None else None
     return ShardOutcome(shard_index=shard.index, store=store, faults=faults,
                         recovery=info, fleet=fleet, coordinator=coordinator,
-                        observer=observer, last_iteration=last)
+                        observer=observer, last_iteration=last,
+                        config=config)
 
 
 def resume_shard(
     task: ShardTask,
     *,
     observer: Optional[Observer] = None,
+    fleet_factory=None,
     control=None,
 ) -> ShardOutcome:
-    """Continue a shard from its own namespaced recovery directory.
+    """Continue a shard from its own recovery directory.
 
-    The per-shard analogue of the sequential resume path: load the
-    shard's latest valid checkpoint, CRC-scan and retro-seal its
-    journal, revive the pickled graph (or cold-restart when no
+    Load the shard's latest valid checkpoint, CRC-scan and retro-seal
+    its journal, revive the pickled graph (or cold-restart when no
     checkpoint survived) and run to the horizon with every regenerated
-    iteration verified against the journaled digests.  Restarted
-    workers and campaign resume both land here.
+    iteration verified against the journaled digests.  This is the one
+    resume path: restarted workers, campaign resume and a sequential
+    ``resume_from=`` (the single all-labs shard) all land here.
+
+    A warm resume adopts the checkpointed config, fault plan and
+    observer; a cold restart builds a fresh graph from the task, with
+    ``observer`` and ``fleet_factory`` as :func:`run_shard` takes them.
     """
     from repro.recovery.checkpoint import config_digest, load_latest_checkpoint
     from repro.recovery.journal import Quarantine, retro_seal, scan_journal
@@ -271,24 +290,17 @@ def resume_shard(
             cold_restart=True,
             start_segment=scan.next_segment,
         )
-        return run_shard(task, observer=observer, runtime=runtime,
-                         control=control)
-    if config_digest(task.config) != ckpt.config:
+        if task.config is None:
+            task = dataclasses.replace(task, config=paper_config())
+        return run_shard(task, observer=observer, fleet_factory=fleet_factory,
+                         runtime=runtime, control=control)
+    if task.config is not None and config_digest(task.config) != ckpt.config:
         raise CheckpointError(
             f"shard {task.shard.index}: resume was given a config whose "
             f"digest {config_digest(task.config)[:12]}... differs from "
             f"the checkpointed run's {ckpt.config[:12]}...; resuming it "
             "would silently diverge"
         )
-    state = ckpt.state
-    cfg: ExperimentConfig = state["config"]
-    fleet: FleetSimulator = state["fleet"]
-    coordinator: DdcCoordinator = state["coordinator"]
-    store: TraceStore = state["store"]
-    ckpt_faults: Optional[FaultPlan] = state["faults"]
-    ckpt_observer: Optional[Observer] = state["observer"]
-    obs = (ckpt_observer if ckpt_observer is not None
-           and ckpt_observer.enabled else None)
     expected = {k: v for k, v in scan.iteration_digests.items()
                 if k > ckpt.iteration}
     runtime = RecoveryRuntime(
@@ -298,21 +310,11 @@ def resume_shard(
         resumed_from=ckpt.iteration,
         start_segment=scan.next_segment,
     )
-    runtime.bind(fleet=fleet, coordinator=coordinator, store=store,
-                 config=cfg, faults=ckpt_faults, observer=ckpt_observer)
-    if control is not None:
-        control.bind(fleet.sim)
-        coordinator.heartbeat = control.on_iteration
-    with maybe_phase(obs, "simulate"):
-        try:
-            fleet.sim.run_until(cfg.horizon)
-        except BaseException:
-            runtime.hard_stop()
-            raise
-    return _finish_shard(task, fleet=fleet, coordinator=coordinator,
-                         store=store, faults=ckpt_faults,
-                         observer=ckpt_observer, obs=obs, runtime=runtime,
-                         control=control)
+    # The checkpointed state is the graph: config, fleet, coordinator,
+    # store, fault plan and observer.
+    runtime.bind(**ckpt.state)
+    return _run_to_horizon(task, runtime=runtime, control=control,
+                           **ckpt.state)
 
 
 #: Fallback reasons already logged by this process (one line per reason,
@@ -362,12 +364,10 @@ def _resolve_kernel(
     """
     if cfg.kernel == "object":
         return
-    if custom_fleet:
-        # A user-built fleet may carry machine stand-ins that don't
-        # support the write-through mirror; stay on the object path.
-        reason: Optional[str] = "custom fleet factory"
-    else:
-        reason = coordinator.columnar_ineligibility()
+    # A user-built fleet may carry machine stand-ins that don't support
+    # the write-through mirror; it keeps the object path.
+    reason = (columnar_reason(switches(fleet_factory=custom_fleet))
+              or coordinator.columnar_ineligibility())
     if reason is None:
         coordinator.enable_columnar(fleet.ensure_columns())
         fleet.activate_columnar_behaviour()

@@ -290,7 +290,7 @@ class TestExecuteResilient:
 
     def test_fastfail_cut_by_adaptive_deadline(self):
         c = self.warmed_control(latency=0.5)
-        out = self.executor().execute_resilient(
+        out = self.executor().execute(
             self.machine, W32Probe(), 1000.0, self.admin, c)
         assert isinstance(out.error, MachineUnreachable)
         assert out.fastfail_cut
@@ -299,7 +299,7 @@ class TestExecuteResilient:
 
     def test_no_cut_during_warmup(self):
         c = make_control(roster=[(self.mid, self.lab)])
-        out = self.executor().execute_resilient(
+        out = self.executor().execute(
             self.machine, W32Probe(), 0.0, self.admin, c)
         assert not out.fastfail_cut
         assert out.elapsed == 1.5  # policy-off cost, exactly
@@ -310,7 +310,7 @@ class TestExecuteResilient:
         c = self.warmed_control(latency=0.1)  # deadline clamps to 0.3
         self.machine.boot(0.0)
         plan = FaultPlan([SlowMachines(fraction=1.0, factor=6.0)], seed=0)
-        out = self.executor(faults=plan).execute_resilient(
+        out = self.executor(faults=plan).execute(
             self.machine, W32Probe(), 10.0, self.admin, c)
         assert out.ok
         assert out.latency > c.deadline(self.lab)
@@ -320,7 +320,7 @@ class TestExecuteResilient:
         self.machine.boot(0.0)
         plan = FaultPlan([SlowMachines(fraction=1.0, factor=6.0)], seed=0)
         ex = self.executor(faults=plan)
-        outs = [ex.execute_resilient(self.machine, W32Probe(), 10.0 + k,
+        outs = [ex.execute(self.machine, W32Probe(), 10.0 + k,
                                      self.admin, c) for k in range(10)]
         assert all(o.ok for o in outs)
         hedged = [o for o in outs if o.hedged]
@@ -337,11 +337,11 @@ class TestExecuteResilient:
         self.machine.boot(0.0)
         c = make_control(roster=[(self.mid, self.lab)])
         storm = FaultPlan([AccessDeniedStorm(probability=1.0)], seed=0)
-        out = self.executor(faults=storm).execute_resilient(
+        out = self.executor(faults=storm).execute(
             self.machine, W32Probe(), 10.0, self.admin, c)
         assert isinstance(out.error, AccessDenied) and out.error.transient
         bad = Credentials.create("DDC\\collector", "wrong")
-        out = self.executor().execute_resilient(
+        out = self.executor().execute(
             self.machine, W32Probe(), 10.0, bad, c)
         assert isinstance(out.error, AccessDenied) and not out.error.transient
 

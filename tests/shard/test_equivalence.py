@@ -65,6 +65,24 @@ class TestPlainEquivalence:
         assert csv_bytes(result.store, tmp_path / "sh1.csv") == seq_csv
         assert result.coordinator is not None  # ran in-process
 
+    def test_fault_free_retries_merge_byte_identically(self, tmp_path):
+        """A foreign machine's retried timeouts advance the pass clock in
+        the same float steps as the owning shard's (backoff, then the
+        timeout), so later sample times agree to the last bit."""
+        from repro.config import DdcParams
+        from repro.machines.hardware import TABLE1_LABS
+
+        cfg = ExperimentConfig(days=1, seed=1, ddc=DdcParams(
+            retry_limit=2, retry_unreachable=True, retry_backoff=0.2,
+            off_timeout=0.3))
+        labs = TABLE1_LABS[:3]
+        seq = run_experiment(cfg, labs=labs, collect_nbench=False)
+        sharded = run_experiment(cfg, labs=labs, collect_nbench=False,
+                                 shards=2)
+        assert seq.meta.retries > 0
+        assert (csv_bytes(sharded.store, tmp_path / "sh2.csv")
+                == csv_bytes(seq.store, tmp_path / "seq.csv"))
+
 
 class TestFaultResilienceEquivalence:
     """The hard case: fault hooks and the control plane both engaged."""
