@@ -15,8 +15,8 @@ simulator*, probing machines as they live -- the same architecture as the
 real experiment, where monitoring shared the wall clock with the users.
 
 Event budget: one machine-day costs O(uses + redraws) events; a full
-77-day x 169-machine run is on the order of half a million events and
-completes in seconds (see DESIGN.md section 6).
+77-day x 169-machine run fires about 220 thousand events and completes
+in seconds (see DESIGN.md section 6).
 """
 
 from __future__ import annotations
@@ -159,9 +159,8 @@ class MachineAgent:
         m.set_temp_disk_used(min(wl.temp_disk_bytes, self.workload.temp_quota(m.spec)))
         mem, swap = self.workload.memory_loads(m.spec, self.personality, wl)
         m.set_memory_load(now, mem, swap)
-        busy, sent, recv = self.workload.activity_levels(wl, self.rng, occupied=True)
-        m.set_cpu_busy(now, busy)
-        m.set_net_rates(now, sent, recv)
+        m.set_cpu_busy(now, self.workload.redraw_busy(wl, self.rng))
+        m.set_net_rates(now, *self.workload.net_rates(self.rng, occupied=True))
         self._activity_gen += 1
         gen = self._activity_gen
         self.sim.schedule(
@@ -179,11 +178,8 @@ class MachineAgent:
         if not m.powered or m.session is None or self._session_wl is None:
             return
         now = self.sim.now
-        busy, sent, recv = self.workload.activity_levels(
-            self._session_wl, self.rng, occupied=True
-        )
-        m.set_cpu_busy(now, busy)
-        m.set_net_rates(now, sent, recv)
+        m.set_cpu_busy(now, self.workload.redraw_busy(self._session_wl, self.rng))
+        m.set_net_rates(now, *self.workload.net_rates(self.rng, occupied=True))
         self.sim.schedule(
             now + self.workload.params.activity_redraw_period,
             self._redraw_activity,

@@ -16,6 +16,7 @@ disk usage independent of login state, RAM load never below ~50%).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -71,6 +72,16 @@ class SessionWorkload:
     temp_disk_bytes: int
     heavy: bool
 
+    @cached_property
+    def busy_mu(self) -> float:
+        """Log-scale location of the intra-session busy re-draws.
+
+        Cached on the session, so it lives and dies with it.  ``np.log``
+        rather than ``math.log``: NumPy's float64 log need not match libm
+        in the last ulp, and the trace bytes depend on this value.
+        """
+        return float(np.log(max(self.busy_mean, 1e-3)))
+
 
 class WorkloadModel:
     """Draws workload levels from calibrated distributions.
@@ -88,16 +99,15 @@ class WorkloadModel:
         self._log_interactive_busy = float(np.log(params.interactive_busy_median))
         shift = 0.5 * params.net_sigma ** 2
         self._net_mu = {
-            True: np.array([
+            True: (
                 float(np.log(params.active_net_bps[0]) - shift),
                 float(np.log(params.active_net_bps[1]) - shift),
-            ]),
-            False: np.array([
+            ),
+            False: (
                 float(np.log(params.idle_net_bps[0]) - shift),
                 float(np.log(params.idle_net_bps[1]) - shift),
-            ]),
+            ),
         }
-        self._log_busy_mu: dict = {}
 
     # ------------------------------------------------------------------
     # per-machine personality
@@ -176,42 +186,7 @@ class WorkloadModel:
         else:
             lo, hi = 0.003, 0.70
             sigma = 0.55
-        mu = self._busy_mu(session.busy_mean)
-        return float(min(max(rng.lognormal(mu, sigma), lo), hi))
-
-    def _busy_mu(self, busy_mean: float) -> float:
-        """Memoised ``log(max(busy_mean, 1e-3))`` (one entry per session)."""
-        mu = self._log_busy_mu.get(busy_mean)
-        if mu is None:
-            mu = float(np.log(max(busy_mean, 1e-3)))
-            self._log_busy_mu[busy_mean] = mu
-        return mu
-
-    def activity_levels(
-        self,
-        session: SessionWorkload,
-        rng: np.random.Generator,
-        *,
-        occupied: bool = True,
-    ) -> Tuple[float, float, float]:
-        """``(cpu_busy, sent_bps, recv_bps)`` in one batched draw.
-
-        Draw-for-draw identical to :meth:`redraw_busy` followed by
-        :meth:`net_rates` -- a batched ``Generator`` draw of length N
-        consumes exactly the same bit stream as N sequential scalar draws
-        (pinned by ``tests/test_random.py``) -- but costs one RNG call
-        instead of three on the intra-session redraw hot path.
-        """
-        p = self.params
-        if session.heavy:
-            lo, hi, sigma = 0.15, 0.95, 0.35
-        else:
-            lo, hi, sigma = 0.003, 0.70, 0.55
-        net_mu = self._net_mu[occupied]
-        mu = (self._busy_mu(session.busy_mean), net_mu[0], net_mu[1])
-        vals = rng.lognormal(mu, (sigma, p.net_sigma, p.net_sigma))
-        busy = float(min(max(vals[0], lo), hi))
-        return busy, float(vals[1]), float(vals[2])
+        return float(min(max(rng.lognormal(session.busy_mu, sigma), lo), hi))
 
     def memory_loads(
         self,
@@ -247,6 +222,11 @@ class WorkloadModel:
         traffic whose *averages* Table 2 reports; the mean of
         ``lognormal(mu, s)`` is ``exp(mu + s^2/2)``, so we shift ``mu`` to
         hit the target mean.
+
+        Two scalar draws: on a per-event path an array-parameter
+        ``Generator`` call costs several times the scalar calls it
+        replaces, and consumes the stream identically.
         """
-        vals = rng.lognormal(self._net_mu[occupied], self.params.net_sigma)
-        return float(vals[0]), float(vals[1])
+        mu_sent, mu_recv = self._net_mu[occupied]
+        sigma = self.params.net_sigma
+        return rng.lognormal(mu_sent, sigma), rng.lognormal(mu_recv, sigma)

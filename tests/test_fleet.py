@@ -1,11 +1,15 @@
 """Integration tests for the fleet simulator (ground-truth level)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig
+from repro.machines.machine import SimMachine
 from repro.sim.calendar import DAY, HOUR
 from repro.sim.fleet import FleetSimulator
+from repro.sim.workload import WorkloadModel
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +128,58 @@ class TestDeterminism:
         fs.run()
         events_once = fs.sim.events_fired
         assert events_once > 0
+
+
+class TestWorkloadModelUse:
+    def test_agents_draw_activity_through_the_model(self, monkeypatch):
+        # A workload_factory model's redraw_busy and net_rates are what
+        # every login and every intra-session re-draw calls.
+        class Counting(WorkloadModel):
+            sessions = busy_calls = occupied_net_calls = 0
+
+            def session_workload(self, spec, rng, *, heavy=False):
+                self.sessions += 1
+                return super().session_workload(spec, rng, heavy=heavy)
+
+            def redraw_busy(self, session, rng):
+                self.busy_calls += 1
+                return super().redraw_busy(session, rng)
+
+            def net_rates(self, rng, *, occupied):
+                self.occupied_net_calls += occupied
+                return super().net_rates(rng, occupied=occupied)
+
+        # Writes of the CPU level while a user is at the machine: one per
+        # login and one per re-draw.
+        occupied_writes = []
+        set_cpu_busy = SimMachine.set_cpu_busy
+
+        def counting_set_cpu_busy(machine, now, busy_frac):
+            s = machine.session
+            if s is not None and not s.forgotten:
+                occupied_writes.append(now)
+            set_cpu_busy(machine, now, busy_frac)
+
+        monkeypatch.setattr(SimMachine, "set_cpu_busy", counting_set_cpu_busy)
+        cfg = ExperimentConfig(days=1, seed=7)
+        fs = FleetSimulator(
+            cfg, workload_factory=lambda _fs: Counting(cfg.workload)
+        )
+        fs.run()
+        model = fs.workload
+        logins = sum(
+            len(m.session_log) + (m.session is not None) for m in fs.machines
+        )
+        assert model.sessions == logins > 0
+        assert len(occupied_writes) > logins  # re-draws happened
+        assert model.busy_calls == len(occupied_writes)
+        assert model.occupied_net_calls == len(occupied_writes)
+
+    def test_run_leaves_the_shared_model_unchanged(self):
+        # Every agent shares the model and every checkpoint pickles it,
+        # so nothing may accumulate on it per session.
+        fs = FleetSimulator(ExperimentConfig(days=2, seed=31))
+        before = copy.deepcopy(vars(fs.workload))
+        fs.run()
+        assert sum(len(m.session_log) for m in fs.machines) > 0
+        assert vars(fs.workload) == before

@@ -106,8 +106,8 @@ def test_batched_lognormal_scalar_params_matches_sequential(name):
 
 @pytest.mark.parametrize("name", SIM_STREAM_NAMES)
 def test_batched_lognormal_array_params_matches_sequential(name):
-    # Array mu/sigma is how per-machine activity levels batch their
-    # heterogeneous parameters into one draw.
+    # Array mu/sigma is how the vector engine batches its per-roster
+    # draws, whose parameters differ machine to machine.
     batched, seq = _pair(name)
     mu = np.linspace(-1.0, 2.0, 40)
     sigma = np.linspace(0.1, 1.5, 40)

@@ -1,11 +1,13 @@
 """Unit tests for the workload model."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.config import WorkloadParams
 from repro.machines.hardware import build_fleet
-from repro.sim.workload import WorkloadModel
+from repro.sim.workload import SessionWorkload, WorkloadModel
 
 
 @pytest.fixture()
@@ -142,6 +144,75 @@ class TestRedrawBusy:
         wl = model.session_workload(fleet[0], rng, heavy=True)
         draws = [model.redraw_busy(wl, rng) for _ in range(200)]
         assert np.mean(draws) > 0.3
+
+
+class TestDrawOrder:
+    """The per-event draws are scalar ``Generator`` calls.  They must
+    consume the stream exactly as the single array-parameter lognormal
+    the trace was first produced with: busy, then sent, then received."""
+
+    @staticmethod
+    def _pair(seed):
+        return (np.random.Generator(np.random.PCG64(seed)),
+                np.random.Generator(np.random.PCG64(seed)))
+
+    @pytest.mark.parametrize("heavy", [True, False])
+    def test_occupied_draws_match_one_array_parameter_draw(
+        self, model, fleet, heavy
+    ):
+        p = model.params
+        wl = model.session_workload(
+            fleet[0], np.random.Generator(np.random.PCG64(8)), heavy=heavy
+        )
+        lo, hi, sigma = (0.15, 0.95, 0.35) if heavy else (0.003, 0.70, 0.55)
+        shift = 0.5 * p.net_sigma ** 2
+        mu = np.array([
+            np.log(max(wl.busy_mean, 1e-3)),
+            np.log(p.active_net_bps[0]) - shift,
+            np.log(p.active_net_bps[1]) - shift,
+        ])
+        a, b = self._pair(9)
+        for _ in range(300):
+            got = (model.redraw_busy(wl, a), *model.net_rates(a, occupied=True))
+            busy, sent, recv = b.lognormal(
+                mu, np.array([sigma, p.net_sigma, p.net_sigma])
+            ).tolist()
+            assert got == (min(max(busy, lo), hi), sent, recv)
+            assert all(type(v) is float for v in got)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_idle_draws_match_one_array_parameter_draw(self, model):
+        p = model.params
+        shift = 0.5 * p.net_sigma ** 2
+        mu = np.array([
+            np.log(p.idle_net_bps[0]) - shift,
+            np.log(p.idle_net_bps[1]) - shift,
+        ])
+        a, b = self._pair(10)
+        for _ in range(300):
+            got = model.net_rates(a, occupied=False)
+            assert got == tuple(b.lognormal(mu, p.net_sigma).tolist())
+            assert all(type(v) is float for v in got)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestSessionBusyMu:
+    @pytest.mark.parametrize("busy_mean", [0.0, 1e-4, 1e-3, 0.0123, 0.5, 0.95])
+    def test_value(self, busy_mean):
+        wl = SessionWorkload(busy_mean=busy_mean, apps_mem_frac=0.1,
+                             temp_disk_bytes=0, heavy=False)
+        assert wl.busy_mu == float(np.log(max(busy_mean, 1e-3)))
+        assert type(wl.busy_mu) is float
+
+    def test_uncached_session_computes_on_first_use(self):
+        # Sessions pickled before the value was cached on them (or by an
+        # older release) carry no busy_mu and compute it when read.
+        wl = SessionWorkload(busy_mean=0.07, apps_mem_frac=0.1,
+                             temp_disk_bytes=0, heavy=True)
+        restored = pickle.loads(pickle.dumps(wl))
+        assert "busy_mu" not in vars(restored)
+        assert restored.busy_mu == wl.busy_mu
+        assert restored == wl
 
 
 def test_workload_params_validation():
