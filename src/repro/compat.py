@@ -109,10 +109,6 @@ RULES: Tuple[Rule, ...] = (
     _columnar("policy", "resilience control plane attached",
               "resilience= or config.ddc.resilience; --resilience"),
     _columnar("observer", "observer attached", "observer=; --obs-out"),
-    _columnar("recovery", "recovery runtime attached",
-              "recovery=; --recover-dir"),
-    _columnar("resume", "recovery runtime attached",
-              "resume_from=; --resume"),
     _columnar("retries", "retries enabled", "config.ddc.retry_limit > 0"),
     _columnar("fleet_factory", "custom fleet factory", "fleet_factory="),
 )

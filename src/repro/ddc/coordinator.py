@@ -483,9 +483,13 @@ class DdcCoordinator:
 
         The columnar pass replicates the exact fault-free, hook-free
         probing loop; any feature that adds per-machine hooks (faults,
-        resilience, retries, observation, journaling, a custom probe or
+        resilience, retries, observation, a custom probe or
         post-collector) keeps the per-object path, whose output the
-        columnar one is bit-identical to anyway.  A *sharded* coordinator
+        columnar one is bit-identical to anyway.  A bound recovery
+        runtime is no such hook: the pass journals its rows through
+        :meth:`~repro.recovery.runtime.RecoveryRuntime.on_columns`, in
+        roster order and before the store admits them, writing the same
+        journal bytes as the object path.  A *sharded* coordinator
         (``owned_labs`` set) is eligible: the pass still draws and times
         the full roster -- replicating the sequential cursor chain and
         RNG cursor exactly -- and restricts materialisation (samples,
@@ -503,7 +507,6 @@ class DdcCoordinator:
             faults=self.faults is not None,
             policy=self.resilience is not None,
             observer=self._obs is not None,
-            recovery=self.recovery is not None,
             retries=self.params.retry_limit != 0,
         ))
         if reason is not None:
@@ -512,8 +515,6 @@ class DdcCoordinator:
             return f"probe is {type(self.probe).__name__}, not W32Probe"
         if type(self.post_collect) is not SamplePostCollector:
             return "custom post-collecting code"
-        if self.post_collect.journal is not None:
-            return "sample journal attached"
         return None
 
     def enable_columnar(self, columns) -> None:
@@ -621,8 +622,7 @@ class DdcCoordinator:
         unames = cols.usernames
         hostnames = cols.hostnames
         labs = cols.labs
-        store = self.post_collect.store
-        store.extend_columns(
+        columns = dict(
             machine_id=cols.machine_id[idx],
             iteration=np.full(n_on, k, dtype=np.int32),
             t=t_sample,
@@ -649,6 +649,12 @@ class DdcCoordinator:
             hostname=[hostnames[j] for j in idx_list],
             lab=[labs[j] for j in idx_list],
         )
+        if self.recovery is not None:
+            # write-ahead, as on the object path: journaled, each row
+            # flushed, before the store admits them
+            self.recovery.on_columns(k, columns)
+        store = self.post_collect.store
+        store.extend_columns(**columns)
         meta = store.meta
         if meta is not None:
             fresh = idx[~self._registered[idx]]

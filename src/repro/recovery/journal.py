@@ -10,7 +10,7 @@ of everything it had collected.
 Format
 ------
 One JSONL file per **segment** (``segment-000001.jsonl`` ...).  Each line
-is ``{"crc": "xxxxxxxx", "body": {...}}`` where ``crc`` is the CRC32 (hex)
+is ``{"body":{...},"crc":"xxxxxxxx"}`` where ``crc`` is the CRC32 (hex)
 of the compact, key-sorted JSON encoding of ``body``.  Body kinds:
 
 ``head``
@@ -66,6 +66,10 @@ JOURNAL_VERSION = 1
 
 _SEGMENT_FMT = "segment-{:06d}.jsonl"
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _crc_hex(data: bytes) -> str:
     return format(zlib.crc32(data) & 0xFFFFFFFF, "08x")
@@ -87,13 +91,16 @@ def _envelope_crc(line: str) -> str:
 
 
 def encode_record(body: dict) -> str:
-    """Encode one journal line (compact JSON + CRC32 envelope)."""
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return json.dumps(
-        {"crc": _crc_hex(payload.encode("utf-8")), "body": body},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Encode one journal line (compact JSON + CRC32 envelope).
+
+    ``body`` is encoded once and the envelope assembled around it: with
+    sorted keys ``"body"`` precedes ``"crc"``, so the line is the same
+    bytes as dumping ``{"crc": ..., "body": body}`` whole -- the layout
+    :func:`decode_line` and :func:`_envelope_crc` read.
+    """
+    payload = _dumps(body)
+    return ('{"body":' + payload + ',"crc":"'
+            + _crc_hex(payload.encode("utf-8")) + '"}')
 
 
 def decode_line(line: str) -> dict:
@@ -127,8 +134,7 @@ def decode_line(line: str) -> dict:
         crc, body = envelope["crc"], envelope["body"]
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise JournalError(f"unparseable journal line: {exc}") from exc
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    actual = _crc_hex(payload.encode("utf-8"))
+    actual = _crc_hex(_dumps(body).encode("utf-8"))
     if actual != crc:
         raise JournalError(f"CRC mismatch: recorded {crc}, actual {actual}")
     return body

@@ -6,7 +6,8 @@ to the live experiment graph after construction and hooks two spots:
 - :class:`~repro.ddc.postcollect.SamplePostCollector` calls
   :meth:`RecoveryRuntime.on_sample` with every parsed sample *before*
   admitting it to the :class:`~repro.traces.store.TraceStore`
-  (write-ahead discipline);
+  (write-ahead discipline); the columnar pass hands a whole iteration's
+  columns to :meth:`RecoveryRuntime.on_columns` before it admits them;
 - :class:`~repro.ddc.coordinator.DdcCoordinator` calls
   :meth:`RecoveryRuntime.on_iteration_end` at the end of every scheduled
   iteration, after the next iteration has been put on the heap -- so a
@@ -301,7 +302,27 @@ class RecoveryRuntime:
     # ------------------------------------------------------------------
     def on_sample(self, sample: Sample, context: "PostCollectContext") -> None:
         """Write-ahead journal one sample (called before store admission)."""
-        crc = self.journal.sample(context.iteration, sample_to_json_dict(sample))
+        self._journal_sample(context.iteration, sample_to_json_dict(sample))
+
+    def on_columns(self, iteration: int, columns: Dict[str, object]) -> None:
+        """Write-ahead journal one columnar pass's rows, in roster order.
+
+        ``columns`` are the keyword columns the pass is about to hand to
+        :meth:`~repro.traces.store.TraceStore.extend_columns`, one per
+        :class:`Sample` field.  Each row goes through the routine
+        :meth:`on_sample` uses, as the dict :func:`sample_to_json_dict`
+        builds, so the journal bytes do not depend on the kernel.
+        """
+        fields = Sample.__slots__
+        values = [col if isinstance(col, list) else col.tolist()
+                  for col in (columns[name] for name in fields)]
+        at = fields.index("session_start")
+        values[at] = [None if math.isnan(s) else s for s in values[at]]
+        for row in zip(*values):
+            self._journal_sample(iteration, dict(zip(fields, row)))
+
+    def _journal_sample(self, iteration: int, data: dict) -> None:
+        crc = self.journal.sample(iteration, data)
         self._iter_crcs.append(crc)
         self._iter_samples += 1
         self.info.samples_journaled += 1
@@ -312,7 +333,7 @@ class RecoveryRuntime:
         # lost iteration (availability draw) with no samples to tear.
         if (self.crash is not None and not self.crash_fired
                 and self.crash.point == "mid_iteration"
-                and context.iteration >= self.crash.iteration
+                and iteration >= self.crash.iteration
                 and self._iter_samples >= self.crash.sample_index):
             self._die(torn=True)
 

@@ -352,8 +352,10 @@ def _resolve_kernel(
     ``"auto"`` enables the columnar pass exactly when the coordinator
     reports itself eligible and the fleet is the stock one; ``"object"``
     never enables it; ``"columnar"`` raises when the run is ineligible
-    instead of silently falling back.  Called after ``runtime.bind`` so
-    an attached recovery runtime is visible to the eligibility check.
+    instead of silently falling back.  A bound recovery runtime does not
+    block the columnar pass, which journals through it; the checkpoints
+    it takes then carry the columnar mirror and the tick backend, so a
+    resumed run continues on the same kernel.
 
     Enabling the columnar pass also moves the *behavioural* loop onto
     its columnar backend (exact tick batches, or the statistical vector

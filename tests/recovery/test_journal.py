@@ -44,6 +44,38 @@ class TestRecordCodec:
         with pytest.raises(JournalError):
             decode_line('{"no_envelope": true}')
 
+    @pytest.mark.parametrize("body", [
+        {"kind": "head", "version": 1, "segment": 7},
+        {"kind": "sample", "k": 12, "data": {
+            "machine_id": 41, "hostname": "L03-M07", "lab": "L03",
+            "iteration": 12, "t": 10812.534, "boot_time": 1234.5,
+            "uptime_s": 9578.034, "cpu_idle_s": 9001.25,
+            "mem_load_pct": 37.0, "swap_load_pct": 4.0,
+            "disk_total_b": 40_000_000_000, "disk_free_b": 12_345_678_901,
+            "smart_cycles": 812, "smart_poh_h": 6021.0,
+            "net_sent_b": 1_048_576, "net_recv_b": 7_340_032,
+            "has_session": False, "username": "", "session_start": None}},
+        {"kind": "sample", "k": 13, "data": {
+            "has_session": True, "username": "joão.sá",
+            "session_start": 10001.5, "t": 1e-7}},
+        {"kind": "iter", "k": 12, "t": 10800.0, "n": 81,
+         "digest": "0badf00d", "ran": True},
+        {"kind": "seal", "segment": 7, "records": 4095,
+         "digest": "deadbeef"},
+    ], ids=["head", "sample", "sample-non-ascii", "iter", "seal"])
+    def test_line_is_the_two_dumps_encoding(self, body):
+        # encode_record encodes the body once; the line must stay the
+        # bytes of dumping the body, then the whole envelope.
+        import zlib
+
+        def dumps(obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+        crc = format(zlib.crc32(dumps(body).encode("utf-8")) & 0xFFFFFFFF,
+                     "08x")
+        assert encode_record(body) == dumps({"crc": crc, "body": body})
+        assert decode_line(encode_record(body)) == body
+
 
 class TestWriter:
     def test_segment_head_and_flush(self, tmp_path):

@@ -6,6 +6,11 @@ suites consume): the crashed-and-resumed run must produce a
 :class:`MonitoringResult` whose fingerprint -- every sample, every
 accounting counter, every static record including NBench indexes --
 equals the fixture's exactly.
+
+Each kill point runs under both kernels.  ``kernel="auto"`` takes the
+columnar pass on a crash-safe run; ``kernel="object"`` keeps the
+per-object pass covered.  ``iteration_start`` kills through a fault
+plan, which keeps the object pass under either kernel.
 """
 
 import pytest
@@ -13,7 +18,7 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.errors import CheckpointError, InjectedCrash, RecoveryError
 from repro.experiment import run_experiment
-from repro.recovery import RecoveryConfig
+from repro.recovery import CrashSpec, RecoveryConfig
 from repro.recovery.crashtest import (
     ALL_KILL_POINTS,
     KillAtIteration,
@@ -26,13 +31,29 @@ from repro.recovery.smoke import derive_kill_iteration
 GOLDEN_CONFIG = ExperimentConfig(days=3, seed=11)
 
 
-@pytest.mark.parametrize("kill_point", ALL_KILL_POINTS)
-def test_resume_equals_uninterrupted_run(kill_point, small_result, tmp_path):
+def runs_columnar(kill_point, kernel):
+    """Whether a crash-safe run killed at ``kill_point`` probes columnar."""
+    return kernel == "auto" and kill_point != "iteration_start"
+
+
+@pytest.mark.parametrize("kill_point,kernel", [
+    # The default kernel keeps the bare kill-point id.
+    pytest.param(point, kernel,
+                 id=point if kernel == "auto" else f"{point}-{kernel}")
+    for kernel in ("auto", "object") for point in ALL_KILL_POINTS
+])
+def test_resume_equals_uninterrupted_run(kill_point, kernel, small_result,
+                                         tmp_path):
     kill_iteration = derive_kill_iteration(GOLDEN_CONFIG)
     resumed = crash_and_resume(
-        GOLDEN_CONFIG, kill_point, kill_iteration, tmp_path / "run",
+        GOLDEN_CONFIG.replace(kernel=kernel), kill_point, kill_iteration,
+        tmp_path / "run",
     )
     assert result_fingerprint(resumed) == result_fingerprint(small_result)
+    # The resumed graph is the checkpointed one: its pass is the one the
+    # crashed run took.
+    assert ((resumed.coordinator._cols is not None)
+            == runs_columnar(kill_point, kernel))
     info = resumed.recovery
     assert info is not None
     if kill_point == "mid_iteration":
@@ -115,6 +136,53 @@ def test_cold_restart_without_checkpoint(tmp_path):
     assert result_fingerprint(resumed) == result_fingerprint(baseline)
     assert resumed.recovery.cold_restart
     assert resumed.recovery.replay_verified > 0
+    # The crashed run carried the kill plan; the regenerated one does
+    # not, so it probes columnar.
+    assert resumed.coordinator._cols is not None
+
+
+@pytest.mark.parametrize("kernel", ["object", "auto"])
+def test_cold_restart_after_a_mid_iteration_crash(kernel, tmp_path):
+    """A runtime crash point before the first checkpoint, both kernels."""
+    cfg = ExperimentConfig(days=1, seed=5, kernel=kernel)
+    resumed = crash_and_resume(
+        cfg, "mid_iteration", 4, tmp_path / "run", checkpoint_every=50,
+    )
+    baseline = run_experiment(ExperimentConfig(days=1, seed=5))
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+    assert resumed.recovery.cold_restart
+    assert resumed.recovery.replay_verified > 0
+    assert ((resumed.coordinator._cols is not None)
+            == runs_columnar("mid_iteration", kernel))
+
+
+def test_mid_iteration_crash_leaves_the_same_bytes_under_both_kernels(
+        tmp_path):
+    """The torn segment and the quarantine ledger do not name the kernel."""
+    cfg = ExperimentConfig(days=1, seed=5)
+    crash = CrashSpec(iteration=20, point="mid_iteration")
+    left = {}
+    for kernel in ("object", "columnar"):
+        run_dir = tmp_path / kernel
+        config = cfg.replace(kernel=kernel)
+        with pytest.raises(InjectedCrash):
+            run_experiment(config, collect_nbench=False,
+                           recovery=RecoveryConfig(run_dir, crash_at=crash,
+                                                   fsync=False))
+        # retro_seal rewrites the torn segment on resume: read it first
+        segments = {p.name: p.read_bytes()
+                    for p in (run_dir / "journal").glob("segment-*.jsonl")}
+        resumed = run_experiment(config, collect_nbench=False,
+                                 resume_from=RecoveryConfig(run_dir,
+                                                            fsync=False))
+        assert (resumed.coordinator._cols is not None) == (
+            kernel == "columnar")
+        ledger = (run_dir / "quarantine" / "ledger.jsonl").read_bytes()
+        left[kernel] = (segments, ledger, result_fingerprint(resumed))
+    assert left["object"] == left["columnar"]
+    segments, ledger, _ = left["columnar"]
+    assert segments[max(segments)].endswith(b'{"crc":"dead')
+    assert b'"torn_tail"' in ledger
 
 
 def test_killed_scenario_disarms_on_pickle():

@@ -5,11 +5,12 @@ produces **byte-identical** exported traces and an equal
 :class:`~repro.traces.records.TraceMeta` to the per-object path -- and
 ``kernel="auto"`` (the default) silently falls back to the object pass
 whenever a run carries hooks the vectorised pass does not replicate
-(faults, resilience, observers, retries, recovery, shards).
+(faults, resilience, observers, retries).
 
-Three configurations are pinned here, mirroring the shard-equivalence
+Four configurations are pinned here, mirroring the shard-equivalence
 suite: the plain paper roster, the fault+resilience config of
-``tests/shard/test_equivalence.py``, and shard counts {1, 2}.
+``tests/shard/test_equivalence.py``, shard counts {1, 2}, and
+crash-safe runs, whose journals must not depend on the kernel.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from repro.config import ExperimentConfig
 from repro.experiment import run_experiment
 from repro.faults.scenarios import paper_like_plan
 from repro.obs.observer import Observer
+from repro.recovery import RecoveryConfig, shard_dir
+from repro.recovery.crashtest import result_fingerprint
 from repro.resilience.policy import ResiliencePolicy
 
 #: TraceMeta accounting fields that must agree across kernels.
@@ -206,3 +209,81 @@ class TestShardEquivalence:
                                 observer=Observer())
         assert result.coordinator._cols is None
         assert csv_bytes(result.store, tmp_path / "o.csv") == obj_csv
+
+
+#: A crash-safe run of the paper roster, long enough to rotate segments.
+JOURNALED = ExperimentConfig(days=2, seed=2005)
+
+
+def segments(run_dir):
+    """A run directory's journal segments, by file name."""
+    return {p.name: p.read_bytes()
+            for p in (run_dir / "journal").glob("segment-*.jsonl")}
+
+
+def checkpoint_names(run_dir):
+    return sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+
+
+@pytest.fixture(scope="module")
+def journaled_runs(tmp_path_factory):
+    """``kernel -> (result, run_dir)`` for one crash-safe run per kernel."""
+    root = tmp_path_factory.mktemp("journaled")
+    runs = {}
+    for kernel in ("object", "columnar"):
+        run_dir = root / kernel
+        result = run_experiment(
+            JOURNALED.replace(kernel=kernel),
+            recovery=RecoveryConfig(run_dir, fsync=False))
+        runs[kernel] = (result, run_dir)
+    return runs
+
+
+class TestJournalEquivalence:
+    """The columnar pass journals the object pass's bytes."""
+
+    def test_each_kernel_ran_its_own_pass(self, journaled_runs):
+        assert journaled_runs["object"][0].coordinator._cols is None
+        assert journaled_runs["columnar"][0].coordinator._cols is not None
+
+    def test_journal_segments_byte_identical(self, journaled_runs):
+        obj = segments(journaled_runs["object"][1])
+        col = segments(journaled_runs["columnar"][1])
+        assert len(obj) > 1  # rotation is covered
+        assert col.keys() == obj.keys()
+        for name in obj:
+            assert col[name] == obj[name], name
+
+    def test_result_fingerprint_equal(self, journaled_runs):
+        assert (result_fingerprint(journaled_runs["columnar"][0])
+                == result_fingerprint(journaled_runs["object"][0]))
+
+    def test_recovery_counters_equal(self, journaled_runs):
+        obj = dataclasses.asdict(journaled_runs["object"][0].recovery)
+        col = dataclasses.asdict(journaled_runs["columnar"][0].recovery)
+        assert obj.pop("run_dir") != col.pop("run_dir")
+        assert col == obj
+        assert col["samples_journaled"] == len(
+            journaled_runs["columnar"][0].store)
+
+    def test_checkpoint_names_equal(self, journaled_runs):
+        obj = checkpoint_names(journaled_runs["object"][1])
+        assert obj
+        assert checkpoint_names(journaled_runs["columnar"][1]) == obj
+
+    def test_two_shard_campaign_journals_byte_identical(self, tmp_path):
+        results = {}
+        for kernel in ("object", "columnar"):
+            results[kernel] = run_experiment(
+                JOURNALED.replace(kernel=kernel), shards=2,
+                recovery=RecoveryConfig(tmp_path / kernel, fsync=False))
+        assert (result_fingerprint(results["columnar"])
+                == result_fingerprint(results["object"]))
+        for k in range(2):
+            obj = segments(shard_dir(tmp_path / "object", k))
+            col = segments(shard_dir(tmp_path / "columnar", k))
+            assert obj and col.keys() == obj.keys(), k
+            for name in obj:
+                assert col[name] == obj[name], (k, name)
+            assert (checkpoint_names(shard_dir(tmp_path / "columnar", k))
+                    == checkpoint_names(shard_dir(tmp_path / "object", k)))

@@ -25,7 +25,7 @@ from repro.experiment import run_experiment
 from repro.faults.scenarios import paper_like_plan
 from repro.machines.hardware import TABLE1_LABS
 from repro.obs.observer import Observer
-from repro.recovery import RecoveryConfig
+from repro.recovery import RecoveryConfig, shard_dir
 from repro.resilience.policy import ResiliencePolicy
 from repro.shard.net.config import NetConfig
 from repro.shard.plan import ShardPlan
@@ -64,9 +64,6 @@ API_CASES = {
     "columnar+policy": lambda d: (
         COLUMNAR, dict(resilience=ResiliencePolicy())),
     "columnar+observer": lambda d: (COLUMNAR, dict(observer=Observer())),
-    "columnar+recovery": lambda d: (
-        COLUMNAR, dict(recovery=RecoveryConfig(d, fsync=False))),
-    "columnar+resume": lambda d: (COLUMNAR, dict(resume_from=d)),
     "columnar+retries": lambda d: (
         COLUMNAR.replace(ddc=DdcParams(retry_limit=1)), {}),
     "columnar+fleet_factory": lambda d: (
@@ -94,10 +91,6 @@ CLI_CASES = {
                                   "--resilience"],
     "columnar+observer": lambda d: ["--kernel", "columnar",
                                     "--obs-out", d / "snap.jsonl"],
-    "columnar+recovery": lambda d: ["--kernel", "columnar",
-                                    "--recover-dir", d],
-    "columnar+resume": lambda d: ["--kernel", "columnar", "--resume",
-                                  "--recover-dir", d],
     "columnar+retries": None,
     "columnar+fleet_factory": None,
 }
@@ -172,12 +165,23 @@ def test_custom_fleet_blocks_the_kernel_with_the_tables_reason():
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_columnar_recovery_is_rejected_before_the_run_dir_exists(
-        tmp_path, shards):
+def test_columnar_recovery_runs_columnar(tmp_path, shards):
+    # A crash-safe run journals from the columnar pass, so no rule
+    # stands between kernel="columnar" and recovery= or resume_from=.
+    assert columnar_reason(switches(recovery=True)) is None
+    assert columnar_reason(switches(resume=True)) is None
     run_dir = tmp_path / "run"
-    with pytest.raises(ValueError, match="recovery runtime attached"):
-        run_experiment(ExperimentConfig(days=1, kernel="columnar"),
-                       labs=TABLE1_LABS[:3],
-                       recovery=RecoveryConfig(run_dir, fsync=False),
-                       shards=shards)
-    assert not run_dir.exists()
+    # kernel="columnar" raises on an ineligible run, so finishing is
+    # the proof that every shard took the columnar pass.
+    result = run_experiment(ExperimentConfig(days=1, kernel="columnar"),
+                            labs=TABLE1_LABS[:3],
+                            recovery=RecoveryConfig(run_dir, fsync=False),
+                            shards=shards)
+    dirs = ([run_dir] if shards == 1
+            else [shard_dir(run_dir, k) for k in range(shards)])
+    for d in dirs:
+        assert any((d / "journal").glob("segment-*.jsonl")), d
+        assert any((d / "checkpoints").glob("ckpt-*.ckpt")), d
+    if shards == 1:
+        assert result.coordinator._cols is not None
+        assert result.recovery.samples_journaled == len(result.store)

@@ -94,20 +94,29 @@ class TestCliMachines:
     @pytest.mark.parametrize("extra", (
         ("--obs-out", "snap.jsonl"),
         ("--resilience",),
-        ("--recover-dir", "rundir"),
-    ), ids=("obs", "resilience", "recovery"))
+    ), ids=("obs", "resilience"))
     def test_columnar_kernel_flag_rejected_when_ineligible(
             self, tmp_path, capsys, extra):
         # Statically-known ineligible combinations exit 2 up front,
-        # before any run directory or observer exists on disk.
-        extra = tuple(str(tmp_path / a) if a in ("snap.jsonl", "rundir")
-                      else a for a in extra)
+        # before any observer snapshot exists on disk.
+        extra = tuple(str(tmp_path / a) if a == "snap.jsonl" else a
+                      for a in extra)
         rc = main(["run", "--days", "1", "--kernel", "columnar",
                    "--out", str(tmp_path / "t.csv"), *extra])
         assert rc == 2
         assert "columnar" in capsys.readouterr().err
-        assert not (tmp_path / "rundir").exists()
         assert not (tmp_path / "snap.jsonl").exists()
+
+    def test_columnar_kernel_flag_with_recover_dir_writes_journal(
+            self, tmp_path, capsys):
+        # A crash-safe run journals from the columnar pass.
+        run_dir = tmp_path / "rundir"
+        rc = main(["run", "--days", "1", "--kernel", "columnar",
+                   "--recover-dir", str(run_dir),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert any((run_dir / "journal").glob("segment-*.jsonl"))
+        assert (tmp_path / "t.csv").exists()
 
     def test_columnar_kernel_flag_composes_with_shards(self, tmp_path,
                                                        capsys):
