@@ -1,15 +1,14 @@
-"""Coordination overhead of the networked shard control plane.
+"""Coordination overhead of TCP workers on the campaign coordinator.
 
 One question, one JSON artifact (``BENCH_distributed.json``): what does
-moving the campaign's control plane from in-process pipes to loopback
-TCP cost?  The networked coordinator adds socket framing (length + CRC
-+ sequence per message), reader threads, lease bookkeeping and worker
-process spawn-over-connect on top of the local supervisor's semantics.
-Target from docs/distributed.md: **<= 10%** wall-clock overhead versus
-the local supervised campaign at 2 shards, asserted only on hosts with
->= 4 CPUs (on smaller hosts the coordinator's threads time-slice the
-workers' cores and the comparison measures the scheduler, not the
-control plane).
+moving a campaign's workers from forked socketpair children to loopback
+TCP cost?  Both run the same coordinator, framing and lease
+bookkeeping; TCP adds the acceptor thread, worker process
+spawn-over-connect and the loopback stack.  Target from
+docs/distributed.md: **<= 10%** wall-clock overhead versus the forked
+campaign at 2 shards, asserted only on hosts with >= 4 CPUs (on smaller
+hosts the coordinator's threads time-slice the workers' cores and the
+comparison measures the scheduler, not the control plane).
 
 The merged bytes are asserted identical in the same breath -- an
 overhead number for a divergent result would be meaningless.
@@ -39,7 +38,7 @@ from repro.shard.net.worker import NetWorkerPolicy
 
 #: Campaign width measured (matches the shard-recovery bench).
 SHARDS = 2
-#: Networked wall-clock overhead budget versus the local supervisor.
+#: TCP-worker wall-clock overhead budget versus forked local workers.
 OVERHEAD_TARGET_PCT = 10.0
 #: Fast reconnect so worker spawn-over-connect is not dominated by
 #: backoff sleeps.

@@ -1,16 +1,17 @@
-"""Cost of the supervised shard control plane, and what resume buys.
+"""Cost of the campaign control plane, and what resume buys.
 
 Two questions, one JSON artifact (``BENCH_shard_recovery.json``):
 
-1. **Supervision overhead** -- the supervisor adds heartbeat events, a
-   parent-side event loop and manifest bookkeeping on top of the plain
+1. **Supervision overhead** -- the campaign coordinator with forked
+   workers (``supervise=True``) adds heartbeat frames, a parent-side
+   event loop and manifest bookkeeping on top of the plain
    ``ProcessPoolExecutor`` fan-out.  Target from
    docs/shard_recovery.md: **<= 5%** wall-clock overhead at 2 shards,
    asserted only on hosts with >= 4 CPUs (on smaller hosts the
-   supervisor's polling thread time-slices the workers' cores and the
+   coordinator's polling thread time-slices the workers' cores and the
    comparison measures the scheduler, not the control plane).
 2. **Resume speedup** -- after a worker dies mid-campaign with an
-   exhausted restart budget, ``resume_from=`` continues every shard
+   exhausted regrant budget, ``resume_from=`` continues every shard
    from its own checkpoints instead of recomputing the whole campaign.
    The resumed portion must beat restarting from zero (target >= 1.1x,
    same CPU gate); the merged bytes are asserted identical either way.
@@ -41,7 +42,7 @@ from repro.recovery.crashtest import CrashSpec
 from repro.recovery.runtime import RecoveryConfig
 from repro.recovery.smoke import derive_kill_iteration
 from repro.report.tables import Table
-from repro.shard.supervisor import SupervisorPolicy
+from repro.shard.coordinator import CampaignPolicy
 
 #: Campaign width measured (matches the chaos suite's primary case).
 SHARDS = 2
@@ -93,12 +94,12 @@ def test_shard_recovery_costs(tmp_path):
     rows.append({"mode": "campaign_fresh", "wall_seconds": round(fresh_s, 3),
                  "samples": len(fresh.store)})
 
-    # Kill one worker mid-campaign with no restart budget, then resume.
+    # Kill one worker mid-campaign with no regrant budget, then resume.
     crash_dir = tmp_path / "crashed"
     with pytest.raises(ShardWorkerError):
         run_experiment(
             cfg, collect_nbench=False, shards=SHARDS,
-            supervise=SupervisorPolicy(max_restarts=0),
+            supervise=CampaignPolicy(max_regrants=0),
             recovery=RecoveryConfig(
                 run_dir=crash_dir, fsync=False, crash_shard=0,
                 crash_at=CrashSpec(derive_kill_iteration(cfg),

@@ -96,24 +96,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="collect the run as N lab-aligned worker "
                        "processes and merge a byte-identical trace "
                        "(default 1: the classic sequential run; with "
-                       "--recover-dir the run becomes a supervised "
-                       "campaign with per-shard crash recovery; see "
+                       "--recover-dir the run becomes a campaign with "
+                       "per-shard crash recovery; see "
                        "docs/sharding.md and docs/shard_recovery.md)")
     p_run.add_argument("--supervise", action="store_true",
-                       help="run sharded workers under the supervisor "
-                       "control plane (heartbeats, liveness deadlines, "
-                       "bounded restart) even without --recover-dir; "
-                       "implied when --shards > 1 and --recover-dir are "
-                       "combined")
+                       help="run the shards on the campaign coordinator "
+                       "with worker processes it forks itself "
+                       "(heartbeats, liveness deadlines, bounded "
+                       "regrant) even without --recover-dir; implied "
+                       "when --shards > 1 and --recover-dir are combined; "
+                       "--listen/--workers use TCP workers instead")
     p_run.add_argument("--listen", default=None, metavar="ENDPOINT",
-                       help="run the sharded campaign over the networked "
-                       "control plane, coordinating TCP workers on "
-                       "ENDPOINT (tcp://host:port; port 0 binds an "
-                       "ephemeral port); workers attach with 'repro "
+                       help="run the sharded campaign on TCP workers: the "
+                       "campaign coordinator listens on ENDPOINT "
+                       "(tcp://host:port; port 0 binds an ephemeral "
+                       "port; frames are pickles, so bind only where "
+                       "trusted hosts reach); workers attach with 'repro "
                        "worker' or --workers (see docs/distributed.md)")
     p_run.add_argument("--workers", type=int, default=None, metavar="M",
-                       help="spawn M local worker processes against the "
-                       "networked coordinator (implies --listen "
+                       help="spawn M local TCP worker processes against "
+                       "the campaign coordinator (implies --listen "
                        "tcp://127.0.0.1:0 when --listen is omitted)")
     p_run.add_argument("--machines", type=int, default=None, metavar="N",
                        help="scale the fleet to N machines by cycling "

@@ -97,8 +97,9 @@ RULES: Tuple[Rule, ...] = (
          "over workers"),
     Rule(("net", "supervise"), ValueError,
          "net= (--listen/--workers) and supervise= (--supervise) are "
-         "mutually exclusive: the networked coordinator is the "
-         "campaign's control plane"),
+         "mutually exclusive: each picks the campaign coordinator's "
+         "workers (TCP or forked); tune a net= campaign with "
+         "NetConfig(policy=CampaignPolicy(...))"),
     Rule(("net", "fleet_factory"), ValueError,
          "fleet_factory is not supported with net= (--listen/--workers): "
          "networked workers rebuild their fleet from the picklable config"),

@@ -246,7 +246,7 @@ class DdcCoordinator:
         #: Supervision hook: ``callable(iteration, t, ran)`` invoked at
         #: the very end of every scheduled iteration, after the recovery
         #: hook -- so a heartbeat reports only durable progress.  A
-        #: supervised shard worker installs its control endpoint here.
+        #: campaign's shard worker installs its control endpoint here.
         self.heartbeat = None
 
     def __getstate__(self) -> dict:

@@ -191,11 +191,12 @@ class ShardWorkerError(ReproError):
     """A shard worker process died and could not be brought back.
 
     Replaces the executor's opaque ``BrokenProcessPool`` with the
-    identity of the failed shard: which shard it was, the last heartbeat
-    the supervisor saw (``None`` on the unsupervised pool path, which
-    has no heartbeat channel), the last iteration the worker reported
-    complete, and how many supervised restarts were burned before
-    giving up.
+    identity of the failed shard: which shard it was, the seconds since
+    the campaign coordinator last heard the shard's heartbeat (``None``
+    on the plain pool path, which has no heartbeat channel, and when a
+    campaign stalls with no worker at all), the last iteration the
+    worker reported complete, and how many lease regrants were burned
+    before giving up.
     """
 
     def __init__(
@@ -215,10 +216,10 @@ class ShardWorkerError(ReproError):
 
 
 class CampaignStopped(ReproError):
-    """A supervised shard campaign was stopped by a steering command.
+    """A shard campaign was stopped by a steering command.
 
-    Raised by the supervisor after every worker has acknowledged STOP at
-    an iteration boundary.  With recovery enabled the campaign's run
+    Raised by the campaign coordinator after every leased worker has
+    acknowledged STOP at an iteration boundary.  With recovery enabled the campaign's run
     directory is durable and ``resume_from=`` continues it; without
     recovery the partial results are discarded.
     """

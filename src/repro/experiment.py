@@ -42,10 +42,15 @@ from repro.recovery.manifest import (
 )
 from repro.recovery.runtime import RecoveryConfig, RecoveryInfo, fresh_runtime
 from repro.resilience.policy import ResiliencePolicy
+from repro.shard.coordinator import (
+    CampaignCoordinator,
+    CampaignPolicy,
+    CampaignReport,
+)
 from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
 from repro.shard.net.config import NetConfig
+from repro.shard.net.worker import spawn_local_workers
 from repro.shard.plan import ShardPlan
-from repro.shard.supervisor import CampaignReport, Supervisor, SupervisorPolicy
 from repro.shard.worker import (
     ShardOutcome,
     ShardTask,
@@ -93,17 +98,17 @@ class MonitoringResult:
         Merged per-shard observability snapshot (sharded, instrumented
         runs only; single-shard runs snapshot their live ``observer``).
     campaign:
-        :class:`~repro.shard.supervisor.CampaignReport` of a supervised
-        or networked sharded run: per-shard health states, restart (or
-        lease regrant) counts, heartbeats, recovery summaries and --
-        networked runs only -- lost shards (``None`` otherwise).
+        :class:`~repro.shard.coordinator.CampaignReport` of a sharded
+        campaign (``supervise=``, ``recovery=`` or ``net=``): per-shard
+        health states, lease regrant counts, heartbeats, recovery
+        summaries and lost shards (``None`` otherwise).
     degraded:
-        :class:`~repro.shard.merge.DegradedMergeInfo` when a networked
-        campaign permanently lost shards and concluded through the
-        degraded merge: which shards are excluded and how much of the
-        roster the trace covers.  ``None`` for every complete run --
-        check this (or the manifest's ``partial`` flag) before treating
-        the trace as roster-complete.
+        :class:`~repro.shard.merge.DegradedMergeInfo` when a campaign
+        run with ``allow_partial`` permanently lost shards and concluded
+        through the degraded merge: which shards are excluded and how
+        much of the roster the trace covers.  ``None`` for every
+        complete run -- check this (or the manifest's ``partial`` flag)
+        before treating the trace as roster-complete.
     """
 
     config: ExperimentConfig
@@ -143,7 +148,7 @@ def run_experiment(
     resume_from: Optional[Union[str, Path, RecoveryConfig]] = None,
     resilience: Optional[ResiliencePolicy] = None,
     shards: Optional[int] = None,
-    supervise: Union[bool, SupervisorPolicy, None] = None,
+    supervise: Union[bool, CampaignPolicy, None] = None,
     net: Optional[NetConfig] = None,
 ) -> MonitoringResult:
     """Run a full monitoring experiment and return its artefacts.
@@ -198,9 +203,9 @@ def run_experiment(
         ``labs``, ``faults``, ``fleet_factory`` and ``observer``.
         A directory holding a campaign manifest (a ``shards>1`` run
         collected with ``recovery=``) resumes the *whole campaign*:
-        every shard continues from its own checkpoint under supervision
-        and the merged result is byte-identical to the uninterrupted
-        run (``docs/shard_recovery.md``).
+        every shard continues from its own checkpoint on the campaign
+        coordinator and the merged result is byte-identical to the
+        uninterrupted run (``docs/shard_recovery.md``).
     resilience:
         Convenience for attaching a
         :class:`~repro.resilience.ResiliencePolicy` without rebuilding
@@ -217,36 +222,36 @@ def run_experiment(
         (the classic sequential run, byte for byte), ``shards>1`` fans
         the plan out over worker processes and merges a trace
         byte-identical to the sequential one.  Combined with
-        ``recovery`` the fan-out becomes a supervised *campaign*: each
-        shard journals and checkpoints into its own
-        ``<run_dir>/shard-<k>/`` namespace under a shared campaign
-        manifest, a dead worker restarts from its *own* checkpoint while
+        ``recovery`` the fan-out becomes a *campaign*: each shard
+        journals and checkpoints into its own ``<run_dir>/shard-<k>/``
+        namespace under a shared campaign manifest, a dead worker's
+        shard is regranted and resumes from its *own* checkpoint while
         healthy shards keep running, and ``resume_from=<run_dir>``
         resumes the whole campaign.  Incompatible with
         ``fleet_factory`` (workers rebuild fleets from the config in
         their own processes).
     supervise:
-        Run ``shards>1`` workers under the :class:`repro.shard
-        .supervisor.Supervisor` control plane -- heartbeats, liveness
-        deadlines, bounded restart-with-backoff, PAUSE/RESUME/STOP
+        Run ``shards>1`` on the campaign coordinator
+        (:class:`~repro.shard.coordinator.CampaignCoordinator`) with
+        worker processes it forks itself -- heartbeats, liveness
+        deadlines, bounded regrant-with-backoff, PAUSE/RESUME/STOP
         steering -- instead of a bare process pool.  Pass ``True`` for
-        the default :class:`~repro.shard.supervisor.SupervisorPolicy`
-        or a policy instance to tune deadlines and restart budgets.
-        Implied (and required) whenever ``recovery`` or a campaign
-        ``resume_from`` is combined with ``shards>1``.
+        the default :class:`~repro.shard.coordinator.CampaignPolicy` or
+        a policy instance to tune deadlines and regrant budgets.
+        Implied whenever ``recovery`` or a campaign ``resume_from`` is
+        combined with ``shards>1``.
     net:
-        Run the ``shards>1`` fan-out over the **networked** control
-        plane (:mod:`repro.shard.net`) instead of local supervised
-        processes: the campaign process binds ``net.endpoint`` as the
-        lease coordinator, workers connect over TCP (spawned locally
-        with ``net.spawn_workers``, or externally via ``repro worker``)
-        and every supervisor guarantee -- liveness, bounded regrant,
-        steering, manifest mirroring, resume-from-checkpoint over
-        reconnect -- is enforced over the wire.  With ``recovery`` the
-        run is a full campaign directory exactly like the supervised
-        path.  Mutually exclusive with ``supervise`` (the coordinator
-        *is* the control plane), ``fleet_factory`` and ``resume_from``;
-        requires ``shards >= 2``.  See ``docs/distributed.md``.
+        Run the campaign coordinator with **TCP** workers
+        (:mod:`repro.shard.net`) instead of forked ones: the campaign
+        process listens on ``net.endpoint`` and workers connect to it
+        (spawned locally with ``net.spawn_workers``, or externally via
+        ``repro worker``).  Liveness, bounded regrant, steering,
+        manifest mirroring and resume-from-checkpoint over reconnect
+        work exactly as for forked workers; ``net.policy`` defaults to
+        completing degraded when a shard is lost.  With ``recovery``
+        the run is a full campaign directory.  Mutually exclusive with
+        ``supervise``, ``fleet_factory`` and ``resume_from``; requires
+        ``shards >= 2``.  See ``docs/distributed.md``.
 
     Combinations that cannot work together are rejected by the
     :mod:`repro.compat` table before anything touches the filesystem.
@@ -320,13 +325,11 @@ def run_experiment(
             strict_postcollect=strict_postcollect,
             instrument=instrument,
         )
-    if net is not None:
-        return _run_networked(cfg, plan, tasks, net=net, recovery=recovery,
-                              manifest=manifest, observer=observer)
-    if recovery is not None or supervise:
-        return _run_supervised(cfg, tasks, recovery=recovery,
-                               manifest=manifest, observer=observer,
-                               supervise=supervise)
+    if net is not None or recovery is not None or supervise:
+        return _run_campaign(
+            cfg, plan, tasks, supervise=supervise, net=net,
+            run_dir=recovery.run_dir if recovery is not None else None,
+            manifest=manifest, observer=observer)
     with ProcessPoolExecutor(max_workers=n_shards) as pool:
         futures = [pool.submit(_run_shard_task, task) for task in tasks]
         outcomes = []
@@ -336,10 +339,10 @@ def run_experiment(
             except BrokenProcessPool as exc:
                 raise ShardWorkerError(
                     f"shard {task.shard.index} worker died in the process "
-                    "pool (no heartbeat channel, no restart budget); run "
+                    "pool (no heartbeat channel, no regrant budget); run "
                     "with supervise=True (CLI: --supervise) for liveness "
-                    "tracking and bounded restart, or add recovery= for "
-                    "per-shard checkpointed restart",
+                    "tracking and bounded regrant, or add recovery= for "
+                    "per-shard checkpointed regrant",
                     shard_index=task.shard.index,
                 ) from exc
     store, merged_faults, snapshot = merge_outcomes(outcomes)
@@ -357,33 +360,6 @@ def _in_process_result(outcome: ShardOutcome) -> MonitoringResult:
                             recovery=outcome.recovery)
 
 
-def _run_supervised(
-    cfg: ExperimentConfig,
-    tasks: Sequence[ShardTask],
-    *,
-    recovery: Optional[RecoveryConfig],
-    manifest: Optional[CampaignManifest],
-    observer: Optional[Observer],
-    supervise: Union[bool, SupervisorPolicy, None],
-) -> MonitoringResult:
-    """Fan shard tasks out under the supervisor and merge the outcomes."""
-    policy = supervise if isinstance(supervise, SupervisorPolicy) else None
-    sup = Supervisor(
-        tasks, policy=policy, observer=observer, manifest=manifest,
-        run_dir=recovery.run_dir if recovery is not None else None,
-    )
-    outcomes = sup.run()
-    store, merged_faults, snapshot = merge_outcomes(outcomes)
-    if manifest is not None and recovery is not None:
-        manifest.state = "merged"
-        manifest.refresh_watermark()
-        manifest.write(recovery.run_dir)
-    return MonitoringResult(config=cfg, fleet=None, coordinator=None,
-                            store=store, faults=merged_faults,
-                            observer=None, obs_snapshot=snapshot,
-                            campaign=sup.report())
-
-
 def _lay_out_campaign(
     cfg: ExperimentConfig,
     plan: ShardPlan,
@@ -398,8 +374,8 @@ def _lay_out_campaign(
 ):
     """Lay out a fresh campaign directory; returns ``(manifest, tasks)``.
 
-    Shared by the supervised and networked paths: validates the run
-    directory is genuinely fresh, writes ``manifest.json`` +
+    Shared by both worker sources: validates the run directory is
+    genuinely fresh, writes ``manifest.json`` +
     ``campaign.pkl``, and namespaces every task's recovery config into
     its own ``shard-<k>/`` directory.
     """
@@ -442,40 +418,42 @@ def _lay_out_campaign(
     return manifest, tasks
 
 
-def _run_networked(
+def _run_campaign(
     cfg: ExperimentConfig,
     plan: ShardPlan,
     tasks: Sequence[ShardTask],
     *,
-    net: NetConfig,
-    recovery: Optional[RecoveryConfig],
+    supervise: Union[bool, CampaignPolicy, None],
+    net: Optional[NetConfig],
+    run_dir: Optional[Path],
     manifest: Optional[CampaignManifest],
     observer: Optional[Observer],
 ) -> MonitoringResult:
-    """Fan shard tasks out over the networked control plane and merge.
+    """Drive shard tasks on the campaign coordinator and merge them.
 
-    The campaign process becomes the lease coordinator on
-    ``net.endpoint``; workers connect over TCP -- spawned locally when
-    ``net.spawn_workers`` is set, or attached externally with ``repro
-    worker``.  Lost shards (regrant budget exhausted under
+    Without ``net`` the coordinator forks its own workers; with it, the
+    coordinator listens on ``net.endpoint`` for TCP workers -- spawned
+    locally when ``net.spawn_workers`` is set, or attached externally
+    with ``repro worker``.  Lost shards (regrant budget exhausted under
     ``allow_partial``) conclude through the degraded merge with an
     explicit :class:`~repro.shard.merge.DegradedMergeInfo`.
     """
-    from repro.shard.net.coordinator import NetCoordinator
-    from repro.shard.net.worker import spawn_local_workers
-
-    coordinator = NetCoordinator(
+    if net is not None:
+        policy = net.policy or CampaignPolicy(allow_partial=True)
+    else:
+        policy = supervise if isinstance(supervise, CampaignPolicy) else None
+    coordinator = CampaignCoordinator(
         tasks,
-        endpoint=net.endpoint,
-        policy=net.policy,
+        endpoint=net.endpoint if net is not None else None,
+        policy=policy,
         observer=observer,
         manifest=manifest,
-        run_dir=recovery.run_dir if recovery is not None else None,
-        faults=net.faults,
+        run_dir=run_dir,
+        faults=net.faults if net is not None else None,
     )
     procs = []
     try:
-        if net.spawn_workers:
+        if net is not None and net.spawn_workers:
             procs = spawn_local_workers(
                 coordinator.endpoint, net.spawn_workers,
                 policy=net.worker_policy,
@@ -497,10 +475,10 @@ def _run_networked(
         # flag and lost-shard list pinned by the coordinator.
     else:
         store, merged_faults, snapshot = merge_outcomes(outcomes)
-        if manifest is not None and recovery is not None:
+        if manifest is not None and run_dir is not None:
             manifest.state = "merged"
             manifest.refresh_watermark()
-            manifest.write(recovery.run_dir)
+            manifest.write(run_dir)
     return MonitoringResult(config=cfg, fleet=None, coordinator=None,
                             store=store, faults=merged_faults,
                             observer=None, obs_snapshot=snapshot,
@@ -514,7 +492,7 @@ def _resume_campaign(
     *,
     requested_shards: Optional[int],
     observer: Optional[Observer],
-    supervise: Union[bool, SupervisorPolicy, None],
+    supervise: Union[bool, CampaignPolicy, None],
 ) -> MonitoringResult:
     """Resume a whole campaign: every shard from its own checkpoint.
 
@@ -561,8 +539,9 @@ def _resume_campaign(
         )
         for spec in plan.specs
     ]
-    return _run_supervised(cfg, tasks, recovery=rcfg, manifest=manifest,
-                           observer=observer, supervise=supervise)
+    return _run_campaign(cfg, plan, tasks, supervise=supervise, net=None,
+                         run_dir=rcfg.run_dir, manifest=manifest,
+                         observer=observer)
 
 
 def run_paper_experiment(seed: int = 2005) -> MonitoringResult:

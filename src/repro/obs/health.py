@@ -1,21 +1,21 @@
-"""Worker-health vocabulary and metric exports for supervised shards.
+"""Worker-health vocabulary and metric exports for campaign shards.
 
-The shard supervisor (:mod:`repro.shard.supervisor`) tracks one health
-state per worker process and mirrors it into the campaign's
+The campaign coordinator (:mod:`repro.shard.coordinator`) tracks one
+health state per shard lease and mirrors it into the campaign's
 :class:`~repro.obs.metrics.MetricsRegistry` so an exported snapshot is
 self-describing:
 
 - ``shard.worker_state{shard=k}`` gauge -- the state's ordinal in
   :data:`WORKER_STATES` (stable, so dashboards can threshold on it);
 - ``shard.heartbeats{shard=k}`` counter -- heartbeats received;
-- ``shard.restarts{shard=k}`` counter -- supervised restarts burned;
+- ``shard.restarts{shard=k}`` counter -- lease regrants burned;
 - ``shard.last_iteration{shard=k}`` gauge -- last iteration the worker
   reported complete.
 
 States
 ------
 ``STARTING``
-    Process launched, no heartbeat yet.
+    Lease granted, no heartbeat yet.
 ``RUNNING``
     Heartbeats arriving within the liveness deadline.
 ``DEGRADED``
@@ -25,19 +25,20 @@ States
     The worker acknowledged a PAUSE steering command at an iteration
     boundary and is idling (still heartbeating).
 ``DEAD``
-    Liveness deadline blown or the process exited without delivering
-    an outcome; the supervisor schedules a restart (or gives up).
+    Liveness deadline blown, or the worker failed, died or
+    disconnected without delivering an outcome; the lease is revoked
+    and the coordinator regrants it after backoff (or gives up).
 ``STOPPED``
     The worker acknowledged STOP and exited cleanly mid-run.
 ``DONE``
     The worker delivered its shard outcome.
 ``LOST``
-    Networked campaigns only: the shard's lease regrant budget is
+    With ``allow_partial``: the shard's lease regrant budget is
     exhausted and the campaign settled it through the degraded merge
     (``docs/distributed.md``).
 
-The networked control plane (:mod:`repro.shard.net`) additionally
-exports wire-level metrics through :func:`record_net_connect`,
+The coordinator additionally exports wire-level metrics for both
+worker sources through :func:`record_net_connect`,
 :func:`record_net_disconnect`, :func:`record_net_message`,
 :func:`record_lease_grant` and :func:`record_lease_expiry`.
 """
@@ -117,7 +118,7 @@ def record_worker_heartbeat(metrics: Optional[MetricsRegistry], shard: int,
 
 def record_worker_restart(metrics: Optional[MetricsRegistry],
                           shard: int) -> None:
-    """Count one supervised restart of a shard worker."""
+    """Count one lease regrant of a shard."""
     if metrics is None:
         return
     metrics.counter("shard.restarts", shard=str(shard)).inc()

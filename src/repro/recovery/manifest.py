@@ -1,7 +1,8 @@
 """Campaign manifest: the shared control-plane record of a sharded run.
 
-A *campaign* is a crash-safe run collected by ``shards > 1`` supervised
-workers.  Its run directory holds one ``shard-<k>/`` recovery tree per
+A *campaign* is a crash-safe run collected by ``shards > 1`` workers
+under the campaign coordinator (:mod:`repro.shard.coordinator`), forked
+locally or connected over TCP.  Its run directory holds one ``shard-<k>/`` recovery tree per
 shard (journal + checkpoints + quarantine, laid out exactly like a
 sequential run directory) plus two campaign-level artefacts:
 
@@ -9,8 +10,9 @@ sequential run directory) plus two campaign-level artefacts:
     Small, human-readable, atomically-rewritten JSON describing the
     campaign: config digest, shard count, the :class:`~repro.shard.plan
     .ShardPlan` (lab names and machine counts per shard), per-shard
-    status (state, restarts burned, last iteration reported, journal
-    digest once the shard completes) and the **merge watermark** -- the
+    status (state, regrants burned, last iteration reported, lease
+    holder and epoch, journal digest once the shard completes) and the
+    **merge watermark** -- the
     lowest iteration every shard has durably journaled, i.e. how far a
     merged partial trace could reach.
 
@@ -66,8 +68,8 @@ class ShardStatus:
 
     index: int
     dir: str
-    #: Supervisor-observed worker state (``repro.obs.health`` vocabulary)
-    #: or ``"pending"`` before the first launch.
+    #: Coordinator-observed worker state (``repro.obs.health``
+    #: vocabulary) or ``"pending"`` before the first grant.
     state: str = "pending"
     restarts: int = 0
     #: Last iteration the worker reported complete (heartbeats), or -1.
@@ -75,9 +77,9 @@ class ShardStatus:
     #: Digest of the shard's sealed journal, recorded at completion.
     journal_digest: Optional[str] = None
     completed: bool = False
-    #: Networked campaigns: worker identity currently holding (or last
-    #: to hold) this shard's lease, and the lease epoch it was granted
-    #: under.  ``None`` / 0 on local supervised campaigns.
+    #: Worker identity currently holding (or last to hold) this shard's
+    #: lease -- ``local-<n>`` for a forked worker -- and the lease epoch
+    #: it was granted under.  ``None`` / 0 before the first grant.
     worker: Optional[str] = None
     lease_epoch: int = 0
 
@@ -243,7 +245,7 @@ def journal_digest(journal_dir: Union[str, Path]) -> Optional[str]:
 
     SHA-256 over the raw bytes of every ``segment-*.jsonl`` in order,
     truncated to 16 hex chars; ``None`` when there is no journal.  The
-    supervisor records it in the manifest when a shard completes, so an
+    coordinator records it in the manifest when a shard completes, so an
     operator can later prove which journal generation a merged trace
     came from.
     """

@@ -3,7 +3,7 @@
 Renders what the crash-safe persistence layer left behind in a run
 directory: the checkpoint ladder, the journal segment chain and the
 quarantine ledger.  A directory holding a campaign manifest (a sharded
-supervised run, see ``docs/shard_recovery.md``) is reported as a
+campaign, see ``docs/shard_recovery.md``) is reported as a
 campaign: the manifest's per-shard status table plus one nested
 per-shard status each.  Everything here is **read-only** -- unlike the
 resume path (:func:`repro.recovery.journal.scan_journal`), a status

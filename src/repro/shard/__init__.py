@@ -1,8 +1,7 @@
 """Shard-parallel experiment runtime.
 
-Splits one monitoring experiment into N lab-aligned shards that execute
-on a :class:`concurrent.futures.ProcessPoolExecutor` and merge into a
-trace byte-identical to the sequential run:
+Splits one monitoring experiment into N lab-aligned shards whose
+outcomes merge into a trace byte-identical to the sequential run:
 
 - :mod:`repro.shard.plan` partitions the lab catalog into
   machine-balanced, lab-aligned shards;
@@ -10,25 +9,27 @@ trace byte-identical to the sequential run:
   DDC coordinator materialises probes only for the shard's own labs;
 - :mod:`repro.shard.merge` recombines the per-shard stores, metas and
   observability snapshots deterministically;
-- :mod:`repro.shard.supervisor` runs the workers under explicit
-  supervision -- heartbeats, liveness deadlines, bounded
-  restart-with-backoff from per-shard checkpoints, PAUSE/RESUME/STOP
-  steering -- turning the fan-out into a fault-tolerant campaign
-  control plane (``docs/shard_recovery.md``).
+- :mod:`repro.shard.coordinator` is the campaign control plane: one
+  coordinator leases shards to workers it forks itself (``supervise=``,
+  ``recovery=``) or to TCP workers (``net=``, :mod:`repro.shard.net`),
+  with heartbeats, liveness deadlines, bounded regrant-with-backoff from
+  per-shard checkpoints and PAUSE/RESUME/STOP steering
+  (``docs/shard_recovery.md``, ``docs/distributed.md``).
 
+A plain ``shards>1`` run fans the tasks out over a
+:class:`concurrent.futures.ProcessPoolExecutor` instead.
 ``repro.experiment.run_experiment`` routes every run -- including the
 sequential ``shards=1`` case -- through this plan/worker/merge pipeline;
 see ``docs/sharding.md`` for the determinism argument.
 """
 
+from repro.shard.coordinator import (
+    CampaignCoordinator,
+    CampaignPolicy,
+    CampaignReport,
+)
 from repro.shard.merge import merge_outcomes
 from repro.shard.plan import ShardPlan, ShardSpec
-from repro.shard.supervisor import (
-    CampaignReport,
-    Supervisor,
-    SupervisorPolicy,
-    WorkerControl,
-)
 from repro.shard.worker import (
     ShardOutcome,
     ShardTask,
@@ -38,14 +39,13 @@ from repro.shard.worker import (
 )
 
 __all__ = [
+    "CampaignCoordinator",
+    "CampaignPolicy",
     "CampaignReport",
     "ShardPlan",
     "ShardSpec",
     "ShardTask",
     "ShardOutcome",
-    "Supervisor",
-    "SupervisorPolicy",
-    "WorkerControl",
     "execute_shard_task",
     "merge_outcomes",
     "resume_shard",

@@ -1,41 +1,63 @@
-"""The campaign coordinator: leases over TCP with supervisor semantics.
+"""The campaign coordinator: the one control plane of a sharded campaign.
 
-:class:`NetCoordinator` is the networked twin of
-:class:`repro.shard.supervisor.Supervisor`: same liveness discipline,
-same restart-style budget, same steering verbs, same manifest
-mirroring -- but its workers are socket peers it does not own.  That
-changes the failure model in three ways:
+The paper's DDC was one coordinator that drove every probe, tolerated
+dead machines and ran unattended for 77 days.  A sharded campaign has
+the same shape one level up.  :class:`CampaignCoordinator` grants each
+shard to a worker as an epoch-fenced *lease*
+(:mod:`repro.shard.net.lease`), watches heartbeats, regrants a dead
+holder's shard with capped multiplicative backoff, relays
+PAUSE/RESUME/STOP steering and mirrors every shard's health into the
+campaign manifest.  Workers come from one of two sources and speak the
+same framed protocol (:mod:`repro.shard.net.protocol`) either way:
 
-- a worker is known only through its connection and its heartbeats, so
-  death is *inferred* (connection loss, or a lease liveness deadline
-  blown during a partition), never observed as an exit code;
-- recovery means **regranting the lease**, not restarting a process:
-  the shard's journal+checkpoint namespace (``shard-<k>/``) lives on
-  the worker-visible filesystem, so any worker granted the lease
-  resumes the shard exactly where its last holder durably left it;
-- a shard whose regrant budget is exhausted can be **lost** without
-  aborting the campaign: with ``allow_partial`` the coordinator settles
-  it as lost and the campaign concludes through the degraded merge
-  (:func:`repro.shard.merge.merge_degraded`) with an explicit partial
-  manifest -- never a hang, never silent truncation.
+- **local children** (``endpoint=None``; ``supervise=``, ``recovery=``
+  with ``shards>1`` and campaign resumes): the coordinator forks one
+  worker process per shard.  Each child holds one end of a
+  :func:`socket.socketpair` and runs the worker loop of
+  :mod:`repro.shard.net.worker`.  No port is opened: frames are
+  pickles, so a local campaign must not accept connections from other
+  local users.  A dead child surfaces as EOF on its socket, which
+  arrives only after every frame the child sent has been read, so an
+  outcome sent just before exit is never lost.  The child is reaped,
+  and a replacement is forked when a shard is grantable and no child
+  is idle;
+- **TCP connections** (``endpoint="tcp://host:port"``; ``net=``):
+  workers connect, say ``Hello`` and are leased shards.  Death is
+  inferred from connection loss or a lease liveness deadline blown
+  during a partition.
 
-Threading: one acceptor thread and one reader thread per connection
-push events into a queue; the main :meth:`run` loop is the only writer
-of coordinator state and the only sender on channels, so leases,
-registry and manifest need no locks.  Steering calls from other threads
-route through the same event queue.
+Either way, recovery means **regranting the lease**: the shard's
+journal+checkpoint namespace (``shard-<k>/``) lives on the
+worker-visible filesystem, so the next holder resumes exactly where the
+last one durably left off; without recovery the shard re-runs from
+scratch, which the deterministic simulation makes merge-equivalent.  A
+shard whose regrant budget is exhausted fails the campaign with
+:class:`~repro.errors.ShardWorkerError` (a recovery campaign stays
+resumable) or, with ``allow_partial``, is settled as LOST and the
+campaign concludes through the degraded merge
+(:func:`repro.shard.merge.merge_degraded`) with an explicit partial
+manifest -- never a hang, never silent truncation.
+
+Threading: one reader thread per connection (and, for TCP, one
+acceptor thread) pushes events into a queue; the main :meth:`run` loop
+is the only writer of coordinator state and the only sender on
+channels, so connections, leases, registry and manifest need no locks.
+Steering calls from other threads route through the same event queue.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import multiprocessing
 import queue
 import socket
+import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     CampaignStopped,
@@ -47,6 +69,7 @@ from repro.faults.network import NetworkFaultPlan
 from repro.obs import health
 from repro.obs.observer import Observer
 from repro.recovery.manifest import CampaignManifest, journal_digest
+from repro.recovery.runtime import RecoveryInfo
 from repro.shard.net.config import format_endpoint, parse_endpoint
 from repro.shard.net.framing import FramedChannel
 from repro.shard.net.lease import ACTIVE, LOST, Lease, LeaseTable
@@ -66,36 +89,39 @@ from repro.shard.net.protocol import (
     lease_scoped,
 )
 from repro.shard.net.registry import WorkerRegistry
-from repro.shard.supervisor import CampaignReport
+from repro.shard.net.worker import NetWorkerPolicy, serve_socket
 from repro.shard.worker import ShardOutcome, ShardTask
 
-__all__ = ["NetPolicy", "NetCoordinator"]
+__all__ = ["CampaignPolicy", "CampaignReport", "CampaignCoordinator"]
 
 
 @dataclass(frozen=True)
-class NetPolicy:
-    """Coordinator knobs: cadences, deadlines, budgets.
+class CampaignPolicy:
+    """Coordinator knobs: cadences, deadlines, the regrant budget.
 
     Parameters
     ----------
     heartbeat_every:
         Workers heartbeat every N completed iterations (shipped to them
-        in ``Welcome``).
+        in ``Welcome``; the paper's 15-minute cadence makes even 1
+        cheap).
     degraded_after / lease_timeout:
         Seconds of heartbeat silence before a leased shard is marked
-        DEGRADED (observability only) respectively its lease is revoked
-        and regranted.  Measured on the coordinator's monotonic clock
-        from message *receive* times, like the local supervisor.
+        DEGRADED (observability only) respectively its holder is fenced
+        and the lease revoked.  Measured from message *receive* times
+        on the coordinator's **monotonic** clock: wall-clock time jumps
+        under NTP steps and would spuriously declare workers dead.
     max_regrants:
-        Regrants allowed per shard after its first grant; the networked
-        restart budget.
-    fence_delay:
-        Seconds a revoked lease stays ungrantable, letting in-flight
-        traffic from the fenced holder drain and be discarded by the
-        epoch check.
+        Regrants allowed per shard after its first grant.
+    backoff_base / backoff_multiplier / backoff_cap:
+        A revoked lease becomes grantable again after
+        ``min(cap, base * multiplier**(n-1))`` seconds before regrant n
+        -- the resilience breaker's capped multiplicative cooldown.
+        The step also serves as the fence: in-flight traffic from the
+        fenced holder drains and is discarded by the epoch check.
     join_timeout:
         Seconds the coordinator tolerates having unsettled shards, no
-        active leases and no worker activity before failing the
+        active leases and no worker messages before failing the
         campaign -- the no-hang guarantee when workers never show up.
     poll_interval:
         Event-loop tick (seconds).
@@ -108,18 +134,21 @@ class NetPolicy:
         Settle budget-exhausted shards as LOST and conclude with the
         degraded merge instead of raising.  All shards lost always
         raises -- an empty campaign is a failure, not a result.
+        ``NetConfig`` turns it on by default.
     """
 
     heartbeat_every: int = 1
     degraded_after: float = 5.0
     lease_timeout: float = 30.0
     max_regrants: int = 2
-    fence_delay: float = 0.05
+    backoff_base: float = 0.25
+    backoff_multiplier: float = 2.0
+    backoff_cap: float = 5.0
     join_timeout: float = 30.0
     poll_interval: float = 0.05
     io_timeout: float = 5.0
     wait_hint: float = 0.5
-    allow_partial: bool = True
+    allow_partial: bool = False
 
     def __post_init__(self) -> None:
         if self.heartbeat_every < 1:
@@ -130,8 +159,10 @@ class NetPolicy:
             raise ValueError("lease_timeout must be >= degraded_after")
         if self.max_regrants < 0:
             raise ValueError("max_regrants must be non-negative")
-        if self.fence_delay < 0:
-            raise ValueError("fence_delay must be non-negative")
+        if self.backoff_base < 0 or self.backoff_cap < 0:
+            raise ValueError("backoff delays must be non-negative")
+        if self.backoff_multiplier < 1.0:
+            raise ValueError("backoff_multiplier must be >= 1")
         if self.join_timeout <= 0:
             raise ValueError("join_timeout must be positive")
         if self.poll_interval <= 0:
@@ -141,18 +172,64 @@ class NetPolicy:
         if self.wait_hint <= 0:
             raise ValueError("wait_hint must be positive")
 
+    def regrant_delay(self, n: int) -> float:
+        """Backoff before regrant ``n`` (1-based), capped."""
+        if n < 1:
+            raise ValueError("regrants are 1-based")
+        return min(self.backoff_cap,
+                   self.backoff_base * self.backoff_multiplier ** (n - 1))
+
+
+@dataclass
+class CampaignReport:
+    """What the coordinator observed across one campaign run."""
+
+    n_shards: int
+    run_dir: Optional[Path]
+    #: Final :mod:`repro.obs.health` state per shard.
+    states: Dict[int, str]
+    #: Lease regrants burned per shard.
+    restarts: Dict[int, int]
+    heartbeats: Dict[int, int]
+    last_iterations: Dict[int, int]
+    #: Per-shard recovery summary from the final lease holder (``None``
+    #: for shards run without recovery).
+    recovery: Dict[int, Optional[RecoveryInfo]] = field(default_factory=dict)
+    #: Shards settled as LOST past their regrant budget under
+    #: ``allow_partial`` and excluded from the (degraded) merge.
+    lost_shards: Tuple[int, ...] = ()
+
+    @property
+    def total_restarts(self) -> int:
+        return sum(self.restarts.values())
+
 
 @dataclass
 class _Conn:
-    """Coordinator-side record of one accepted connection."""
+    """Coordinator-side record of one worker connection."""
 
     conn_id: int
     channel: FramedChannel
     worker_id: Optional[str] = None
 
 
-class NetCoordinator:
-    """Drive one campaign over TCP workers (see module docstring).
+def _child_entry(sock: socket.socket, worker_id: str,
+                 policy: NetWorkerPolicy) -> None:
+    """Entry point of a forked local worker."""
+    sys.exit(serve_socket(sock, worker_id, policy=policy))
+
+
+def _reap(process, *, grace: float) -> Optional[int]:
+    """Join a local child, terminating it if it outlives ``grace``."""
+    process.join(timeout=grace)
+    if process.exitcode is None:
+        process.terminate()
+        process.join(timeout=2.0)
+    return process.exitcode
+
+
+class CampaignCoordinator:
+    """Drive one campaign's shards to settlement (see module docstring).
 
     Parameters
     ----------
@@ -161,16 +238,26 @@ class NetCoordinator:
         carrying ``recovery`` are regranted as resumes; tasks without
         re-run from scratch (merge-equivalent by determinism).
     endpoint:
-        ``tcp://host:port`` to listen on; port 0 binds an ephemeral
-        port, exposed through :attr:`endpoint` after construction.
-    policy / observer / manifest / run_dir:
-        As for :class:`~repro.shard.supervisor.Supervisor`.
+        ``None`` (the default) forks one local worker per shard and
+        opens no port.  ``tcp://host:port`` listens there for TCP
+        workers instead; port 0 binds an ephemeral port, exposed
+        through :attr:`endpoint` after construction.
+    policy:
+        :class:`CampaignPolicy` (defaults are production-shaped; chaos
+        tests shrink the deadlines and backoff).
+    observer:
+        Campaign-level observer for the worker-health metrics
+        (:mod:`repro.obs.health`).
+    manifest / run_dir:
+        Campaign manifest to keep current (recovery campaigns only);
+        ``run_dir`` is the campaign root it is persisted under.
     faults:
         Optional :class:`~repro.faults.network.NetworkFaultPlan`
         applied to every worker channel (coordinator side only).
     clock:
-        Monotonic time source; injectable so liveness tests can drive
-        deadlines without sleeping.
+        Time source for liveness deadlines, regrant backoff and
+        manifest throttling.  Must stay monotonic; injectable so
+        liveness tests can drive deadlines without sleeping.
     """
 
     #: Seconds between manifest rewrites driven by heartbeat traffic.
@@ -180,8 +267,8 @@ class NetCoordinator:
         self,
         tasks: Sequence[ShardTask],
         *,
-        endpoint: str = "tcp://127.0.0.1:0",
-        policy: Optional[NetPolicy] = None,
+        endpoint: Optional[str] = None,
+        policy: Optional[CampaignPolicy] = None,
         observer: Optional[Observer] = None,
         manifest: Optional[CampaignManifest] = None,
         run_dir: Optional[Union[str, Path]] = None,
@@ -193,7 +280,7 @@ class NetCoordinator:
         indexes = [t.shard.index for t in tasks]
         if len(set(indexes)) != len(indexes):
             raise ValueError("shard tasks must have distinct indexes")
-        self.policy = policy or NetPolicy()
+        self.policy = policy or CampaignPolicy()
         self.manifest = manifest
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._metrics = (observer.metrics if observer is not None
@@ -205,7 +292,9 @@ class NetCoordinator:
         self.registry = WorkerRegistry()
         self._events: "queue.Queue" = queue.Queue()
         self._conns: Dict[int, _Conn] = {}
-        self._next_conn_id = 0
+        self._conn_ids = itertools.count()
+        #: Local children by the conn_id of their socketpair channel.
+        self._children: Dict[int, multiprocessing.Process] = {}
         self._states: Dict[int, str] = {k: "pending" for k in indexes}
         self._restarts: Dict[int, int] = {k: 0 for k in indexes}
         self._heartbeats: Dict[int, int] = {k: 0 for k in indexes}
@@ -218,14 +307,21 @@ class NetCoordinator:
         self._manifest_written_at = -self._MANIFEST_EVERY
         self._last_activity = self._clock()
         self._last_keepalive = self._clock()
-        host, port = parse_endpoint(endpoint)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        #: The actually bound address (resolves port 0).
-        self.endpoint = format_endpoint(host, self._listener.getsockname()[1])
         self._threads: List[threading.Thread] = []
+        self._listener: Optional[socket.socket] = None
+        #: The bound TCP address (resolves port 0); ``None`` for a local
+        #: campaign, which listens nowhere.
+        self.endpoint: Optional[str] = None
+        if endpoint is not None:
+            host, port = parse_endpoint(endpoint)
+            self._listener = socket.socket(socket.AF_INET,
+                                           socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(16)
+            self.endpoint = format_endpoint(
+                host, self._listener.getsockname()[1])
 
     # ------------------------------------------------------------------
     # steering (safe to call from another thread while run() is live)
@@ -247,8 +343,13 @@ class NetCoordinator:
         return dict(sorted(self._states.items()))
 
     # ------------------------------------------------------------------
-    # background threads: accept + per-connection readers
+    # worker sources and per-connection readers
     # ------------------------------------------------------------------
+    def _channel(self, sock: socket.socket) -> FramedChannel:
+        return FramedChannel(sock, conn_id=next(self._conn_ids),
+                             faults=self._faults,
+                             io_timeout=self.policy.io_timeout)
+
     def _acceptor(self) -> None:
         # Closing a listener does NOT wake a thread blocked in accept()
         # on Linux, so the loop polls with a short timeout and re-checks
@@ -264,19 +365,37 @@ class NetCoordinator:
                 continue
             except OSError:
                 return  # listener closed by shutdown
-            conn_id = self._next_conn_id
-            self._next_conn_id += 1
-            channel = FramedChannel(sock, conn_id=conn_id,
-                                    faults=self._faults,
-                                    io_timeout=self.policy.io_timeout)
-            conn = _Conn(conn_id=conn_id, channel=channel)
-            self._conns[conn_id] = conn
-            reader = threading.Thread(target=self._reader, args=(conn,),
-                                      name=f"repro-net-reader-{conn_id}",
-                                      daemon=True)
-            reader.start()
-            self._threads.append(reader)
-            self._events.put(("accepted", conn_id))
+            self._events.put(("accepted", self._channel(sock)))
+
+    def _fork_child(self) -> None:
+        """Fork one local worker on a socketpair; queue the parent end."""
+        parent_end, child_end = socket.socketpair()
+        channel = self._channel(parent_end)
+        worker_id = f"local-{channel.conn_id}"
+        process = multiprocessing.get_context("fork").Process(
+            target=_child_entry,
+            args=(child_end, worker_id,
+                  NetWorkerPolicy(io_timeout=self.policy.io_timeout)),
+            name=f"repro-shard-{worker_id}",
+            daemon=True,
+        )
+        process.start()
+        # The child holds its copy; closing ours makes the child's
+        # death surface as EOF on the parent end.
+        child_end.close()
+        self._children[channel.conn_id] = process
+        self._events.put(("accepted", channel))
+
+    def _spare_children(self) -> int:
+        """Local children holding no lease (including unregistered ones)."""
+        spare = 0
+        for conn_id in self._children:
+            conn = self._conns.get(conn_id)
+            entry = (self.registry.get(conn.worker_id)
+                     if conn is not None and conn.worker_id else None)
+            if entry is None or entry.shard is None:
+                spare += 1
+        return spare
 
     def _reader(self, conn: _Conn) -> None:
         while True:
@@ -294,23 +413,29 @@ class NetCoordinator:
 
     # ------------------------------------------------------------------
     def run(self) -> List[Optional[ShardOutcome]]:
-        """Drive the campaign to settlement; the networked campaign verb.
+        """Drive the campaign to settlement; the campaign verb.
 
         Returns outcomes ordered by shard index, with ``None`` holes for
         shards settled as LOST (the degraded merge's input).  Raises
         :class:`~repro.errors.ShardWorkerError` when a shard exhausts
         its regrant budget with ``allow_partial`` off (or every shard is
-        lost, or no workers materialise within ``join_timeout``), and
+        lost, or no worker speaks within ``join_timeout``), and
         :class:`~repro.errors.CampaignStopped` after STOP is honoured.
         """
         if self._ran:
-            raise RuntimeError("a NetCoordinator instance runs exactly once")
+            raise RuntimeError(
+                "a CampaignCoordinator instance runs exactly once")
         self._ran = True
-        acceptor = threading.Thread(target=self._acceptor,
-                                    name="repro-net-acceptor", daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
         try:
+            if self._listener is None:
+                for _ in self._tasks:
+                    self._fork_child()
+            else:
+                acceptor = threading.Thread(target=self._acceptor,
+                                            name="repro-net-acceptor",
+                                            daemon=True)
+                acceptor.start()
+                self._threads.append(acceptor)
             while not self.leases.all_settled():
                 if self._stop_requested and not self.leases.active():
                     break
@@ -347,15 +472,24 @@ class NetCoordinator:
         if kind == "steer":
             self._apply_steer(event[1])
             return
-        self._last_activity = self._clock()
         if kind == "accepted":
-            return  # registration waits for Hello
+            # Registration waits for Hello; the reader starts now.
+            channel = event[1]
+            conn = _Conn(conn_id=channel.conn_id, channel=channel)
+            self._conns[conn.conn_id] = conn
+            reader = threading.Thread(
+                target=self._reader, args=(conn,),
+                name=f"repro-net-reader-{conn.conn_id}", daemon=True)
+            reader.start()
+            self._threads.append(reader)
+            return
         conn = self._conns.get(event[1])
         if conn is None:
             return  # connection already torn down
         if kind == "lost":
             self._on_conn_lost(conn, event[2])
             return
+        self._last_activity = self._clock()
         message = event[2]
         health.record_net_message(self._metrics, "received")
         if isinstance(message, Hello):
@@ -399,7 +533,7 @@ class NetCoordinator:
                 f"protocol {hello.protocol} unsupported; coordinator "
                 f"speaks {PROTOCOL_VERSION}"
             ))
-            self._drop_conn(conn)
+            self._close_conn(conn)
             return
         # A reconnecting identity supersedes its previous connection:
         # fence the old one first so its leases free up for regrant.
@@ -407,7 +541,7 @@ class NetCoordinator:
             if (other.conn_id != conn.conn_id
                     and other.worker_id == hello.worker_id):
                 self._on_conn_lost(other, "superseded by reconnect")
-        entry = self.registry.register(hello, conn.conn_id)
+        self.registry.register(hello, conn.conn_id)
         conn.worker_id = hello.worker_id
         conn.channel.worker = hello.worker_id
         health.record_net_connect(self._metrics,
@@ -455,10 +589,7 @@ class NetCoordinator:
                                    outcome.last_iteration)
         lease.complete()
         self._outcomes[msg.shard] = outcome
-        entry = self.registry.get(conn.worker_id)
-        if entry is not None:
-            entry.shard = None
-        conn.channel.shard = None
+        self._release(conn)
         self._set_state(msg.shard,
                         health.STOPPED if outcome.stopped else health.DONE)
         self._note_progress(msg.shard, lease.last_iteration)
@@ -468,21 +599,27 @@ class NetCoordinator:
         lease = self.leases[msg.shard]
         lease.last_iteration = max(lease.last_iteration, msg.iteration)
         self.registry.failure(conn.worker_id)
+        self._release(conn)
+        self._note_progress(msg.shard, lease.last_iteration)
+        self._fail_lease(lease, self._clock(),
+                         f"worker failed: {msg.message}")
+
+    def _release(self, conn: _Conn) -> None:
+        """The worker on ``conn`` settled its lease and is idle again."""
         entry = self.registry.get(conn.worker_id)
         if entry is not None:
             entry.shard = None
         conn.channel.shard = None
-        self._note_progress(msg.shard, lease.last_iteration)
-        self._fail_lease(lease, self._clock(),
-                         f"worker failed: {msg.message}")
 
     # ------------------------------------------------------------------
     # failure machinery
     # ------------------------------------------------------------------
     def _on_conn_lost(self, conn: _Conn, reason: str) -> None:
-        if self._conns.pop(conn.conn_id, None) is None:
+        if conn.conn_id not in self._conns:
             return  # already handled
-        conn.channel.close()
+        code = self._close_conn(conn)
+        if code is not None:
+            reason = f"{reason}; worker exited with code {code}"
         if conn.worker_id is None:
             return
         entry = self.registry.get(conn.worker_id)
@@ -502,13 +639,16 @@ class NetCoordinator:
     def _fail_lease(self, lease: Lease, now: float, reason: str) -> None:
         shard = lease.shard_index
         holder = lease.worker
+        silence = now - lease.last_heartbeat
         lease.revoke(now)
         self._set_state(shard, health.DEAD)
         if lease.assignments < 1 + self.policy.max_regrants:
             # Budget remains: the shard becomes grantable again after
-            # the fence delay; the regrant resumes from its checkpoints.
+            # its backoff step; the regrant resumes from its checkpoints.
             self._write_manifest(force=True)
             return
+        resumable = ("" if self.run_dir is None else
+                     f"; the campaign in {self.run_dir} is resumable")
         if self.policy.allow_partial:
             lease.mark_lost()
             self.lost_shards.append(shard)
@@ -521,9 +661,9 @@ class NetCoordinator:
                 raise ShardWorkerError(
                     "every shard's lease regrant budget is exhausted; "
                     "a campaign with no surviving shard has no result"
-                    + ("" if self.run_dir is None else
-                       f"; the campaign in {self.run_dir} is resumable"),
+                    + resumable,
                     shard_index=shard,
+                    last_heartbeat=silence,
                     last_iteration=lease.last_iteration,
                     restarts=lease.regrants,
                 )
@@ -532,9 +672,9 @@ class NetCoordinator:
             f"shard {shard} lease (held by {holder}) failed ({reason}) "
             f"and its regrant budget of {self.policy.max_regrants} is "
             f"exhausted; last completed iteration {lease.last_iteration}"
-            + ("" if self.run_dir is None else
-               f"; the campaign in {self.run_dir} is resumable"),
+            + resumable,
             shard_index=shard,
+            last_heartbeat=silence,
             last_iteration=lease.last_iteration,
             restarts=lease.regrants,
         )
@@ -548,8 +688,9 @@ class NetCoordinator:
                 holder = lease.worker
                 conn = self._conn_of(holder)
                 if conn is not None:
-                    # Fencing: tear the holder's connection so a zombie
-                    # can't keep streaming into a regranted shard.
+                    # Fencing: tear the holder's connection (and kill a
+                    # local child) so a zombie can't keep streaming into
+                    # a regranted shard.
                     self._on_conn_lost(
                         conn, f"lease liveness deadline blown ({age:.1f}s "
                               f"> {p.lease_timeout:.1f}s)"
@@ -568,11 +709,14 @@ class NetCoordinator:
         if self._stop_requested or self._paused:
             return
         grantable = sorted(
-            self.leases.grantable(now, self.policy.fence_delay),
+            self.leases.grantable(now, self.policy.regrant_delay),
             key=lambda l: l.shard_index,
         )
         if not grantable:
             return
+        if self._listener is None:
+            for _ in range(len(grantable) - self._spare_children()):
+                self._fork_child()
         for lease, entry in zip(grantable, self.registry.idle_workers()):
             conn = self._conns.get(entry.conn_id)
             if conn is None or conn.channel.closed:
@@ -650,26 +794,42 @@ class NetCoordinator:
             return None
         return self._conns.get(entry.conn_id)
 
-    def _drop_conn(self, conn: _Conn) -> None:
+    def _close_conn(self, conn: _Conn) -> Optional[int]:
+        """Drop a connection and reap its local child, if it has one.
+
+        Returns the child's exit code (``None`` for a TCP worker).  A
+        child still running -- a fenced holder -- is terminated.
+        """
         self._conns.pop(conn.conn_id, None)
         conn.channel.close()
+        process = self._children.pop(conn.conn_id, None)
+        return None if process is None else _reap(process, grace=0.0)
 
     def _shutdown(self) -> None:
-        """Dismiss workers, close every socket, retire the threads."""
+        """Dismiss workers, close every socket, reap children and threads."""
         self._closing = True
-        for conn in list(self._conns.values()):
+        for conn in self._conns.values():
             try:
                 conn.channel.send(Bye())
             except NetworkError:
                 pass
             conn.channel.close()
         self._conns.clear()
-        try:
+        if self._listener is not None:
             self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
         for thread in self._threads:
             thread.join(timeout=2.0)
+        # Connections accepted or forked but never registered.
+        while True:
+            try:
+                event = self._events.get_nowait()
+            except queue.Empty:
+                break
+            if event[0] == "accepted":
+                event[1].close()
+        for process in self._children.values():
+            _reap(process, grace=2.0)
+        self._children.clear()
 
     # ------------------------------------------------------------------
     def _conclude(self) -> List[Optional[ShardOutcome]]:
@@ -731,6 +891,8 @@ class NetCoordinator:
             return
         status = self.manifest.shards.get(shard)
         if status is not None:
+            # Durable progress never regresses: a resume starts its
+            # counter below what the journal already holds.
             status.last_iteration = max(status.last_iteration, iteration)
 
     def _complete_in_manifest(self, shard: int,

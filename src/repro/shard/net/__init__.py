@@ -1,14 +1,12 @@
-"""Networked shard control plane: coordinator, workers, leases.
+"""The wire layer of the campaign control plane.
 
-``repro.shard.net`` promotes the PR 8 local supervisor to the network:
-shard workers are separate processes that connect to a coordinator over
-TCP (loopback in tests, real hosts in principle), receive shard tasks
-as revocable *leases*, stream framed heartbeats back, and return their
-:class:`~repro.shard.worker.ShardOutcome` over the wire.  The
-coordinator preserves every supervisor guarantee -- liveness deadlines,
-restart budgets, PAUSE/RESUME/STOP steering, manifest mirroring,
-resume-from-checkpoint -- while adding the failure modes only sockets
-have: disconnects, partitions, slow links, duplicated messages.
+Every campaign worker -- a TCP peer or a child the coordinator forked
+over a socketpair -- talks to :class:`repro.shard.coordinator
+.CampaignCoordinator` through these layers: it receives shard tasks as
+revocable *leases*, streams framed heartbeats back, and returns its
+:class:`~repro.shard.worker.ShardOutcome` as a frame.  Over TCP the
+coordinator also absorbs the failure modes only sockets have:
+disconnects, partitions, slow links, duplicated messages.
 
 Layers, bottom up:
 
@@ -19,19 +17,17 @@ Layers, bottom up:
   and regrant budgets;
 - :mod:`~repro.shard.net.registry` -- connected-worker registry scored
   by :class:`~repro.resilience.health.HealthTracker`;
-- :mod:`~repro.shard.net.worker` -- the worker process loop
-  (connect, lease, run, reconnect-with-resume);
-- :mod:`~repro.shard.net.coordinator` -- the control loop that grants
-  leases, enforces liveness, and collects outcomes;
+- :mod:`~repro.shard.net.worker` -- the worker loop (hello, lease, run,
+  report; TCP workers reconnect-with-resume);
 - :mod:`~repro.shard.net.config` -- endpoint parsing and the
   :class:`NetConfig` knob bundle consumed by ``run_experiment(net=)``.
 
-See ``docs/distributed.md`` for the protocol walk-through and the
-failure matrix.
+Frames are pickles: a TCP endpoint must be reachable only from trusted
+hosts.  See ``docs/distributed.md`` for the protocol walk-through and
+the failure matrix.
 """
 
 from repro.shard.net.config import NetConfig, parse_endpoint
-from repro.shard.net.coordinator import NetCoordinator, NetPolicy
 from repro.shard.net.framing import FramedChannel
 from repro.shard.net.lease import Lease, LeaseTable
 from repro.shard.net.registry import WorkerEntry, WorkerRegistry
@@ -40,8 +36,6 @@ from repro.shard.net.worker import NetWorkerPolicy, run_worker, spawn_local_work
 __all__ = [
     "NetConfig",
     "parse_endpoint",
-    "NetCoordinator",
-    "NetPolicy",
     "FramedChannel",
     "Lease",
     "LeaseTable",

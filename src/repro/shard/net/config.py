@@ -8,8 +8,9 @@ coordinator, and the one endpoint grammar both sides share::
     tcp://HOST:PORT      e.g. tcp://127.0.0.1:7077, tcp://0.0.0.0:0
 
 Port 0 asks the OS for an ephemeral port; the coordinator exposes the
-bound address as :attr:`~repro.shard.net.coordinator.NetCoordinator.endpoint`
-so tests and spawned local workers can find it.
+bound address as
+:attr:`~repro.shard.coordinator.CampaignCoordinator.endpoint` so tests
+and spawned local workers can find it.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class NetConfig:
         pointed at the bound endpoint (the ``--workers`` CLI mode).
         ``None`` means workers connect from elsewhere (``--listen``).
     policy:
-        Coordinator-side :class:`~repro.shard.net.coordinator.NetPolicy`;
-        ``None`` uses the defaults.
+        The coordinator's :class:`~repro.shard.coordinator.CampaignPolicy`;
+        ``None`` uses ``CampaignPolicy(allow_partial=True)``, so a
+        networked campaign that loses a shard completes degraded.
     faults:
         Optional :class:`~repro.faults.network.NetworkFaultPlan`
         injected at the coordinator's framing layer.

@@ -155,6 +155,9 @@ class FramedChannel:
         if action is not None and action.category == "net_duplicate":
             frame = frame + frame  # same sequence number twice
         try:
+            # The deadline is set here, as in _fill: a preceding read
+            # leaves its own (possibly tiny) remaining time behind.
+            self._sock.settimeout(self.io_timeout)
             self._sock.sendall(frame)
         except OSError as exc:
             self.close()

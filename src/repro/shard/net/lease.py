@@ -3,9 +3,10 @@
 A *lease* says "worker W owns shard K under epoch E".  Ownership is
 temporary and revocable: miss the liveness deadline and the coordinator
 revokes the lease, fences the old holder (closes its connection and
-ignores its stale-epoch traffic), and -- after a short fence delay --
-regrants the shard to a healthy worker, which resumes from the shard's
-own ``shard-<k>/`` journal+checkpoint namespace.
+ignores its stale-epoch traffic), and -- after a backoff step that
+doubles as the fence -- regrants the shard to a healthy worker, which
+resumes from the shard's own ``shard-<k>/`` journal+checkpoint
+namespace.
 
 Epochs make revocation safe: every grant bumps the shard's epoch, every
 lease-scoped message carries the epoch it was sent under, and the
@@ -13,9 +14,10 @@ coordinator discards anything stale.  A zombie worker that kept
 computing through a partition can therefore never overwrite a regranted
 shard's outcome.
 
-The regrant budget mirrors the supervisor's restart budget: a shard may
-be (re)granted at most ``1 + max_regrants`` times; past that it is
-*lost* and the campaign settles it through the degraded merge.
+The regrant budget bounds the retries: a shard may be (re)granted at
+most ``1 + max_regrants`` times; past that the campaign fails, or --
+with ``allow_partial`` -- the shard is *lost* and the campaign settles
+it through the degraded merge.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
 
 PENDING = "pending"      # no holder; grantable
 ACTIVE = "active"        # granted and believed live
-REVOKED = "revoked"      # holder fenced; grantable again after fence_delay
+REVOKED = "revoked"      # holder fenced; grantable again after backoff
 COMPLETED = "completed"  # outcome received and accepted
 LOST = "lost"            # regrant budget exhausted; settled by degraded merge
 
@@ -117,19 +119,21 @@ class LeaseTable:
     def active(self) -> List[Lease]:
         return [l for l in self if l.state == ACTIVE]
 
-    def grantable(self, now: float, fence_delay: float) -> List[Lease]:
+    def grantable(self, now: float, backoff) -> List[Lease]:
         """Leases a healthy worker could take right now.
 
         ``PENDING`` leases are immediately grantable; ``REVOKED`` ones
-        only once the fence delay has elapsed, giving in-flight traffic
-        from the fenced holder time to drain and be discarded.
+        only once ``backoff(n)`` seconds have passed since the
+        revocation, where n is the regrant the next grant would be.
+        The wait also gives in-flight traffic from the fenced holder
+        time to drain and be discarded.
         """
         out = []
         for lease in self:
             if lease.state == PENDING:
                 out.append(lease)
-            elif (lease.state == REVOKED
-                  and now - lease.revoked_at >= fence_delay):
+            elif (lease.state == REVOKED and now - lease.revoked_at
+                  >= backoff(lease.assignments)):
                 out.append(lease)
         return out
 

@@ -20,8 +20,8 @@ during a partition) and answers them with ``Command("revoke")``.
 
 Messages cross a pickle boundary, so they must stay plain data: no
 sockets, no locks, no open files.  ``Assign.task`` is the same
-:class:`~repro.shard.worker.ShardTask` the local supervisor ships over
-a process boundary -- picklable by construction.
+:class:`~repro.shard.worker.ShardTask` the process pool ships over a
+process boundary -- picklable by construction.
 """
 
 from __future__ import annotations

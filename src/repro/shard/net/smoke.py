@@ -1,13 +1,13 @@
 """Distributed-chaos smoke: ``python -m repro.shard.net.smoke``.
 
-CI's end-to-end exercise of the networked shard control plane.  Every
-scenario runs a loopback TCP campaign (coordinator + spawned worker
-processes) and diffs the merged result fingerprint-for-fingerprint
-against the single-host supervised campaign at the same seed:
+CI's end-to-end exercise of the campaign coordinator with TCP workers.
+Every scenario runs a loopback TCP campaign (coordinator + spawned
+worker processes) and diffs the merged result fingerprint-for-fingerprint
+against the same campaign on forked local workers at the same seed:
 
 1. **clean** -- shards 2 and 4, no faults: the trace CSV, merged meta,
    machine-fault ledger and merged ObsSnapshot must all be
-   byte-identical to the supervised path;
+   byte-identical to the forked-worker campaign;
 2. **drop** -- the victim shard's lease holder is disconnected
    mid-run; the worker hard-stops (torn journal), reconnects, and the
    regrant resumes the shard from its own checkpoints;
@@ -53,17 +53,17 @@ from repro.faults.scenarios import FlappingHost
 from repro.obs import Observer
 from repro.recovery.crashtest import result_fingerprint
 from repro.recovery.runtime import RecoveryConfig
+from repro.shard.coordinator import CampaignPolicy
 from repro.shard.net.config import NetConfig
-from repro.shard.net.coordinator import NetPolicy
 from repro.shard.net.worker import NetWorkerPolicy
 
 __all__ = ["main"]
 
 #: Chaos-shaped coordination: fast liveness so a partitioned holder is
 #: fenced within a second, fast worker reconnect so CI does not sleep.
-_CHAOS_POLICY = NetPolicy(degraded_after=0.4, lease_timeout=1.0,
-                          fence_delay=0.05, join_timeout=20.0,
-                          max_regrants=2)
+_CHAOS_POLICY = CampaignPolicy(degraded_after=0.4, lease_timeout=1.0,
+                               backoff_base=0.05, join_timeout=20.0,
+                               max_regrants=2)
 _CHAOS_WORKERS = NetWorkerPolicy(connect_attempts=40, backoff_base=0.02,
                                  backoff_cap=0.2)
 
@@ -93,7 +93,7 @@ def _sim_only_obs(path: Path) -> bytes:
 
 def _net(work: Path, name: str, *, workers: int = 2,
          faults: Optional[NetworkFaultPlan] = None,
-         policy: NetPolicy = _CHAOS_POLICY) -> NetConfig:
+         policy: CampaignPolicy = _CHAOS_POLICY) -> NetConfig:
     del work, name  # run_dir comes via recovery=; endpoint is ephemeral
     return NetConfig(spawn_workers=workers, policy=policy, faults=faults,
                      worker_policy=_CHAOS_WORKERS)
@@ -103,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.shard.net.smoke",
         description="networked campaign chaos: disconnect, partition, "
-        "degrade; diff against the single-host supervised run",
+        "degrade; diff against the forked-worker campaign",
     )
     parser.add_argument("--days", type=int, default=2,
                         help="run length in days (default 2)")
@@ -121,7 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     failures = 0
 
-    # --- single-host supervised baseline (the equivalence target) -----
+    # --- forked-worker baseline (the equivalence target) --------------
     print(f"baseline: days={args.days} seed={args.seed} "
           f"victim=shard-{victim}")
     t0 = time.time()
@@ -146,7 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         checks = []
         if n == 2:
-            # Artifact-for-artifact against the supervised 2-shard run:
+            # Artifact-for-artifact against the forked 2-shard run:
             # CSV bytes, fault ledger, merged observability snapshot.
             result.store.write_csv(work / "clean-2.csv")
             result.obs_snapshot.write_jsonl(work / "clean-2-obs.jsonl")
@@ -229,9 +229,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         config, shards=2, faults=_machine_faults(args.seed),
         recovery=RecoveryConfig(run_dir=run_dir, fsync=False),
         net=_net(work, "degraded", faults=net_faults,
-                 policy=NetPolicy(degraded_after=0.4, lease_timeout=1.0,
-                                  fence_delay=0.05, join_timeout=20.0,
-                                  max_regrants=1, allow_partial=True)),
+                 policy=CampaignPolicy(degraded_after=0.4,
+                                       lease_timeout=1.0,
+                                       backoff_base=0.05, join_timeout=20.0,
+                                       max_regrants=1, allow_partial=True)),
     )
     deg = result.degraded
     manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -1,23 +1,27 @@
-"""The networked shard worker: connect, lease, run, reconnect-with-resume.
+"""The shard worker loop: say hello, take leases, run them, report back.
 
-A worker process is campaign-agnostic: it knows only a coordinator
-endpoint and its own identity.  It connects, says ``Hello``, and then
-does whatever the coordinator leases to it, surviving every network
-failure the control plane is designed around:
+A worker process is campaign-agnostic: it knows only a channel to the
+campaign coordinator (:mod:`repro.shard.coordinator`) and its own
+identity.  It says ``Hello`` and then does whatever the coordinator
+leases to it.  The channel is either a TCP connection (:func:`run_worker`,
+``repro worker``, ``--workers``) or one end of a socketpair the
+coordinator forked this process with (:func:`serve_socket`, a local
+campaign).  The loop survives every failure the control plane is
+designed around:
 
 - **channel loss mid-run** -- a failed heartbeat or command read raises
   through the simulation loop, so :func:`~repro.shard.worker.run_shard`
   hard-stops the shard's recovery runtime exactly as a process crash
   would (handles dropped, journal torn, no seal); the worker then
-  reconnects with bounded backoff and, when the coordinator regrants
-  the shard, resumes from its own ``shard-<k>/`` checkpoints;
+  reconnects with bounded backoff (a local child, which has no way
+  back, exits instead) and, when the coordinator regrants the shard,
+  the next holder resumes from its ``shard-<k>/`` checkpoints;
 - **lease revocation** -- a ``revoke`` command mid-run abandons the
   task the same hard-stop way, but keeps the connection: the lease now
   belongs to someone else and this worker idles for other work;
 - **task failure** -- the shard task raising (including injected
   crashes from the chaos harness) is reported as a ``Failure`` message
-  and the worker *stays up*, ready for the regrant -- the networked
-  analogue of the supervisor restarting a dead process.
+  and the worker *stays up*, ready for the regrant.
 
 Workers never carry a fault plan: all injection happens on the
 coordinator's side of the wire, where the single ledger keeps the chaos
@@ -53,7 +57,7 @@ from repro.shard.net.protocol import (
 from repro.shard.worker import execute_shard_task
 
 __all__ = ["NetWorkerPolicy", "NetWorkerControl", "run_worker",
-           "spawn_local_workers"]
+           "serve_socket", "spawn_local_workers"]
 
 #: Poll cadence while paused (seconds); each poll also re-heartbeats.
 _PAUSE_POLL = 0.05
@@ -104,14 +108,16 @@ class NetWorkerPolicy:
 
 
 class NetWorkerControl:
-    """Steering endpoint of one leased run (the wire-side WorkerControl).
+    """Steering endpoint of one leased run.
 
-    Installed as the DDC coordinator's iteration-boundary hook, exactly
-    like the local supervisor's control: heartbeats go out as framed
-    messages, steering commands are polled off the same channel, PAUSE
-    idles here (still heartbeating), STOP rides the engine's
-    cooperative stop.  Channel failures and revocations escape as
-    exceptions so the simulation loop's hard-stop discipline fires.
+    Installed as the DDC coordinator's iteration-boundary hook, so it
+    runs at the end of every scheduled iteration -- after the recovery
+    hook, meaning a heartbeat only ever reports *durable* progress.
+    Heartbeats go out as framed messages, steering commands are polled
+    off the same channel, PAUSE idles here (still heartbeating), STOP
+    rides the engine's cooperative stop.  Channel failures and
+    revocations escape as exceptions so the simulation loop's hard-stop
+    discipline fires.
     """
 
     def __init__(self, shard_index: int, epoch: int,
@@ -295,6 +301,29 @@ def run_worker(
             return code
 
 
+def serve_socket(
+    sock: socket.socket,
+    worker_id: str,
+    *,
+    policy: Optional[NetWorkerPolicy] = None,
+) -> int:
+    """Serve the coordinator over one connected socket; no reconnect.
+
+    The entry of a local campaign's forked children: the socketpair end
+    is the only way back to the coordinator, so a lost channel ends the
+    worker (exit code 1) instead of starting a reconnect cycle.
+    """
+    policy = policy or NetWorkerPolicy()
+    channel = FramedChannel(sock, io_timeout=policy.io_timeout)
+    caps = {"protocol": PROTOCOL_VERSION, "pid": os.getpid()}
+    try:
+        return _session(channel, worker_id, policy, caps)
+    except (NetworkError, _ChannelLost):
+        return 1
+    finally:
+        channel.close()
+
+
 def _worker_entry(endpoint: str, worker_id: str, policy) -> None:
     """Child-process entry point for locally spawned workers."""
     sys.exit(run_worker(endpoint, worker_id=worker_id, policy=policy))
@@ -305,9 +334,8 @@ def spawn_local_workers(
     n: int,
     *,
     policy: Optional[NetWorkerPolicy] = None,
-    mp_context=None,
 ) -> List:
-    """Launch ``n`` local worker processes aimed at ``endpoint``.
+    """Launch ``n`` local TCP worker processes aimed at ``endpoint``.
 
     The ``--workers`` CLI mode and the loopback test topology: the
     campaign process is the coordinator, the shard work happens in these
@@ -315,7 +343,7 @@ def spawn_local_workers(
     """
     import multiprocessing as mp
 
-    ctx = mp_context or mp.get_context()
+    ctx = mp.get_context()
     processes = []
     for i in range(n):
         proc = ctx.Process(

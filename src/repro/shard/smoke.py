@@ -1,14 +1,14 @@
 """Shard-recovery chaos smoke: ``python -m repro.shard.smoke``.
 
-CI's end-to-end exercise of the supervised campaign control plane.  For
-each configured kill point it runs a sharded campaign whose victim
-shard crashes at a **seed-derived** iteration, twice:
+CI's end-to-end exercise of the campaign coordinator with forked local
+workers.  For each configured kill point it runs a sharded campaign
+whose victim shard crashes at a **seed-derived** iteration, twice:
 
-1. **auto-restart** -- the supervisor restarts the dead worker from its
-   own checkpoints (healthy shards keep running) and the merged trace
-   is diffed fingerprint-for-fingerprint against an uninterrupted
-   sequential baseline;
-2. **resume** -- the same crash with a zero restart budget fails the
+1. **auto-regrant** -- the coordinator regrants the crashed shard,
+   which resumes from its own checkpoints (healthy shards keep
+   running), and the merged trace is diffed fingerprint-for-fingerprint
+   against an uninterrupted sequential baseline;
+2. **resume** -- the same crash with a zero regrant budget fails the
    campaign, then ``resume_from=<run_dir>`` resumes the whole campaign
    and the merged trace is diffed again.
 
@@ -34,7 +34,7 @@ from repro.experiment import run_experiment
 from repro.recovery.crashtest import CrashSpec, result_fingerprint
 from repro.recovery.runtime import RecoveryConfig
 from repro.recovery.smoke import derive_kill_iteration
-from repro.shard.supervisor import SupervisorPolicy
+from repro.shard.coordinator import CampaignPolicy
 
 __all__ = ["main", "DEFAULT_KILL_POINTS"]
 
@@ -43,10 +43,10 @@ __all__ = ["main", "DEFAULT_KILL_POINTS"]
 #: checkpoint) -- the two structurally distinct recovery paths.
 DEFAULT_KILL_POINTS = ("mid_iteration", "post_checkpoint")
 
-#: Chaos-shaped supervision: tiny backoff so CI does not sleep, real
+#: Chaos-shaped coordination: tiny backoff so CI does not sleep, real
 #: liveness deadlines so a wedged worker still fails the run.
-_CHAOS_POLICY = SupervisorPolicy(max_restarts=2, backoff_base=0.05,
-                                 backoff_cap=0.2)
+_CHAOS_POLICY = CampaignPolicy(max_regrants=2, backoff_base=0.05,
+                               backoff_cap=0.2)
 
 
 def _campaign_recovery(run_dir: Path, kill_iteration: int, point: str,
@@ -59,7 +59,7 @@ def _campaign_recovery(run_dir: Path, kill_iteration: int, point: str,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.shard.smoke",
-        description="kill a shard worker mid-campaign, restart/resume, diff",
+        description="kill a shard worker mid-campaign, regrant/resume, diff",
     )
     parser.add_argument("--days", type=int, default=2,
                         help="run length in days (default 2)")
@@ -95,7 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = 0
     for point in points:
-        # --- scenario 1: supervisor auto-restarts the dead worker -----
+        # --- scenario 1: the coordinator regrants the crashed shard ---
         run_dir = work / f"restart-{point}"
         if run_dir.exists():
             shutil.rmtree(run_dir)
@@ -130,10 +130,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 config, shards=args.shards,
                 recovery=_campaign_recovery(run_dir, kill_iteration, point,
                                             victim),
-                supervise=SupervisorPolicy(max_restarts=0),
+                supervise=CampaignPolicy(max_regrants=0),
             )
             print(f"FAIL resume  {point:16s} campaign survived a "
-                  "zero-restart budget (expected ShardWorkerError)")
+                  "zero-regrant budget (expected ShardWorkerError)")
             failures += 1
             continue
         except ShardWorkerError as exc:

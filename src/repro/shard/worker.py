@@ -83,7 +83,7 @@ class ShardTask:
     #: runtime itself -- live runtimes never cross process boundaries.
     recovery: Optional[RecoveryConfig] = None
     #: Continue from :attr:`recovery`'s run directory instead of
-    #: starting fresh (the supervised restart / campaign-resume path).
+    #: starting fresh (the lease regrant / campaign-resume path).
     resume: bool = False
 
 
@@ -130,7 +130,7 @@ def run_shard(
     with every materialising step gated on the shard's lab ownership.
     ``observer``, ``fleet_factory`` and ``runtime`` are the in-process
     extras ``run_experiment`` threads through for ``shards=1``;
-    ``control`` is a supervised worker's steering endpoint (heartbeats
+    ``control`` is a campaign worker's steering endpoint (heartbeats
     out, PAUSE/RESUME/STOP in), installed as the coordinator's
     iteration-boundary hook.
     """
@@ -386,7 +386,7 @@ def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
     """Run (or resume) one shard task and slim the outcome for pickling.
 
     The single worker-process entry point behind both the plain pool
-    and the supervisor: builds the worker-side observer when the task
+    and the campaign worker loop: builds the worker-side observer when the task
     asks for instrumentation, routes ``task.resume`` through
     :func:`resume_shard` (where the observer comes from the checkpoint),
     snapshots the metrics and drops the live objects so the outcome

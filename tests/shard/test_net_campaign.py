@@ -1,10 +1,12 @@
-"""Loopback networked campaigns: equivalence, chaos, degradation.
+"""Campaign coordinator: TCP and forked workers, chaos, degradation.
 
-Every test runs a real coordinator with real worker processes over
-loopback TCP; days=1 keeps each campaign under a second.
+Every campaign test runs a real coordinator with real worker processes,
+over loopback TCP or over the socketpairs of forked local workers;
+days=1 keeps each campaign under a second.
 """
 
 import json
+import socket
 import time
 
 import pytest
@@ -20,17 +22,19 @@ from repro.faults.network import NetworkFaultPlan, ShardHolderDrop
 from repro.machines.hardware import TABLE1_LABS
 from repro.recovery.crashtest import result_fingerprint
 from repro.recovery.runtime import RecoveryConfig
+from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
 from repro.shard.net.config import NetConfig
-from repro.shard.net.coordinator import NetCoordinator, NetPolicy
 from repro.shard.net.worker import NetWorkerPolicy, spawn_local_workers
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardTask
 
 CFG = ExperimentConfig(days=1, seed=77)
+#: Loopback listener on an ephemeral port.
+TCP = "tcp://127.0.0.1:0"
 
 #: Fast liveness so chaos tests fence and regrant within a second.
-FAST = NetPolicy(degraded_after=0.4, lease_timeout=1.0, fence_delay=0.05,
-                 join_timeout=20.0, max_regrants=2)
+FAST = CampaignPolicy(degraded_after=0.4, lease_timeout=1.0,
+                      backoff_base=0.05, join_timeout=20.0, max_regrants=2)
 EAGER_WORKERS = NetWorkerPolicy(connect_attempts=40, backoff_base=0.02,
                                 backoff_cap=0.2)
 
@@ -42,7 +46,7 @@ def net(workers=2, *, faults=None, policy=FAST):
 
 @pytest.fixture(scope="module")
 def baseline_fp():
-    """Fingerprint of the single-host supervised campaign."""
+    """Fingerprint of the campaign on forked local workers."""
     return result_fingerprint(run_experiment(CFG, shards=2,
                                              supervise=True))
 
@@ -82,9 +86,12 @@ class TestDegradedCompletion:
             CFG, shards=2,
             recovery=RecoveryConfig(run_dir=run_dir, fsync=False),
             net=net(faults=faults,
-                    policy=NetPolicy(degraded_after=0.4, lease_timeout=1.0,
-                                     fence_delay=0.05, join_timeout=20.0,
-                                     max_regrants=1, allow_partial=True)),
+                    policy=CampaignPolicy(degraded_after=0.4,
+                                          lease_timeout=1.0,
+                                          backoff_base=0.05,
+                                          join_timeout=20.0,
+                                          max_regrants=1,
+                                          allow_partial=True)),
         )
         deg = result.degraded
         assert deg is not None
@@ -109,28 +116,30 @@ class TestDegradedCompletion:
             run_experiment(
                 CFG, shards=2,
                 net=net(faults=faults,
-                        policy=NetPolicy(degraded_after=0.3,
-                                         lease_timeout=0.8,
-                                         fence_delay=0.02,
-                                         join_timeout=20.0,
-                                         max_regrants=0,
-                                         allow_partial=True)),
+                        policy=CampaignPolicy(degraded_after=0.3,
+                                              lease_timeout=0.8,
+                                              backoff_base=0.02,
+                                              join_timeout=20.0,
+                                              max_regrants=0,
+                                              allow_partial=True)),
             )
 
     def test_budget_exhaustion_raises_when_partial_disallowed(self):
         faults = NetworkFaultPlan(
             [ShardHolderDrop(shard=0, after=5, times=None)], seed=77)
-        with pytest.raises(ShardWorkerError, match="regrant"):
+        with pytest.raises(ShardWorkerError, match="regrant") as ei:
             run_experiment(
                 CFG, shards=2,
                 net=net(faults=faults,
-                        policy=NetPolicy(degraded_after=0.3,
-                                         lease_timeout=0.8,
-                                         fence_delay=0.02,
-                                         join_timeout=20.0,
-                                         max_regrants=0,
-                                         allow_partial=False)),
+                        policy=CampaignPolicy(degraded_after=0.3,
+                                              lease_timeout=0.8,
+                                              backoff_base=0.02,
+                                              join_timeout=20.0,
+                                              max_regrants=0,
+                                              allow_partial=False)),
             )
+        assert ei.value.shard_index == 0
+        assert ei.value.last_heartbeat is not None
 
 
 class TestNoHangGuarantees:
@@ -141,8 +150,8 @@ class TestNoHangGuarantees:
         with pytest.raises(ShardWorkerError, match="no worker"):
             run_experiment(
                 CFG, shards=2,
-                net=NetConfig(policy=NetPolicy(join_timeout=0.5,
-                                               poll_interval=0.02)),
+                net=NetConfig(policy=CampaignPolicy(join_timeout=0.5,
+                                                    poll_interval=0.02)),
             )
         assert time.monotonic() - started < 10.0
 
@@ -151,7 +160,7 @@ class TestNoHangGuarantees:
         tasks = [ShardTask(config=CFG, shard=spec,
                            labs=tuple(TABLE1_LABS), collect_nbench=False)
                  for spec in plan.specs]
-        coordinator = NetCoordinator(tasks, policy=FAST)
+        coordinator = CampaignCoordinator(tasks, policy=FAST)
         coordinator.stop()  # queued; honoured on the first loop tick
         with pytest.raises(CampaignStopped):
             coordinator.run()
@@ -161,7 +170,7 @@ class TestNoHangGuarantees:
         tasks = [ShardTask(config=CFG, shard=spec,
                            labs=tuple(TABLE1_LABS))
                  for spec in plan.specs]
-        coordinator = NetCoordinator(tasks, policy=FAST)
+        coordinator = CampaignCoordinator(tasks, endpoint=TCP, policy=FAST)
         coordinator.stop()
         with pytest.raises(CampaignStopped):
             coordinator.run()
@@ -189,35 +198,36 @@ class TestNetValidation:
 
     def test_coordinator_needs_tasks(self):
         with pytest.raises(ValueError, match="at least one"):
-            NetCoordinator([])
+            CampaignCoordinator([], endpoint=TCP)
 
     def test_coordinator_rejects_duplicate_shards(self):
         plan = ShardPlan.build(TABLE1_LABS, 2)
         task = ShardTask(config=CFG, shard=plan.specs[0],
                          labs=tuple(TABLE1_LABS))
         with pytest.raises(ValueError, match="distinct"):
-            NetCoordinator([task, task])
+            CampaignCoordinator([task, task], endpoint=TCP)
 
     @pytest.mark.parametrize("knobs", [
         {"heartbeat_every": 0},
         {"degraded_after": 0.0},
         {"lease_timeout": 1.0, "degraded_after": 2.0},
         {"max_regrants": -1},
-        {"fence_delay": -0.1},
+        {"backoff_base": -0.1},
         {"join_timeout": 0.0},
         {"poll_interval": 0.0},
         {"io_timeout": 0.0},
         {"wait_hint": 0.0},
+        {"backoff_cap": -0.1},
     ])
     def test_policy_knobs_validated(self, knobs):
         with pytest.raises(ValueError):
-            NetPolicy(**knobs)
+            CampaignPolicy(**knobs)
 
 
 class TestInjectedClock:
     """The liveness layer runs on an injectable monotonic clock."""
 
-    def test_coordinator_accepts_offset_clock(self, baseline_fp):
+    def test_coordinator_accepts_offset_clock(self):
         # A clock starting far from zero must not break manifest
         # throttling, liveness deadlines, or grants.
         offset = 1_000_000.0
@@ -225,8 +235,9 @@ class TestInjectedClock:
         tasks = [ShardTask(config=CFG, shard=spec,
                            labs=tuple(TABLE1_LABS), collect_nbench=False)
                  for spec in plan.specs]
-        coordinator = NetCoordinator(
-            tasks, policy=FAST, clock=lambda: time.monotonic() + offset)
+        coordinator = CampaignCoordinator(
+            tasks, endpoint=TCP, policy=FAST,
+            clock=lambda: time.monotonic() + offset)
         procs = spawn_local_workers(coordinator.endpoint, 2,
                                     policy=EAGER_WORKERS)
         try:
@@ -237,6 +248,34 @@ class TestInjectedClock:
                 if proc.is_alive():
                     proc.terminate()
         assert all(o is not None for o in outcomes)
+        assert coordinator.report().restarts == {0: 0, 1: 0}
         from repro.shard.merge import merge_outcomes
         store, _f, _s = merge_outcomes(outcomes)
         assert len(store) > 0
+
+
+class TestLocalWorkers:
+    def test_local_campaign_opens_no_listening_socket(self, monkeypatch):
+        # Frames are pickles: a campaign on forked workers must never
+        # accept connections, so the coordinator binds no listener.
+        listened = []
+        real_listen = socket.socket.listen
+
+        def spy(sock, *args):
+            listened.append(sock.getsockname())
+            return real_listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", spy)
+        plan = ShardPlan.build(TABLE1_LABS, 2)
+        tasks = [ShardTask(config=CFG, shard=spec,
+                           labs=tuple(TABLE1_LABS), collect_nbench=False)
+                 for spec in plan.specs]
+        coordinator = CampaignCoordinator(tasks, policy=FAST)
+        assert coordinator.endpoint is None
+        outcomes = coordinator.run()
+        assert all(o is not None for o in outcomes)
+        assert listened == []
+        # The spy does see a TCP coordinator's listener.
+        tcp = CampaignCoordinator(tasks, endpoint=TCP)
+        tcp._listener.close()
+        assert listened == [("127.0.0.1", int(tcp.endpoint.rsplit(":", 1)[1]))]

@@ -2,6 +2,8 @@
 
 import socket
 import struct
+import threading
+import time
 import zlib
 
 import pytest
@@ -139,6 +141,30 @@ class TestFraming:
         assert b.poll(0.0) is None
         a.send(Heartbeat(0, 1, 3, 0.0))
         assert b.poll(0.5).iteration == 3
+        a.close(), b.close()
+
+    def test_send_after_poll_keeps_the_io_timeout(self):
+        # A poll that received a frame leaves a sub-0.05 s socket
+        # timeout behind; a send that fills the socket buffer must
+        # still get the channel's full io_timeout, not that leftover.
+        a, b = channel_pair()
+        b.io_timeout = 5.0
+        a.send(Heartbeat(0, 1, 3, 0.0))
+        assert b.poll(0.0).iteration == 3
+        big = b"x" * (32 * 1024 * 1024)
+        received = []
+
+        def late_reader():
+            time.sleep(0.3)
+            received.append(a.recv(timeout=10.0))
+
+        reader = threading.Thread(target=late_reader)
+        reader.start()
+        try:
+            b.send(big)
+        finally:
+            reader.join(timeout=15.0)
+        assert received == [big]
         a.close(), b.close()
 
 

@@ -80,15 +80,23 @@ class TestLeaseTable:
 
     def test_grantable_pending_immediately(self):
         table = LeaseTable(2)
-        assert {l.shard_index for l in table.grantable(0.0, 1.0)} == {0, 1}
+        grantable = table.grantable(0.0, backoff=lambda n: 1.0)
+        assert {l.shard_index for l in grantable} == {0, 1}
 
     def test_grantable_revoked_waits_for_fence_delay(self):
+        # The fence is the backoff step of the regrant the next grant
+        # would be: 1 s before regrant 1, 2 s before regrant 2.
+        backoff = {1: 1.0, 2: 2.0}.__getitem__
         table = LeaseTable(1)
         table[0].grant("w0", now=0.0)
-        assert table.grantable(5.0, fence_delay=1.0) == []
+        assert table.grantable(5.0, backoff) == []
         table[0].revoke(now=5.0)
-        assert table.grantable(5.5, fence_delay=1.0) == []
-        assert [l.shard_index for l in table.grantable(6.0, 1.0)] == [0]
+        assert table.grantable(5.5, backoff) == []
+        assert [l.shard_index for l in table.grantable(6.0, backoff)] == [0]
+        table[0].grant("w1", now=6.0)
+        table[0].revoke(now=7.0)
+        assert table.grantable(8.5, backoff) == []
+        assert [l.shard_index for l in table.grantable(9.0, backoff)] == [0]
 
     def test_expired_uses_last_heartbeat(self):
         table = LeaseTable(2)

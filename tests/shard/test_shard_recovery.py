@@ -1,17 +1,18 @@
-"""Chaos differential for the supervised campaign control plane.
+"""Chaos differential for campaigns on forked local workers.
 
 The pinned tentpole guarantee: ``resume(kill_worker(run))`` is
 byte-identical to the uninterrupted run -- merged CSV, TraceMeta
 counters, fault ledger and RNG-driven sample values (all folded into
 :func:`~repro.recovery.crashtest.result_fingerprint`) -- for shard
 counts 2 and 4 at structurally distinct kill points, and the healthy
-shards are **never** restarted.  ``python -m repro.shard.smoke``
+shards are **never** regranted.  ``python -m repro.shard.smoke``
 re-checks the same differential at days=2 in CI's
 ``shard-recovery-chaos`` job; here the runs stay short enough for the
 tier-1 suite.
 """
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -27,15 +28,17 @@ from repro.recovery.crashtest import CrashSpec, result_fingerprint
 from repro.recovery.manifest import CampaignManifest, write_campaign_state
 from repro.recovery.runtime import RecoveryConfig
 from repro.recovery.smoke import derive_kill_iteration
+from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
 from repro.shard.plan import ShardPlan
-from repro.shard.supervisor import Supervisor, SupervisorPolicy
 from repro.shard.worker import ShardTask
 
 CFG = ExperimentConfig(days=1, seed=23)
 
-#: Chaos-shaped supervision: instant restarts, real liveness deadlines.
-CHAOS = SupervisorPolicy(max_restarts=2, backoff_base=0.01,
-                         backoff_cap=0.05)
+#: Chaos-shaped coordination: instant regrants, real liveness deadlines.
+CHAOS = CampaignPolicy(max_regrants=2, backoff_base=0.01, backoff_cap=0.05)
+
+#: No regrant budget: the first worker failure fails the campaign.
+NO_REGRANTS = CampaignPolicy(max_regrants=0)
 
 
 def csv_bytes(store, path):
@@ -68,7 +71,7 @@ def baseline(tmp_path_factory):
 
 
 class TestKilledWorkerRestart:
-    """Supervisor restarts the victim; everything merges identically."""
+    """The victim's shard is regranted; everything merges identically."""
 
     @pytest.mark.parametrize("shards,victim", [(2, 1), (4, 2)])
     @pytest.mark.parametrize("point", ["mid_iteration", "post_checkpoint"])
@@ -112,9 +115,37 @@ class TestKilledWorkerRestart:
         assert dict(sharded.faults.injected) == dict(seq.faults.injected)
         assert sharded.campaign.restarts == {0: 1, 1: 0}
 
+    def test_hard_killed_worker_is_replaced(self, baseline, tmp_path,
+                                            monkeypatch):
+        """A worker process that dies outright, with no Failure report
+        and no outcome, surfaces as EOF; its shard is regranted."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork so children inherit the patched entry")
+        import repro.shard.net.worker as worker_mod
+
+        _, base_csv, _ = baseline
+        victim = 1
+        marker = tmp_path / "killed-once"
+        real_execute = worker_mod.execute_shard_task
+
+        def die_once(task, **kwargs):
+            if task.shard.index == victim and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return real_execute(task, **kwargs)
+
+        monkeypatch.setattr(worker_mod, "execute_shard_task", die_once)
+        result = run_experiment(
+            CFG, shards=2, supervise=CHAOS,
+            recovery=RecoveryConfig(run_dir=tmp_path / "camp", fsync=False))
+        assert marker.exists()
+        assert csv_bytes(result.store, tmp_path / "merged.csv") == base_csv
+        assert result.campaign.restarts == {victim: 1, 1 - victim: 0}
+        assert set(result.campaign.states.values()) == {health.DONE}
+
 
 class TestExhaustedBudgetAndResume:
-    """A zero-restart campaign fails typed and loud -- then resumes."""
+    """A zero-regrant campaign fails typed and loud -- then resumes."""
 
     def test_failure_is_typed_and_resume_completes(self, baseline,
                                                    tmp_path):
@@ -122,11 +153,12 @@ class TestExhaustedBudgetAndResume:
         rcfg = chaos_recovery(tmp_path / "camp", "mid_iteration", 0)
         with pytest.raises(ShardWorkerError) as ei:
             run_experiment(CFG, shards=2, recovery=rcfg,
-                           supervise=SupervisorPolicy(max_restarts=0))
+                           supervise=NO_REGRANTS)
         err = ei.value
         assert err.shard_index == 0
         assert err.restarts == 0
         assert err.last_iteration >= -1
+        assert err.last_heartbeat is not None
         assert "resumable" in str(err)
         assert CampaignManifest.load(rcfg.run_dir).state == "failed"
 
@@ -161,8 +193,9 @@ class TestSupervisedWithoutRecovery:
 
 
 def _manual_campaign(run_dir, shards):
-    """Build manifest + campaign state + tasks the way _run_campaign does,
-    so a Supervisor can be driven directly (steering needs the handle)."""
+    """Build manifest + campaign state + tasks the way run_experiment
+    does, so a coordinator can be driven directly (steering needs the
+    handle)."""
     plan = ShardPlan.build(TABLE1_LABS, shards)
     rcfg = RecoveryConfig(run_dir=run_dir, fsync=False)
     manifest = CampaignManifest.fresh(
@@ -195,27 +228,30 @@ class TestSteering:
 
     def test_pause_resume_stop_roundtrip(self, tmp_path):
         manifest, tasks = _manual_campaign(tmp_path / "camp", 2)
-        sup = Supervisor(tasks, policy=CHAOS, manifest=manifest,
-                         run_dir=tmp_path / "camp")
+        coordinator = CampaignCoordinator(tasks, policy=CHAOS,
+                                          manifest=manifest,
+                                          run_dir=tmp_path / "camp")
         box = {}
 
         def drive():
             try:
-                box["outcomes"] = sup.run()
+                box["outcomes"] = coordinator.run()
             except BaseException as exc:  # noqa: BLE001 - relayed below
                 box["error"] = exc
 
         t = threading.Thread(target=drive)
         t.start()
         try:
-            running = lambda: set(sup.states().values()) == {health.RUNNING}
-            assert _await(running), sup.states()
-            sup.pause()
-            paused = lambda: set(sup.states().values()) == {health.PAUSED}
-            assert _await(paused), sup.states()
-            sup.resume()
-            assert _await(running), sup.states()
-            sup.stop()
+            running = lambda: (set(coordinator.states().values())
+                               == {health.RUNNING})
+            assert _await(running), coordinator.states()
+            coordinator.pause()
+            paused = lambda: (set(coordinator.states().values())
+                              == {health.PAUSED})
+            assert _await(paused), coordinator.states()
+            coordinator.resume()
+            assert _await(running), coordinator.states()
+            coordinator.stop()
         finally:
             t.join(timeout=60)
         assert not t.is_alive()
@@ -229,13 +265,14 @@ class TestSteering:
                                                         tmp_path):
         _, base_csv, base_fp = baseline
         manifest, tasks = _manual_campaign(tmp_path / "camp", 2)
-        sup = Supervisor(tasks, policy=CHAOS, manifest=manifest,
-                         run_dir=tmp_path / "camp")
+        coordinator = CampaignCoordinator(tasks, policy=CHAOS,
+                                          manifest=manifest,
+                                          run_dir=tmp_path / "camp")
         box = {}
 
         def drive():
             try:
-                sup.run()
+                coordinator.run()
             except BaseException as exc:  # noqa: BLE001 - relayed below
                 box["error"] = exc
 
@@ -243,10 +280,10 @@ class TestSteering:
         t.start()
         try:
             heartbeated = lambda: all(
-                n > 0 for n in sup.report().heartbeats.values()
+                n > 0 for n in coordinator.report().heartbeats.values()
             )
             assert _await(heartbeated)
-            sup.stop()
+            coordinator.stop()
         finally:
             t.join(timeout=60)
         assert isinstance(box.get("error"), CampaignStopped)
@@ -274,7 +311,7 @@ class TestCampaignGuards:
         rcfg = chaos_recovery(tmp_path / "camp", "mid_iteration", 0)
         with pytest.raises(ShardWorkerError):
             run_experiment(CFG, shards=2, recovery=rcfg,
-                           supervise=SupervisorPolicy(max_restarts=0))
+                           supervise=NO_REGRANTS)
         with pytest.raises(CheckpointError, match="2 shards"):
             run_experiment(resume_from=rcfg.run_dir, shards=4)
 
@@ -282,7 +319,7 @@ class TestCampaignGuards:
         rcfg = chaos_recovery(tmp_path / "camp", "mid_iteration", 0)
         with pytest.raises(ShardWorkerError):
             run_experiment(CFG, shards=2, recovery=rcfg,
-                           supervise=SupervisorPolicy(max_restarts=0))
+                           supervise=NO_REGRANTS)
         with pytest.raises(CheckpointError, match="digest"):
             run_experiment(ExperimentConfig(days=1, seed=99),
                            resume_from=rcfg.run_dir)

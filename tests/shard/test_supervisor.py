@@ -1,187 +1,104 @@
-"""Supervisor unit behavior: policy knobs, worker control endpoint."""
+"""Supervised campaigns: the campaign coordinator on forked local workers.
 
-import queue
-import threading
+``supervise=`` and every local multi-shard recovery campaign run on
+:class:`~repro.shard.coordinator.CampaignCoordinator` with
+``endpoint=None``: it forks one worker per shard and speaks to each over
+a socketpair.  These tests cover that worker source and the
+:class:`~repro.shard.coordinator.CampaignPolicy` knobs; the TCP source
+is covered by ``test_net_campaign.py``.
+"""
+
+import time
 
 import pytest
 
 from repro.config import ExperimentConfig
 from repro.machines.hardware import TABLE1_LABS
 from repro.obs import health
+from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
 from repro.shard.plan import ShardPlan
-from repro.shard.supervisor import (
-    PAUSE,
-    RESUME,
-    STOP,
-    Supervisor,
-    SupervisorPolicy,
-    WorkerControl,
-)
 from repro.shard.worker import ShardTask
+
+#: Default liveness deadlines, near-instant regrants.
+QUICK = CampaignPolicy(backoff_base=0.01)
+
+
+def make_task(index=0, shards=1):
+    cfg = ExperimentConfig(days=1, seed=5)
+    plan = ShardPlan.build(TABLE1_LABS, shards)
+    return ShardTask(config=cfg, shard=plan.specs[index],
+                     labs=tuple(TABLE1_LABS))
 
 
 class TestSupervisorPolicy:
     def test_restart_delay_is_capped_multiplicative_backoff(self):
-        p = SupervisorPolicy(backoff_base=0.5, backoff_multiplier=2.0,
-                             backoff_cap=5.0)
-        assert [p.restart_delay(n) for n in range(1, 6)] == [
+        p = CampaignPolicy(backoff_base=0.5, backoff_multiplier=2.0,
+                           backoff_cap=5.0)
+        assert [p.regrant_delay(n) for n in range(1, 6)] == [
             0.5, 1.0, 2.0, 4.0, 5.0]
 
     def test_restart_attempts_are_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
-            SupervisorPolicy().restart_delay(0)
+            CampaignPolicy().regrant_delay(0)
 
     @pytest.mark.parametrize("bad", [
         dict(heartbeat_every=0),
         dict(degraded_after=0.0),
-        dict(dead_after=-1.0),
-        dict(degraded_after=10.0, dead_after=5.0),
-        dict(max_restarts=-1),
+        dict(lease_timeout=-1.0),
+        dict(degraded_after=10.0, lease_timeout=5.0),
+        dict(max_regrants=-1),
         dict(backoff_base=-0.1),
         dict(backoff_multiplier=0.5),
         dict(poll_interval=0.0),
-        dict(exit_grace=-1.0),
     ])
     def test_invalid_knobs_rejected(self, bad):
         with pytest.raises(ValueError):
-            SupervisorPolicy(**bad)
-
-
-class FakeSim:
-    def __init__(self):
-        self.stop_requested = False
-
-    def request_stop(self):
-        self.stop_requested = True
-
-
-def make_control(heartbeat_every=1):
-    events, commands = queue.Queue(), queue.Queue()
-    control = WorkerControl(3, events, commands,
-                            heartbeat_every=heartbeat_every)
-    return control, events, commands
-
-
-def drain(q):
-    out = []
-    while True:
-        try:
-            out.append(q.get_nowait())
-        except queue.Empty:
-            return out
-
-
-class TestWorkerControl:
-    def test_heartbeat_cadence(self):
-        control, events, _ = make_control(heartbeat_every=2)
-        for k in range(5):
-            control.on_iteration(k, 900.0 * k, True)
-        beats = [e for e in drain(events) if e[0] == "heartbeat"]
-        assert [e[2] for e in beats] == [0, 2, 4]
-        assert all(e[1] == 3 for e in beats)
-        assert control.last_iteration == 4
-
-    def test_pause_then_resume_acknowledged_in_order(self):
-        control, events, commands = make_control()
-        commands.put(PAUSE)
-        commands.put(RESUME)
-        control.on_iteration(0, 0.0, True)
-        kinds = [e[0] for e in drain(events)]
-        assert kinds == ["heartbeat", "paused", "resumed"]
-        assert not control.paused and not control.stopped
-
-    def test_stop_requests_cooperative_engine_stop(self):
-        control, events, commands = make_control()
-        sim = FakeSim()
-        control.bind(sim)
-        commands.put(STOP)
-        control.on_iteration(7, 6300.0, True)
-        assert control.stopped
-        assert sim.stop_requested
-        assert ("stopping", 3, 7) in drain(events)
-
-    def test_paused_worker_keeps_heartbeating_until_stopped(self):
-        control, events, commands = make_control()
-        commands.put(PAUSE)
-        t = threading.Thread(target=control.on_iteration,
-                             args=(0, 0.0, True))
-        t.start()
-        try:
-            # the idle loop re-heartbeats so liveness deadlines stay fed
-            deadline_beats = []
-            for _ in range(200):
-                event = events.get(timeout=5.0)
-                if event[0] == "heartbeat" and event[3] is None:
-                    deadline_beats.append(event)
-                if len(deadline_beats) >= 2:
-                    break
-            assert len(deadline_beats) >= 2
-        finally:
-            commands.put(STOP)
-            t.join(timeout=10)
-        assert not t.is_alive()
-        assert control.stopped
+            CampaignPolicy(**bad)
 
 
 class TestSupervisorGuards:
-    def make_task(self, index=0, shards=1):
-        cfg = ExperimentConfig(days=1, seed=5)
-        plan = ShardPlan.build(TABLE1_LABS, shards)
-        return ShardTask(config=cfg, shard=plan.specs[index],
-                         labs=tuple(TABLE1_LABS))
-
     def test_needs_at_least_one_task(self):
         with pytest.raises(ValueError, match="at least one"):
-            Supervisor([])
+            CampaignCoordinator([])
 
     def test_duplicate_shard_indexes_rejected(self):
-        task = self.make_task()
+        task = make_task()
         with pytest.raises(ValueError, match="distinct"):
-            Supervisor([task, task])
+            CampaignCoordinator([task, task])
 
     def test_runs_exactly_once(self):
-        sup = Supervisor([self.make_task()],
-                         policy=SupervisorPolicy(backoff_base=0.01))
-        outcomes = sup.run()
+        coordinator = CampaignCoordinator([make_task()], policy=QUICK)
+        assert coordinator.endpoint is None
+        outcomes = coordinator.run()
         assert len(outcomes) == 1 and outcomes[0].shard_index == 0
-        assert sup.states() == {0: health.DONE}
-        report = sup.report()
+        assert coordinator.states() == {0: health.DONE}
+        report = coordinator.report()
         assert report.heartbeats[0] > 0
         assert report.restarts == {0: 0}
         with pytest.raises(RuntimeError, match="exactly once"):
-            sup.run()
+            coordinator.run()
 
 
 class TestSupervisorClockSeam:
     """Liveness deadlines run on an injectable monotonic clock."""
 
-    def make_task(self):
-        cfg = ExperimentConfig(days=1, seed=5)
-        plan = ShardPlan.build(TABLE1_LABS, 1)
-        return ShardTask(config=cfg, shard=plan.specs[0],
-                         labs=tuple(TABLE1_LABS))
-
     def test_offset_clock_still_completes(self):
         # A clock starting far from zero (e.g. a long-booted host's
-        # time.monotonic) must not trip liveness or restart deadlines.
-        import time as _time
-
-        sup = Supervisor([self.make_task()],
-                         policy=SupervisorPolicy(backoff_base=0.01),
-                         clock=lambda: _time.monotonic() + 1_000_000.0)
-        outcomes = sup.run()
+        # time.monotonic) must not trip liveness or regrant deadlines.
+        coordinator = CampaignCoordinator(
+            [make_task()], policy=QUICK,
+            clock=lambda: time.monotonic() + 1_000_000.0)
+        outcomes = coordinator.run()
         assert len(outcomes) == 1 and outcomes[0].shard_index == 0
-        assert sup.states() == {0: health.DONE}
+        assert coordinator.states() == {0: health.DONE}
 
     def test_clock_zero_start_still_completes(self):
         # The opposite corner: a clock that starts at exactly 0.0 (the
         # deadline arithmetic must not treat 0 as "never seen").
-        import time as _time
-
-        t0 = _time.monotonic()
-        sup = Supervisor([self.make_task()],
-                         policy=SupervisorPolicy(backoff_base=0.01),
-                         clock=lambda: _time.monotonic() - t0)
-        outcomes = sup.run()
+        t0 = time.monotonic()
+        coordinator = CampaignCoordinator(
+            [make_task()], policy=QUICK,
+            clock=lambda: time.monotonic() - t0)
+        outcomes = coordinator.run()
         assert len(outcomes) == 1
-        assert sup.report().restarts == {0: 0}
+        assert coordinator.report().restarts == {0: 0}
