@@ -54,6 +54,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DdcCoordinator"]
 
 
+class _LabSet(frozenset):
+    """A shard's owned lab names; pickles sorted, not in hash order.
+
+    A plain frozenset pickles in iteration order, which follows
+    ``PYTHONHASHSEED``; this one keeps checkpoint bytes independent of
+    the hash seed.  The executor shares the coordinator's instance.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _LabSet, (sorted(self),)
+
+
 class _StandInProbe(Probe):
     """What a shard coordinator runs on a foreign machine.
 
@@ -168,7 +182,7 @@ class DdcCoordinator:
         self.rng = rng
         self.horizon = float(horizon)
         self.faults = faults if faults is not None and not faults.empty else None
-        self.owned_labs = (frozenset(owned_labs) if owned_labs is not None
+        self.owned_labs = (_LabSet(owned_labs) if owned_labs is not None
                            else None)
         self._shadow_cost = probe.shadow_cost_seconds
         #: The probe a foreign machine runs.  Skipping the real probe is

@@ -40,7 +40,12 @@ from repro.recovery.manifest import (
     load_campaign_state,
     write_campaign_state,
 )
-from repro.recovery.runtime import RecoveryConfig, RecoveryInfo, fresh_runtime
+from repro.recovery.runtime import (
+    RecoveryConfig,
+    RecoveryInfo,
+    fresh_runtime,
+    run_dir_in_use,
+)
 from repro.resilience.policy import ResiliencePolicy
 from repro.shard.coordinator import (
     CampaignCoordinator,
@@ -393,8 +398,7 @@ def _lay_out_campaign(
             "resume_from= to continue that campaign, or choose a fresh "
             "directory"
         )
-    if (any(recovery.journal_dir.glob("segment-*.jsonl"))
-            or any(recovery.checkpoint_dir.glob("ckpt-*.ckpt"))):
+    if run_dir_in_use(recovery):
         raise CheckpointError(
             f"{recovery.run_dir} already holds a sequential run's journal "
             "or checkpoints; a campaign cannot share its directory -- "

@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.errors import AnalysisError, LiveError
 from repro.live.rollup import LiveRollups, _round
-from repro.recovery.journal import JournalTailReader
+from repro.recovery.journal import JournalTailReader, iter_bodies
 from repro.recovery.runtime import sample_from_json_dict
 
 __all__ = [
@@ -83,26 +83,21 @@ def infer_sample_period(
     """Infer the sampling period from the journal's iteration markers.
 
     Marker times are scheduled at exactly ``k x sample_period``, so any
-    two markers at distinct iterations pin the period exactly.  Falls
-    back to ``default`` when the journal holds fewer than two markers;
-    raises :class:`~repro.errors.LiveError` if there is no fallback.
+    two markers at distinct iterations pin the period exactly; reading
+    stops at the second one.  Falls back to ``default`` when the journal
+    holds fewer than two markers; raises
+    :class:`~repro.errors.LiveError` if there is no fallback.
     """
-    reader = JournalTailReader(journal_dir)
     first: Optional[dict] = None
-    while True:
-        records = reader.poll()
-        if not records:
-            break
-        for rec in records:
-            body = rec.body
-            if body.get("kind") != "iter":
-                continue
-            if first is None:
-                first = body
-            elif int(body["k"]) != int(first["k"]):
-                return (float(body["t"]) - float(first["t"])) / (
-                    int(body["k"]) - int(first["k"])
-                )
+    for body in iter_bodies(journal_dir):
+        if body.get("kind") != "iter":
+            continue
+        if first is None:
+            first = body
+        elif int(body["k"]) != int(first["k"]):
+            return (float(body["t"]) - float(first["t"])) / (
+                int(body["k"]) - int(first["k"])
+            )
     if default is not None:
         return default
     raise LiveError(

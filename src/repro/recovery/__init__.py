@@ -8,9 +8,10 @@ the reproduction the same resilience, without losing iterations:
   append-only, CRC-guarded, segment-rotated JSONL the coordinator writes
   every sample to before it enters the in-memory store;
 - :mod:`repro.recovery.checkpoint` -- **experiment checkpoints**:
-  versioned, atomically-renamed snapshots of the full live simulation
-  graph (clock, event heap, RNG streams, fleet state, DDC schedule
-  position, fault-plan cursor) taken every N iterations;
+  versioned, atomically-renamed snapshots of the live simulation graph
+  (clock, event heap, RNG streams, fleet state, DDC schedule position,
+  fault-plan cursor) taken every N iterations, each with a CRC-guarded
+  columnar delta of the trace rows added since the previous one;
 - :mod:`repro.recovery.runtime` -- the glue that hooks both into the
   DDC collection loop and, on resume, re-verifies regenerated
   iterations against the journaled digests;
@@ -28,6 +29,7 @@ machine-readable reason ledger, never crashed on.
 
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
+    KEEP_CHECKPOINTS,
     Checkpoint,
     config_digest,
     load_latest_checkpoint,
@@ -64,12 +66,14 @@ from repro.recovery.runtime import (
     RecoveryInfo,
     RecoveryRuntime,
     fresh_runtime,
+    run_dir_in_use,
     shard_dir,
 )
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "JOURNAL_VERSION",
+    "KEEP_CHECKPOINTS",
     "ALL_KILL_POINTS",
     "CRASH_POINTS",
     "CampaignManifest",
@@ -93,6 +97,7 @@ __all__ = [
     "load_campaign_state",
     "load_latest_checkpoint",
     "result_fingerprint",
+    "run_dir_in_use",
     "scan_journal",
     "shard_dir",
     "verify_crash_resume",

@@ -58,6 +58,7 @@ __all__ = [
     "TailAnomaly",
     "encode_record",
     "decode_line",
+    "iter_bodies",
     "scan_journal",
 ]
 
@@ -540,6 +541,32 @@ def retro_seal(scan: JournalScan) -> None:
     os.replace(tmp, seg.path)
     _fsync_dir(seg.path.parent)
     seg.sealed = True
+
+
+def iter_bodies(journal_dir: Union[str, Path]) -> Iterator[dict]:
+    """Lazily yield the verified record bodies of a journal, in order.
+
+    Segments are read in index order, one line at a time, under the
+    policy of :class:`JournalTailReader`: a damaged or unterminated line
+    ends its segment, and a seal ends it after being swallowed.  Nothing
+    is moved or ledgered, and a caller that stops early has decoded only
+    the lines it consumed.
+    """
+    for _index, path in _segment_files(Path(journal_dir)):
+        with open(path, "rb") as fh:
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break
+                line = raw[:-1].decode("utf-8", errors="replace")
+                if not line.strip():
+                    continue
+                try:
+                    body = decode_line(line)
+                except JournalError:
+                    break
+                if body.get("kind") == "seal":
+                    break
+                yield body
 
 
 # ----------------------------------------------------------------------

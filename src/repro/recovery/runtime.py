@@ -37,7 +37,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import InjectedCrash, RecoveryError, ResumeDivergence
-from repro.recovery.checkpoint import write_checkpoint
+from repro.recovery.checkpoint import (
+    CHECKPOINT_GLOB,
+    DELTA_GLOB,
+    write_checkpoint,
+)
 from repro.recovery.journal import JournalWriter, Quarantine
 from repro.traces.records import Sample
 
@@ -57,6 +61,7 @@ __all__ = [
     "RecoveryInfo",
     "RecoveryRuntime",
     "fresh_runtime",
+    "run_dir_in_use",
     "sample_to_json_dict",
     "sample_from_json_dict",
     "shard_dir",
@@ -103,7 +108,8 @@ class RecoveryConfig:
     ----------
     run_dir:
         Root of the run's on-disk state: ``journal/`` segments,
-        ``checkpoints/`` snapshots and the ``quarantine/`` sink.
+        ``checkpoints/`` snapshots with their row deltas and the
+        ``quarantine/`` sink.
     checkpoint_every:
         Take a checkpoint every N scheduled iterations (the paper's
         cadence would be every ~2 hours of covered time at N=8).
@@ -177,12 +183,18 @@ def shard_dir(run_dir: Union[str, Path], index: int) -> Path:
     return Path(run_dir) / f"shard-{index}"
 
 
+def run_dir_in_use(config: RecoveryConfig) -> bool:
+    """Whether ``config.run_dir`` holds a run's journal, checkpoints or deltas."""
+    return (any(config.journal_dir.glob("segment-*.jsonl"))
+            or any(config.checkpoint_dir.glob(CHECKPOINT_GLOB))
+            or any(config.checkpoint_dir.glob(DELTA_GLOB)))
+
+
 def fresh_runtime(config: RecoveryConfig) -> RecoveryRuntime:
     """Recovery runtime for a brand-new run; refuses a used run dir."""
     from repro.errors import CheckpointError
 
-    if (any(config.journal_dir.glob("segment-*.jsonl"))
-            or any(config.checkpoint_dir.glob("ckpt-*.ckpt"))):
+    if run_dir_in_use(config):
         raise CheckpointError(
             f"{config.run_dir} already holds a run's journal or "
             "checkpoints; pass resume_from= to continue it, or choose a "
@@ -261,6 +273,8 @@ class RecoveryRuntime:
         self._faults: Optional["FaultPlan"] = None
         self._observer: Optional["Observer"] = None
         self._exp_config: Optional["ExperimentConfig"] = None
+        #: Store rows already in a checkpoint delta (set by bind()).
+        self._rows_checkpointed = 0
         # per-iteration journaling state
         self._iter_crcs: List[str] = []
         self._iter_samples = 0
@@ -281,6 +295,7 @@ class RecoveryRuntime:
         self._fleet = fleet
         self._coordinator = coordinator
         self._store = store
+        self._rows_checkpointed = len(store)
         self._faults = faults
         self._exp_config = config
         obs = observer if observer is not None and observer.enabled else None
@@ -428,6 +443,7 @@ class RecoveryRuntime:
             self._write_checkpoint(k, state, tear)
         if tear is not None:
             self._die(torn=False)
+        self._rows_checkpointed = len(self._store)
         self.info.checkpoints_written += 1
         if self._obs_instruments is not None:
             self._obs_instruments["checkpoints"].inc()
@@ -440,6 +456,7 @@ class RecoveryRuntime:
             sim_now=self._fleet.sim.now,
             config=self._exp_config,
             state=state,
+            rows_from=self._rows_checkpointed,
             fsync=self.config.fsync,
             _tear_after=tear,
         )

@@ -1,58 +1,32 @@
 """Recovery run-directory status reporting.
 
 Renders what the crash-safe persistence layer left behind in a run
-directory: the checkpoint ladder, the journal segment chain and the
-quarantine ledger.  A directory holding a campaign manifest (a sharded
-campaign, see ``docs/shard_recovery.md``) is reported as a
-campaign: the manifest's per-shard status table plus one nested
-per-shard status each.  Everything here is **read-only** -- unlike the
-resume path (:func:`repro.recovery.journal.scan_journal`), a status
-report never moves damaged artefacts into quarantine; it only describes
-them, so inspecting a crashed run does not alter the evidence the
-resume will act on.
+directory: the checkpoint ladder with its row deltas, the journal
+segment chain and the quarantine ledger.  A checkpoint is listed as
+``ok`` only when its delta chain verifies too, so the reported resume
+point is the one a resume would load.  A directory holding a campaign
+manifest (a sharded campaign, see ``docs/shard_recovery.md``) is
+reported as a campaign: the manifest's per-shard status table plus one
+nested per-shard status each.  Everything here is **read-only** --
+unlike the resume path (:func:`repro.recovery.journal.scan_journal`),
+a status report never moves damaged artefacts into quarantine; it only
+describes them, so inspecting a crashed run does not alter the
+evidence the resume will act on.
 """
 
 from __future__ import annotations
 
-import json
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.errors import JournalError
+from repro.recovery.checkpoint import describe_checkpoints
 from repro.recovery.journal import Quarantine, decode_line
 from repro.recovery.manifest import CampaignManifest, is_campaign_dir
 from repro.recovery.runtime import RecoveryConfig, shard_dir
 from repro.report.tables import Table
 
 __all__ = ["campaign_status", "recovery_status", "render_recovery_report"]
-
-
-def _checkpoint_rows(ckpt_dir: Path) -> List[dict]:
-    rows = []
-    if not ckpt_dir.is_dir():
-        return rows
-    for path in sorted(ckpt_dir.glob("ckpt-*.ckpt")):
-        row: Dict[str, object] = {"file": path.name,
-                                  "bytes": path.stat().st_size}
-        try:
-            with open(path, "rb") as fh:
-                header = json.loads(fh.readline())
-                payload = fh.read()
-            row.update(iteration=header.get("iteration"),
-                       sim_now=header.get("sim_now"),
-                       version=header.get("v"))
-            crc = format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
-            ok = (len(payload) == header.get("payload_len")
-                  and crc == header.get("payload_crc"))
-            row["status"] = "ok" if ok else "corrupt"
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            row["status"] = "corrupt"
-        rows.append(row)
-    for tmp in sorted(ckpt_dir.glob("*.tmp")):
-        rows.append({"file": tmp.name, "bytes": tmp.stat().st_size,
-                     "status": "stale_tmp"})
-    return rows
 
 
 def _segment_rows(journal_dir: Path) -> List[dict]:
@@ -126,7 +100,7 @@ def recovery_status(run_dir: Union[str, Path]) -> dict:
     if is_campaign_dir(run_dir):
         return campaign_status(run_dir)
     rcfg = RecoveryConfig(run_dir=run_dir)
-    checkpoints = _checkpoint_rows(rcfg.checkpoint_dir)
+    checkpoints, deltas = describe_checkpoints(rcfg.checkpoint_dir)
     segments = _segment_rows(rcfg.journal_dir)
     ledger = Quarantine(run_dir).read_ledger()
     latest: Optional[dict] = None
@@ -136,6 +110,7 @@ def recovery_status(run_dir: Union[str, Path]) -> dict:
     return {
         "run_dir": str(run_dir),
         "checkpoints": checkpoints,
+        "deltas": deltas,
         "latest_checkpoint": latest,
         "segments": segments,
         "samples_journaled": sum(s["samples"] for s in segments),
@@ -188,13 +163,23 @@ def render_recovery_report(run_dir: Union[str, Path]) -> str:
     parts = [f"recovery status: {status['run_dir']}"]
     parts.append("=" * len(parts[0]))
 
-    ckpts = Table(["checkpoint", "iteration", "sim time (s)", "size (B)",
-                   "status"])
+    ckpts = Table(["checkpoint", "iteration", "sim time (s)", "rows",
+                   "size (B)", "status"])
     for row in status["checkpoints"]:
         ckpts.add_row([row["file"], row.get("iteration"),
-                       row.get("sim_now"), row["bytes"], row["status"]])
+                       row.get("sim_now"), row.get("rows"), row["bytes"],
+                       row["status"]])
     parts += ["", "checkpoints", "-----------",
               ckpts.render() if status["checkpoints"] else "(none)"]
+
+    deltas = Table(["delta", "iteration", "rows", "size (B)", "status"])
+    for row in status["deltas"]:
+        rows = (f"{row['start']}-{row['stop']}" if "start" in row
+                else None)
+        deltas.add_row([row["file"], row.get("iteration"), rows,
+                        row["bytes"], row["status"]])
+    parts += ["", "deltas", "------",
+              deltas.render() if status["deltas"] else "(none)"]
 
     segs = Table(["segment", "records", "samples", "iterations", "status"])
     for row in status["segments"]:

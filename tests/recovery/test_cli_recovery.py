@@ -1,6 +1,7 @@
 """CLI, status report and smoke-check coverage for the recovery layer."""
 
 import json
+import shutil
 
 import pytest
 
@@ -101,6 +102,62 @@ class TestStatusReport:
     def test_cli_recovery_missing_dir(self, capsys):
         assert main(["recovery", "/nonexistent/run"]) == 2
         assert "no such run directory" in capsys.readouterr().err
+
+
+def flip_last_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+class TestStatusReportDeltas:
+    """The report lists deltas and trusts a checkpoint only with its chain."""
+
+    def test_deltas_listed(self, crashed_run_dir, capsys):
+        status = recovery_status(crashed_run_dir)
+        assert [d["file"] for d in status["deltas"]] == [
+            f"delta-{k:08d}.delta" for k in range(7, 40, 8)]
+        assert all(d["status"] == "ok" for d in status["deltas"])
+        assert status["deltas"][0]["start"] == 0
+        for prev, nxt in zip(status["deltas"], status["deltas"][1:]):
+            assert nxt["start"] == prev["stop"]
+        assert [(c["iteration"], c["status"])
+                for c in status["checkpoints"]] == [(31, "ok"), (39, "ok")]
+        assert status["checkpoints"][1]["rows"] == status["deltas"][-1]["stop"]
+        assert "delta-00000039.delta" in render_recovery_report(
+            crashed_run_dir)
+        assert main(["recovery", str(crashed_run_dir), "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["deltas"]) == 5
+
+    def test_damaged_newest_delta_moves_resume_point(self, crashed_run_dir,
+                                                     tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(crashed_run_dir, run_dir)
+        flip_last_byte(run_dir / "checkpoints" / "delta-00000039.delta")
+        status = recovery_status(run_dir)
+        assert status["deltas"][-1]["status"] == "corrupt"
+        assert [c["status"] for c in status["checkpoints"]] == [
+            "ok", "broken_chain"]
+        assert status["latest_checkpoint"]["iteration"] == 31
+        assert status["resumable"]
+        assert "resumable from iteration 31" in render_recovery_report(run_dir)
+        resumed = run_experiment(ExperimentConfig(days=1, seed=4),
+                                 resume_from=run_dir)
+        assert resumed.recovery.resumed_from_iteration == 31
+
+    def test_delta_every_checkpoint_needs(self, crashed_run_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(crashed_run_dir, run_dir)
+        flip_last_byte(run_dir / "checkpoints" / "delta-00000007.delta")
+        status = recovery_status(run_dir)
+        assert [c["status"] for c in status["checkpoints"]] == [
+            "broken_chain", "broken_chain"]
+        assert status["latest_checkpoint"] is None
+        assert status["resumable"]  # the journal still supports a cold restart
+        assert "resume would cold-restart" in render_recovery_report(run_dir)
+        resumed = run_experiment(ExperimentConfig(days=1, seed=4),
+                                 resume_from=run_dir)
+        assert resumed.recovery.cold_restart
 
 
 class TestSmoke:

@@ -221,6 +221,12 @@ def segments(run_dir):
             for p in (run_dir / "journal").glob("segment-*.jsonl")}
 
 
+def deltas(run_dir):
+    """A run directory's checkpoint row deltas, by file name."""
+    return {p.name: p.read_bytes()
+            for p in (run_dir / "checkpoints").glob("delta-*.delta")}
+
+
 def checkpoint_names(run_dir):
     return sorted(p.name for p in (run_dir / "checkpoints").iterdir())
 
@@ -270,6 +276,32 @@ class TestJournalEquivalence:
         obj = checkpoint_names(journaled_runs["object"][1])
         assert obj
         assert checkpoint_names(journaled_runs["columnar"][1]) == obj
+
+    def test_checkpoint_deltas_byte_identical(self, journaled_runs):
+        obj = deltas(journaled_runs["object"][1])
+        col = deltas(journaled_runs["columnar"][1])
+        assert len(obj) > 1
+        assert col == obj
+
+    def test_period_inference_stops_at_second_marker(self, journaled_runs,
+                                                     monkeypatch):
+        """Replay infers the sample period from the first two iteration
+        markers without decoding the rest of the journal."""
+        import repro.recovery.journal as journal
+
+        from repro.live.replay import infer_sample_period
+
+        decode = journal.decode_line
+        calls = []
+
+        def counting(line):
+            calls.append(line)
+            return decode(line)
+
+        monkeypatch.setattr(journal, "decode_line", counting)
+        run_dir = journaled_runs["columnar"][1]
+        assert infer_sample_period(run_dir / "journal") == 900.0
+        assert 0 < len(calls) < RecoveryConfig(run_dir).segment_records
 
     def test_two_shard_campaign_journals_byte_identical(self, tmp_path):
         results = {}
