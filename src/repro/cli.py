@@ -128,19 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "forces the per-object path, 'columnar' fails "
                        "loudly if ineligible (default auto; composes "
                        "with --shards)")
-    p_run.add_argument("--behavioural", choices=("exact", "statistical"),
-                       default="exact",
-                       help="behavioural equivalence mode for the "
-                       "columnar kernel: 'exact' keeps the event loop "
-                       "byte-identical to the object path at any size, "
-                       "'statistical' switches fleets above the "
-                       "threshold to the fully vectorised behavioural "
-                       "engine (default exact; see docs/columnar.md)")
-    p_run.add_argument("--behavioural-threshold", type=int, default=None,
-                       metavar="N",
-                       help="fleet size above which --behavioural "
-                       "statistical engages the vectorised engine "
-                       "(default 1000)")
 
     p_rep = sub.add_parser("report", help="paper-vs-measured report")
     add_common(p_rep, 77)
@@ -256,11 +243,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if rule is not None:
         print(f"error: {rule.message}", file=sys.stderr)
         return 2
-    if (args.behavioural_threshold is not None
-            and args.behavioural_threshold < 0):
-        print(f"error: --behavioural-threshold must be non-negative, got "
-              f"{args.behavioural_threshold}", file=sys.stderr)
-        return 2
     observer = None
     if args.obs_out:
         from repro.obs import Observer
@@ -341,9 +323,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         days=args.days, seed=args.seed,
         shards=args.shards if resume_shards is None else resume_shards,
         kernel=args.kernel,
-        behavioural_equivalence=args.behavioural,
-        **({} if args.behavioural_threshold is None
-           else {"behavioural_threshold": args.behavioural_threshold}),
     )
     rcfg = (RecoveryConfig(run_dir=args.recover_dir,
                            checkpoint_every=args.checkpoint_every)
@@ -536,26 +515,19 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
     from repro.experiment import run_experiment
     from repro.report.resilience import (
-        render_differential,
         render_resilience_report,
         resilience_summary,
     )
     from repro.resilience.chaos import (
         SCENARIOS,
         chaos_policy,
+        report_differential,
         run_differential,
     )
 
     if args.differential:
-        rows = run_differential(days=args.days, seed=args.seed)
-        print(render_differential(rows))
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-            print(f"reconciliation report -> {args.out}")
-        losses = [r for r in rows
-                  if r["response_rate_on"] < r["response_rate_off"]]
-        return 1 if losses else 0
+        return report_differential(
+            run_differential(days=args.days, seed=args.seed), args.out)
     if args.scenario != "none" and args.scenario not in SCENARIOS:
         print(f"error: unknown scenario {args.scenario!r} (pick one of "
               f"{', '.join(sorted(SCENARIOS))}, or 'none')",

@@ -278,20 +278,6 @@ class ExperimentConfig:
     #: raises instead of silently falling back).  Both kernels produce
     #: byte-identical traces; see docs/columnar.md.
     kernel: str = "auto"
-    #: Behavioural-core equivalence contract under ``kernel="columnar"``
-    #: (see docs/columnar.md, phase 2).  ``"exact"`` -- the default --
-    #: runs the behavioural event loop through the draw-for-draw tick
-    #: backend, byte-identical to the object path at any fleet size.
-    #: ``"statistical"`` switches fleets *larger* than
-    #: :attr:`behavioural_threshold` to the fully vectorised behavioural
-    #: engine: same calibrated distributions, fleet-wide batched draws,
-    #: deterministic and shard-stable, but only statistically (not byte-)
-    #: equivalent to the object path.
-    behavioural_equivalence: str = "exact"
-    #: Fleet size above which ``behavioural_equivalence="statistical"``
-    #: engages the vectorised behavioural engine; at or below it, runs
-    #: stay exact regardless of the knob.
-    behavioural_threshold: int = 1000
 
     def __post_init__(self) -> None:
         if self.days <= 0:
@@ -303,13 +289,6 @@ class ExperimentConfig:
                 f"kernel must be 'auto', 'object' or 'columnar', "
                 f"got {self.kernel!r}"
             )
-        if self.behavioural_equivalence not in ("exact", "statistical"):
-            raise ValueError(
-                f"behavioural_equivalence must be 'exact' or 'statistical', "
-                f"got {self.behavioural_equivalence!r}"
-            )
-        if self.behavioural_threshold < 0:
-            raise ValueError("behavioural_threshold must be non-negative")
 
     @property
     def horizon(self) -> float:

@@ -176,7 +176,6 @@ class SimMachine:
         cols.on_since[i] = since if since is not None else 0.0
         s = self._session
         cols.has_session[i] = s is not None
-        cols.session_forgotten[i] = s.forgotten if s is not None else False
         cols.session_start_r3[i] = float(f"{s.start:.3f}") if s is not None else 0.0
         cols.usernames[i] = s.username if s is not None else ""
 
@@ -403,7 +402,6 @@ class SimMachine:
         if cols is not None:
             i = self._ci
             cols.has_session[i] = True
-            cols.session_forgotten[i] = forgotten
             cols.session_start_r3[i] = float(f"{self._session.start:.3f}")
             cols.usernames[i] = username
 
@@ -412,8 +410,6 @@ class SimMachine:
         if self._session is None:
             raise MachineStateError("no session to mark forgotten")
         self._session.forgotten = True
-        if self._cols is not None:
-            self._cols.session_forgotten[self._ci] = True
 
     def logout(self, now: float) -> None:
         """Close the interactive session and reclaim temporary disk space."""
@@ -433,9 +429,7 @@ class SimMachine:
         self.session_log.append(SessionRecord(s.username, s.start, float(now), s.forgotten))
         self._session = None
         if self._cols is not None:
-            i = self._ci
-            self._cols.has_session[i] = False
-            self._cols.session_forgotten[i] = False
+            self._cols.has_session[self._ci] = False
 
     # ------------------------------------------------------------------
     # helpers

@@ -153,21 +153,22 @@ def render_resilience_report(result: "MonitoringResult") -> str:
 def render_differential(rows: List[Dict[str, object]]) -> str:
     """Render policy-on vs policy-off rows from the chaos harness.
 
-    Each row carries ``scenario``, ``response_rate_off/_on`` and
-    ``p99_off/_on``; the verdict column states whether policy-on
-    dominates (response rate no worse AND p99 no worse).
+    Each row carries ``scenario``, ``response_rate_off/_on``,
+    ``p99_off/_on`` and ``unexplained_off/_on``; the verdict column
+    states whether policy-on dominates per
+    :func:`repro.resilience.chaos.verdict`.
     """
+    from repro.resilience.chaos import verdict
+
     table = Table(["scenario", "resp off", "resp on", "p99 off", "p99 on",
                    "verdict"])
     for row in rows:
-        dominates = (row["response_rate_on"] >= row["response_rate_off"]
-                     and row["p99_on"] <= row["p99_off"])
         table.add_row([
             row["scenario"],
             f"{100 * row['response_rate_off']:.1f}%",
             f"{100 * row['response_rate_on']:.1f}%",
             f"{row['p99_off']:.2f}s",
             f"{row['p99_on']:.2f}s",
-            "dominates" if dominates else "LOSES",
+            "LOSES" if verdict(row) else "dominates",
         ])
     return table.render()

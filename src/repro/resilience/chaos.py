@@ -3,18 +3,18 @@
 For each :mod:`repro.faults` scenario the harness runs the same
 experiment twice -- once with the classic coordinator, once with a
 :class:`~repro.resilience.ResiliencePolicy` attached -- and checks the
-control plane's contract: **policy-on must dominate policy-off** on
-response rate (no worse) and p99 iteration latency (no worse), and the
-slot accounting must close with zero unexplained slots.  All runs are
-fully seeded, so verdicts are deterministic across reruns.
+control plane's contract: **policy-on must dominate policy-off**, with a
+strictly higher response rate and a p99 iteration time no worse, and
+the slot accounting must close with zero unexplained slots on both
+sides.  :func:`verdict` is the one statement of that contract.  All
+runs are fully seeded, so verdicts are deterministic across reruns.
 
 Run it directly (CI's ``resilience-chaos`` job does)::
 
     PYTHONPATH=src python -m repro.resilience.chaos --days 1 --seed 7 \\
         --out resilience-report.json
 
-Exit status is 1 when any scenario loses on response rate or leaves
-slots unaccounted.
+Exit status is 1 when any scenario fails :func:`verdict`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.sim.calendar import HOUR
 
 __all__ = ["SCENARIOS", "chaos_policy", "run_one", "run_differential",
-           "main"]
+           "verdict", "report_differential", "main"]
 
 #: ``name -> factory(horizon, seed) -> FaultPlan`` for every scenario in
 #: the catalog.  Each call builds a *fresh* plan (plans own a private RNG
@@ -128,7 +128,7 @@ def run_differential(
     for name in scenarios or sorted(SCENARIOS):
         off = run_one(name, days=days, seed=seed, policy=None)
         on = run_one(name, days=days, seed=seed, policy=policy)
-        rows.append({
+        row = {
             "scenario": name,
             "response_rate_off": off["response_rate"],
             "response_rate_on": on["response_rate"],
@@ -136,20 +136,51 @@ def run_differential(
             "p99_on": on["p99_iteration_seconds"],
             "unexplained_on": on["reconciliation"]["unexplained"],
             "unexplained_off": off["reconciliation"]["unexplained"],
-            "dominates": (
-                on["response_rate"] >= off["response_rate"]
-                and on["p99_iteration_seconds"] <= off["p99_iteration_seconds"]
-            ),
             "off": off,
             "on": on,
-        })
+        }
+        row["dominates"] = not verdict(row)
+        rows.append(row)
     return rows
+
+
+def verdict(row: Dict[str, object]) -> List[str]:
+    """Why policy-on fails to dominate in one differential row.
+
+    Empty when it dominates: a strictly higher response rate, a p99
+    iteration time no worse, and zero unexplained slots on both sides.
+    """
+    reasons = []
+    if not row["response_rate_on"] > row["response_rate_off"]:
+        reasons.append("policy-on does not raise the response rate")
+    if row["p99_on"] > row["p99_off"]:
+        reasons.append("policy-on regresses p99 iteration time")
+    if row["unexplained_on"] != 0 or row["unexplained_off"] != 0:
+        reasons.append("accounting does not close")
+    return reasons
+
+
+def report_differential(rows: List[Dict[str, object]],
+                        out: Optional[str] = None) -> int:
+    """Print the differential table, write the JSON report to ``out``,
+    print one ``FAIL`` line per :func:`verdict` reason, and return the
+    exit status (1 when any scenario fails)."""
+    from repro.report.resilience import render_differential
+
+    print(render_differential(rows))
+    if out:
+        with open(out, "w") as fh:
+            json.dump(rows, fh, indent=2, sort_keys=True)
+        print(f"reconciliation report -> {out}")
+    failures = [f"{row['scenario']}: {reason}"
+                for row in rows for reason in verdict(row)]
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point of the chaos harness (used by CI)."""
-    from repro.report.resilience import render_differential
-
     parser = argparse.ArgumentParser(
         prog="repro.resilience.chaos",
         description="policy-on vs policy-off differential across the "
@@ -169,21 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rows = run_differential(days=args.days, seed=args.seed,
                             scenarios=args.scenarios)
-    print(render_differential(rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-        print(f"reconciliation report -> {args.out}")
-    failures = []
-    for row in rows:
-        if row["response_rate_on"] < row["response_rate_off"]:
-            failures.append(f"{row['scenario']}: policy-on loses on "
-                            "response rate")
-        if row["unexplained_on"] != 0 or row["unexplained_off"] != 0:
-            failures.append(f"{row['scenario']}: accounting does not close")
-    for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return report_differential(rows, args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() tests

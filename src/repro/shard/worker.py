@@ -358,9 +358,8 @@ def _resolve_kernel(
     resumed run continues on the same kernel.
 
     Enabling the columnar pass also moves the *behavioural* loop onto
-    its columnar backend (exact tick batches, or the statistical vector
-    engine when the config opted in) -- the coordinator and the fleet
-    share the same write-through mirror via ``fleet.ensure_columns()``.
+    the exact tick backend; the coordinator reads the fleet's
+    write-through mirror via ``fleet.ensure_columns()``.
     A sharded coordinator is eligible: the pass draws the full roster
     and materialises only the owned slice.
     """
@@ -372,7 +371,7 @@ def _resolve_kernel(
               or coordinator.columnar_ineligibility())
     if reason is None:
         coordinator.enable_columnar(fleet.ensure_columns())
-        fleet.activate_columnar_behaviour()
+        fleet.enable_tick_backend()
     elif cfg.kernel == "columnar":
         raise ValueError(
             f"kernel='columnar' requested but the run is ineligible: "

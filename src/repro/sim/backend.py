@@ -1,11 +1,11 @@
-"""Behavioural backends: how the per-machine event loop is driven.
+"""Tick backend: how the per-machine event loop is driven in batches.
 
-Phase 1 of the columnar kernel (PR 6) vectorised the DDC probing pass;
-the behavioural event loop -- boots, logins, workload redraws, sweeps --
+Phase 1 of the columnar kernel vectorised the DDC probing pass; the
+behavioural event loop -- boots, logins, workload redraws, sweeps --
 stayed one engine event per machine transition on the shared heap.  This
-module is phase 2's *exact* backend: the behavioural events move off the
-probing engine's heap onto a private micro-engine that is advanced in
-15-minute batches, one outer ``btick`` event per DDC sampling period.
+module is phase 2: the behavioural events move off the probing engine's
+heap onto a private micro-engine that is advanced in 15-minute batches,
+one outer ``btick`` event per DDC sampling period.
 
 :class:`TickBackend` is deliberately draw-for-draw exact:
 
@@ -26,13 +26,17 @@ probing engine's heap onto a private micro-engine that is advanced in
   from the flat run, which is unobservable: agents touch only their own
   machine and draw only from their own stream.
 
-The one accepted deviation: a behavioural event scheduled at *exactly*
-a tick boundary fires inside the boundary's batch rather than at its
-flat-run heap position relative to same-instant non-behavioural events.
-Behavioural event times are continuous draws (boots at ``start + U``,
-session ends at ``start + lognormal``), so outside the midnight
-planning events -- whose ordering against the pass is preserved, see
-``docs/columnar.md`` -- such ties have probability zero.
+The one deviation: a behavioural event due at *exactly* a tick
+boundary fires inside the boundary's batch, before that instant's DDC
+pass, even when it was scheduled after the pass's iteration event and
+so fires after the pass on the flat heap.  Most behavioural event times
+are continuous draws (boots at ``start + U``, session ends at
+``start + lognormal``) and rarely tie a boundary, but a session end
+clamped to the 04:00 or Saturday 21:00 closing time lands on one by
+construction, so these ties are systematic: the probe then reads the
+post-event state and one sample differs from the object pass.  The
+midnight planning events keep their ordering against the pass.  This
+is the "Known defect" paragraph of ``docs/columnar.md`` ("Phase 2").
 
 ``docs/columnar.md`` ("Phase 2") carries the full equivalence argument;
 ``tests/test_columnar_equivalence.py`` pins it byte-for-byte.

@@ -349,20 +349,6 @@ class FleetSimulator:
             / mean_attraction
             for lab in labs
         }
-        # Behavioural backend selection (docs/columnar.md, "Phase 2").
-        # The *statistical* vectorised engine replaces per-machine agents
-        # wholesale; it is opted into explicitly and only engages above
-        # the equivalence threshold, with the stock models and no
-        # observer (agents carry the per-lab instrumentation).
-        use_vector = (
-            config.kernel == "columnar"
-            and config.behavioural_equivalence == "statistical"
-            and len(self.specs) > config.behavioural_threshold
-            and behavior_factory is None
-            and power_factory is None
-            and workload_factory is None
-            and (observer is None or not observer.enabled)
-        )
         for spec in self.specs:
             disk = SmartDisk.with_history(
                 spec.disk_serial,
@@ -375,8 +361,6 @@ class FleetSimulator:
             )
             machine = SimMachine(spec, disk)
             self.machines.append(machine)
-            if use_vector:
-                continue
             agent = MachineAgent(
                 machine,
                 self.sim,
@@ -395,11 +379,6 @@ class FleetSimulator:
         }
         self._cols = None
         self._backend = None
-        self._vector = None
-        if use_vector:
-            from repro.sim.vector import VectorBehaviour
-
-            self._vector = VectorBehaviour(self)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -408,36 +387,24 @@ class FleetSimulator:
         return self._by_hostname[hostname]
 
     # ------------------------------------------------------------------
-    # columnar behavioural backends (docs/columnar.md, "Phase 2")
+    # columnar mirror and tick backend (docs/columnar.md, "Phase 2")
     # ------------------------------------------------------------------
     def ensure_columns(self):
         """The fleet's :class:`~repro.sim.kernel.FleetColumns` mirror,
-        built lazily so the coordinator's columnar pass and the
-        behavioural backends share one write-through view."""
+        built lazily; the machines write through to it and the
+        coordinator's columnar pass reads it."""
         if self._cols is None:
             from repro.sim.kernel import FleetColumns
 
             self._cols = FleetColumns(self.machines)
         return self._cols
 
-    @property
-    def behavioural_backend(self) -> str:
-        """Which behavioural backend drives this fleet:
-        ``"object"``, ``"tick"`` (exact batches) or ``"vector"``
-        (statistical columnar dynamics)."""
-        if self._vector is not None:
-            return "vector"
-        if self._backend is not None:
-            return "tick"
-        return "object"
-
     def enable_tick_backend(self) -> None:
         """Move behavioural events onto the exact per-tick backend.
 
-        Must run before :meth:`start`; idempotent, and a no-op when the
-        statistical engine already owns the behavioural loop.
+        Must run before :meth:`start`; idempotent.
         """
-        if self._vector is not None or self._backend is not None:
+        if self._backend is not None:
             return
         if self._started:
             raise RuntimeError(
@@ -451,27 +418,16 @@ class FleetSimulator:
         for agent in self.agents:
             agent.sim = self._backend.env
 
-    def activate_columnar_behaviour(self) -> None:
-        """Hook for the kernel resolver: once the coordinator's columnar
-        pass is enabled, drive the behavioural loop columnar too --
-        the statistical engine when the config opted in (selected at
-        construction), the exact tick backend otherwise."""
-        if self._vector is None:
-            self.enable_tick_backend()
-
     def start(self) -> None:
         """Schedule all agents and staff sweeps (idempotent)."""
         if self._started:
             return
         self._started = True
-        if self._vector is not None:
-            self._vector.start()
-        else:
-            for agent in self.agents:
-                agent.start()
-                agent.warm_start()
-            if self._backend is not None:
-                self._backend.start()
+        for agent in self.agents:
+            agent.start()
+            agent.warm_start()
+        if self._backend is not None:
+            self._backend.start()
         self._schedule_sweeps()
 
     def _schedule_sweeps(self) -> None:
@@ -492,13 +448,6 @@ class FleetSimulator:
 
     def _sweep(self) -> None:
         now = self.sim.now
-        if self._vector is not None:
-            # advance the columnar dynamics through the sweep instant
-            # first: sessions ending before closing time must have ended
-            # before staff walk the room.
-            self._vector.advance_to(now)
-            self._vector.sweep(now)
-            return
         if self._backend is not None:
             # Half-open advance: on the flat heap the sweep (scheduled
             # at fleet start, lowest seq at its instant) fires before
@@ -518,20 +467,12 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     def powered_count(self) -> int:
         """Machines currently powered on."""
-        if self._vector is not None:
-            return int(np.count_nonzero(self._cols.powered))
         return sum(1 for m in self.machines if m.powered)
 
     def occupied_count(self) -> int:
         """Machines currently powered on with an open session."""
-        if self._vector is not None:
-            cols = self._cols
-            return int(np.count_nonzero(cols.powered & cols.has_session))
         return sum(1 for m in self.machines if m.powered and m.session is not None)
 
     def free_count(self) -> int:
         """Machines powered on without any open session."""
-        if self._vector is not None:
-            cols = self._cols
-            return int(np.count_nonzero(cols.powered & ~cols.has_session))
         return sum(1 for m in self.machines if m.powered and m.session is None)

@@ -129,7 +129,6 @@ class FleetColumns:
         self.poh_base_s = np.zeros(n)
         self.on_since = np.zeros(n)
         self.has_session = np.zeros(n, dtype=bool)
-        self.session_forgotten = np.zeros(n, dtype=bool)
         self.session_start_r3 = np.zeros(n)
         self.usernames: List[str] = [""] * n
         for i, machine in enumerate(machines):

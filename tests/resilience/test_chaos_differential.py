@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.resilience import chaos
 from repro.resilience.chaos import (
     SCENARIOS,
     chaos_policy,
@@ -79,6 +81,39 @@ class TestMain:
         assert rows[0]["dominates"]
         stdout = capsys.readouterr().out
         assert "storm" in stdout and str(out) in stdout
+
+
+def _row(scenario, **overrides):
+    """A differential row in which policy-on dominates, then overridden."""
+    row = {"scenario": scenario, "response_rate_off": 0.40,
+           "response_rate_on": 0.60, "p99_off": 200.0, "p99_on": 180.0,
+           "unexplained_on": 0, "unexplained_off": 0}
+    row.update(overrides)
+    return row
+
+
+class TestOneVerdict:
+    """The harness and ``repro resilience --differential`` fail on every
+    clause docs/resilience.md promises, through the one verdict."""
+
+    @pytest.mark.parametrize("row", [
+        _row("slow", p99_on=250.0),
+        _row("storm", unexplained_on=3),
+        _row("outage", response_rate_on=0.40),
+    ], ids=["p99", "accounting", "equal-rate"])
+    @pytest.mark.parametrize("entry", ["chaos", "cli"])
+    def test_failing_row_exits_1_and_names_scenario(self, monkeypatch,
+                                                    capsys, row, entry):
+        monkeypatch.setattr(chaos, "run_differential",
+                            lambda **kwargs: [row])
+        if entry == "chaos":
+            rc = main(["--days", "1"])
+        else:
+            rc = cli_main(["resilience", "--differential"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"FAIL {row['scenario']}: " in captured.err
+        assert "LOSES" in captured.out
 
 
 class TestChaosPolicy:

@@ -72,9 +72,11 @@ class TestRendering:
     def test_differential_verdict_column(self):
         rows = [
             {"scenario": "x", "response_rate_off": 0.4,
-             "response_rate_on": 0.7, "p99_off": 200.0, "p99_on": 180.0},
+             "response_rate_on": 0.7, "p99_off": 200.0, "p99_on": 180.0,
+             "unexplained_off": 0, "unexplained_on": 0},
             {"scenario": "y", "response_rate_off": 0.5,
-             "response_rate_on": 0.4, "p99_off": 200.0, "p99_on": 180.0},
+             "response_rate_on": 0.4, "p99_off": 200.0, "p99_on": 180.0,
+             "unexplained_off": 0, "unexplained_on": 0},
         ]
         text = render_differential(rows)
         assert "dominates" in text

@@ -61,11 +61,12 @@ def test_stable_hash32_is_stable_and_bounded():
 # ----------------------------------------------------------------------
 # batched draws == sequential draws (the columnar kernel's RNG contract)
 # ----------------------------------------------------------------------
-# Every named stream the simulation owns.  The columnar probing pass and
-# the batched behavioural draws are bit-identical to the per-object path
-# only if, on PCG64, one batched draw of length N consumes the generator
-# exactly like N sequential draws -- same values, same final cursor.
-# docs/columnar.md states the argument; these tests pin it per stream.
+# Every named stream the simulation owns, plus two unowned fleet-wide
+# names.  The columnar probing pass is bit-identical to the per-object
+# path only if, on PCG64, one batched draw of length N consumes the
+# generator exactly like N sequential draws -- same values, same final
+# cursor.  docs/columnar.md states the argument; these tests pin it per
+# stream.
 
 SIM_STREAM_NAMES = (
     "calendar",
@@ -106,8 +107,7 @@ def test_batched_lognormal_scalar_params_matches_sequential(name):
 
 @pytest.mark.parametrize("name", SIM_STREAM_NAMES)
 def test_batched_lognormal_array_params_matches_sequential(name):
-    # Array mu/sigma is how the vector engine batches its per-roster
-    # draws, whose parameters differ machine to machine.
+    # Array mu/sigma: per-machine parameters drawn in one call.
     batched, seq = _pair(name)
     mu = np.linspace(-1.0, 2.0, 40)
     sigma = np.linspace(0.1, 1.5, 40)
@@ -117,8 +117,8 @@ def test_batched_lognormal_array_params_matches_sequential(name):
     assert batched.bit_generator.state == seq.bit_generator.state
 
 
-#: Streams owned by the phase-2 behavioural engine (sessions, power and
-#: workload dynamics all draw from these two fleet-wide streams).
+#: The two unowned names, for the other draw kinds the behaviour
+#: models make (normal, beta, exponential, Bernoulli).
 BEHAVIOUR_STREAM_NAMES = ("behaviour/traits", "behaviour/tick")
 
 
