@@ -12,7 +12,8 @@ achievable speedup is bounded by the physical core count.  The target
 from docs/sharding.md -- **>= 1.5x at 4 shards** -- is asserted only
 when the host actually has >= 4 CPUs; on smaller hosts (including
 single-core CI containers, where parallel shards necessarily time-slice
-one core and each shard still replays the full fleet simulation) the
+one core, and the parent's one probing pass and NBench run after the
+shards' behaviour) the
 bench still verifies byte-equality and records the measured ratios, and
 ``cpu_count`` in the JSON report documents why the target could not
 materialise.  Reference measurement on an unloaded 8-core host at

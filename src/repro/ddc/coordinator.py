@@ -532,8 +532,14 @@ class DdcCoordinator:
         return None
 
     def enable_columnar(self, columns) -> None:
-        """Install a :class:`~repro.sim.kernel.FleetColumns` mirror and
-        switch iterations to :meth:`_run_pass_columnar`.
+        """Install a pass source and switch iterations to
+        :meth:`_run_pass_columnar`.
+
+        The source is the fleet's live :class:`~repro.sim.kernel
+        .FleetColumns` mirror, or, in the parent of a gathered shard
+        plan, the :class:`~repro.shard.gather.GatheredPasses` its
+        workers recorded; that coordinator holds no machines (they live
+        in the workers) and takes its roster from the source.
 
         Raises :class:`ValueError` when the configuration is ineligible
         (see :meth:`columnar_ineligibility`) or the mirror does not match
@@ -542,7 +548,7 @@ class DdcCoordinator:
         reason = self.columnar_ineligibility()
         if reason is not None:
             raise ValueError(f"columnar kernel ineligible: {reason}")
-        if columns.n != len(self.machines):
+        if self.machines and columns.n != len(self.machines):
             raise ValueError(
                 f"columnar mirror covers {columns.n} machines, "
                 f"roster has {len(self.machines)}"
@@ -572,7 +578,19 @@ class DdcCoordinator:
     def _run_pass_columnar(self, k: int, start: float) -> float:
         """Vectorised twin of :meth:`_run_pass`, bit-identical output.
 
-        The whole pass runs inside one engine event, so the mirror is a
+        The gather step reads this instant's pass inputs off the source
+        (``on``: roster positions of the powered machines; ``rows``:
+        the gathered inputs of the owned ones); the emit step,
+        :meth:`_emit_columnar`, turns them into samples.
+        """
+        on, rows = self._cols.pass_inputs(k, self._owned_mask)
+        return self._emit_columnar(k, start, on, rows)
+
+    def _emit_columnar(self, k: int, start: float, on: np.ndarray,
+                       rows: dict) -> float:
+        """The emit step of the columnar pass; returns its duration.
+
+        The whole pass runs inside one engine event, so its inputs are a
         frozen snapshot: the powered set cannot change mid-pass, the
         latency draws collapse into one exact-size batch (consuming the
         ``"ddc"`` stream draw-for-draw like the sequential loop), the
@@ -582,14 +600,13 @@ class DdcCoordinator:
         """
         cols = self._cols
         n = cols.n
-        idx = np.flatnonzero(cols.powered)
-        n_on = int(idx.size)
+        n_on = int(on.size)
         p = self.params
         # one batched draw == n_on sequential draws, in roster order
         # (powered-off machines draw nothing, they cost off_timeout flat)
         lat = self.rng.uniform(self._lat_lo, self._lat_hi, n_on)
         elapsed = np.full(n, p.off_timeout)
-        elapsed[idx] = lat + self._shadow_cost
+        elapsed[on] = lat + self._shadow_cost
         # cursor chain: float addition is non-associative, so replicate
         # the sequential `cursor += elapsed` exactly with a prefix sum
         cum = np.cumsum(np.concatenate(((start,), elapsed)))
@@ -597,7 +614,7 @@ class DdcCoordinator:
         # the draws and the cursor chain above stay full-roster so a
         # sharded pass replicates the sequential "ddc" stream exactly
         # (the vectorised twin of the per-object shadow path).
-        keep = self._owned_mask[idx]
+        keep = self._owned_mask[on]
         k_on = int(np.count_nonzero(keep))
         self.attempts += self._n_owned
         self.timeouts += self._n_owned - k_on
@@ -608,58 +625,55 @@ class DdcCoordinator:
         from repro.sim.kernel import round3
 
         # each probe observes its machine at its actual execution instant
-        t_sample = cum[1:][idx][keep]
-        tau = (cum[:-1][idx] + lat)[keep]
-        idx = idx[keep]
-        n_on = k_on
-        dt = np.maximum(tau - cols.last_update[idx], 0.0)
+        t_sample = cum[1:][on][keep]
+        tau = (cum[:-1][on] + lat)[keep]
+        idx = on[keep]
+        dt = np.maximum(tau - rows["last_update"], 0.0)
         # uptime rides GetTickCount: seconds -> ms -> seconds, then %.3f
-        uptime = round3((tau - cols.boot_time[idx]) * 1000.0 / 1000.0)
+        uptime = round3((tau - rows["boot_time"]) * 1000.0 / 1000.0)
         idle = np.minimum(
-            round3(cols.idle_acc[idx] + dt * (1.0 - cols.busy_frac[idx])),
+            round3(rows["idle_acc"] + dt * (1.0 - rows["busy_frac"])),
             uptime,
         )
         # GlobalMemoryStatus arithmetic: dwMemoryLoad rounds, the pagefile
         # percentage is re-derived from the rounded available-bytes figure
         tp = cols.total_page[idx]
-        avail = np.rint(tp * (1.0 - cols.swap_load[idx] / 100.0))
+        avail = np.rint(tp * (1.0 - rows["swap_load"] / 100.0))
         swap = np.where(
             tp > 0.0,
             np.rint(100.0 * (tp - avail) / np.where(tp > 0.0, tp, 1.0)),
             0.0,
         )
         poh = np.trunc(
-            (cols.poh_base_s[idx] + (tau - cols.on_since[idx])) / 3600.0
+            (rows["poh_base_s"] + (tau - rows["on_since"])) / 3600.0
         )
-        has_sess = cols.has_session[idx]
+        has_sess = rows["has_session"]
         idx_list = idx.tolist()
-        unames = cols.usernames
         hostnames = cols.hostnames
         labs = cols.labs
+        disk_total = cols.disk_total[idx]
         columns = dict(
             machine_id=cols.machine_id[idx],
-            iteration=np.full(n_on, k, dtype=np.int32),
+            iteration=np.full(k_on, k, dtype=np.int32),
             t=t_sample,
-            boot_time=cols.boot_time_r3[idx],
+            boot_time=rows["boot_time_r3"],
             uptime_s=uptime,
             cpu_idle_s=idle,
-            mem_load_pct=np.rint(cols.mem_load[idx]),
+            mem_load_pct=np.rint(rows["mem_load"]),
             swap_load_pct=swap,
-            disk_total_b=cols.disk_total[idx],
-            disk_free_b=cols.disk_total[idx] - cols.disk_used[idx],
-            smart_cycles=cols.cycles[idx],
+            disk_total_b=disk_total,
+            disk_free_b=disk_total - rows["disk_used"],
+            smart_cycles=rows["cycles"],
             smart_poh_h=poh,
-            net_sent_b=(cols.sent_acc[idx]
-                        + dt * cols.sent_bps[idx]).astype(np.int64),
-            net_recv_b=(cols.recv_acc[idx]
-                        + dt * cols.recv_bps[idx]).astype(np.int64),
+            net_sent_b=(rows["sent_acc"]
+                        + dt * rows["sent_bps"]).astype(np.int64),
+            net_recv_b=(rows["recv_acc"]
+                        + dt * rows["recv_bps"]).astype(np.int64),
             has_session=has_sess,
             session_start=np.where(
-                has_sess, cols.session_start_r3[idx], np.nan
+                has_sess, rows["session_start_r3"], np.nan
             ),
-            username=[u if h else ""
-                      for u, h in zip((unames[j] for j in idx_list),
-                                      has_sess.tolist())],
+            username=rows["username"],
             hostname=[hostnames[j] for j in idx_list],
             lab=[labs[j] for j in idx_list],
         )

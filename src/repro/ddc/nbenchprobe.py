@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.ddc.probe import Probe, ProbeResult
 from repro.errors import ProbeError
+from repro.machines.hardware import MachineSpec
 from repro.machines.winapi import Win32Api
 from repro.nbench.index import compute_indexes
 from repro.nbench.kernels import ALL_KERNELS
@@ -66,7 +67,11 @@ class NBenchProbe(Probe):
     def run(self, api: Win32Api, now: float) -> ProbeResult:
         """Benchmark the machine behind ``api`` at time ``now``."""
         del now
-        spec = api.machine_spec
+        return self.benchmark(api.machine_spec)
+
+    def benchmark(self, spec: MachineSpec) -> ProbeResult:
+        """Benchmark a machine of hardware ``spec``: the result depends
+        on nothing but the spec and the noise stream."""
         rates = predict_rates(spec, self._rng)
         return ProbeResult(
             stdout=_format_report(spec.hostname, rates),

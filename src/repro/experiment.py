@@ -226,7 +226,9 @@ def run_experiment(
         pipeline: ``shards=1`` runs the single all-labs shard in-process
         (the classic sequential run, byte for byte), ``shards>1`` fans
         the plan out over worker processes and merges a trace
-        byte-identical to the sequential one.  Combined with
+        byte-identical to the sequential one.  On the columnar pass the
+        pool's workers simulate only their own labs and this process
+        runs the one probing pass (``docs/sharding.md``).  Combined with
         ``recovery`` the fan-out becomes a *campaign*: each shard
         journals and checkpoints into its own ``<run_dir>/shard-<k>/``
         namespace under a shared campaign manifest, a dead worker's
@@ -267,7 +269,7 @@ def run_experiment(
             ddc=dataclasses.replace(cfg.ddc, resilience=resilience)
         )
     n_shards = cfg.shards if shards is None else shards
-    compat.check(compat.switches(
+    on = compat.switches(
         columnar=cfg.kernel == "columnar",
         one_shard=n_shards < 2,
         sharded=n_shards > 1,
@@ -281,7 +283,8 @@ def run_experiment(
         faults=faults is not None and not faults.empty,
         observer=observer is not None and observer.enabled,
         retries=cfg.ddc.retry_limit != 0,
-    ))
+    )
+    compat.check(on)
     # A sequential run, fresh or resumed, is the single all-labs shard.
     single = ShardTask(
         config=cfg, shard=ShardPlan.build(labs, 1).specs[0],
@@ -335,6 +338,10 @@ def run_experiment(
             cfg, plan, tasks, supervise=supervise, net=net,
             run_dir=recovery.run_dir if recovery is not None else None,
             manifest=manifest, observer=observer)
+    if cfg.kernel != "object" and compat.columnar_reason(on) is None:
+        # The pool run takes the columnar pass: workers simulate only
+        # their own labs and the parent runs the pass (repro.shard.gather).
+        tasks = [dataclasses.replace(t, gather=True) for t in tasks]
     with ProcessPoolExecutor(max_workers=n_shards) as pool:
         futures = [pool.submit(_run_shard_task, task) for task in tasks]
         outcomes = []

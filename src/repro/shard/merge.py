@@ -6,7 +6,10 @@ silently different trace:
 - **samples** -- :meth:`repro.traces.store.TraceStore.merge` re-sorts
   the disjoint per-shard stores by ``(iteration, machine_id)``, which is
   exactly the sequential roster order, and refuses overlapping machines
-  or disagreeing metas;
+  or disagreeing metas.  Gathered shards (:mod:`repro.shard.gather`)
+  have no stores: their recorded pass inputs go through the one
+  columnar pass (:func:`repro.shard.worker.collect_gathered`), which
+  emits the rows in roster order;
 - **fault ledger** -- every shard replays the *full* fault plan (hooks
   see the whole fleet), so the per-shard injection ledgers must be
   identical; any disagreement means the shards diverged and is raised;
@@ -29,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import TraceFormatError
 from repro.faults.plan import FaultPlan
 from repro.obs.snapshot import ObsSnapshot
-from repro.shard.worker import ShardOutcome
+from repro.shard.worker import ShardOutcome, collect_gathered
 from repro.traces.store import TraceStore
 
 __all__ = ["SUM_METRICS", "MAX_GAUGES", "merge_outcomes",
@@ -63,13 +66,22 @@ def merge_outcomes(
     ------
     TraceFormatError
         On zero outcomes, disagreeing metas or fault ledgers,
-        overlapping machine ownership, mixed instrumentation, or a
-        merged meta violating the accounting identity.
+        overlapping machine ownership, mixed instrumentation or
+        mechanisms, or a merged meta violating the accounting identity.
     """
     if not outcomes:
         raise TraceFormatError("cannot merge zero shard outcomes")
     ordered = sorted(outcomes, key=lambda o: o.shard_index)
-    store = TraceStore.merge([o.store for o in ordered])
+    gathered = sum(o.gathered is not None for o in ordered)
+    if gathered == len(ordered):
+        store = collect_gathered(ordered)
+    elif gathered:
+        raise TraceFormatError(
+            "some shards gathered pass inputs and some collected traces; "
+            "a plan's shards must all take one mechanism"
+        )
+    else:
+        store = TraceStore.merge([o.store for o in ordered])
     meta = store.meta
     if meta is not None:
         covered = meta.attempts + meta.shed + meta.breaker_skipped

@@ -1,37 +1,47 @@
-"""One shard's end-to-end run.
+"""One shard's run, by either of two mechanisms.
 
-A shard worker rebuilds the **entire** experiment from the shared root
-seed -- full fleet, full calendar, full DDC pass structure -- so that
-every random stream advances exactly as in the sequential run, and
-*materialises* results only for the labs it owns: probes really execute,
-samples are stored and counters tick for owned machines, while foreign
-machines run through the same pass unaccounted (with a stand-in probe
-where skipping the real one is draw-exact).  The merged
-per-shard artefacts are therefore byte-identical to the sequential
-run's; ``docs/sharding.md`` lays out the argument.
+**Full replay** (:func:`run_shard`).  The worker rebuilds the *entire*
+experiment from the shared root seed -- full fleet, full calendar, full
+DDC pass structure -- so that every random stream advances exactly as
+in the sequential run, and *materialises* results only for the labs it
+owns: probes really execute, samples are stored and counters tick for
+owned machines, while foreign machines run through the same pass
+unaccounted (with a stand-in probe where skipping the real one is
+draw-exact).  The merged per-shard artefacts are therefore
+byte-identical to the sequential run's.  Campaigns (which journal and
+checkpoint per shard) and every run on the object pass take this path.
 
-:func:`run_shard` is also the *sequential* runtime: ``shards=1`` is a
-single shard owning every lab, run in-process by
-:func:`repro.experiment.run_experiment` -- and :func:`resume_shard` on
-that shard is the sequential ``resume_from=`` path.
+**Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in
+the parent).  A process-pool run eligible for the columnar pass splits
+the behaviour instead: each worker simulates only its owned machines
+and records their pass inputs at every iteration instant
+(:mod:`repro.shard.gather`); the parent runs the one columnar pass over
+the gathered rows and benchmarks the roster once.
+
+``docs/sharding.md`` lays out both arguments.  :func:`run_shard` is
+also the *sequential* runtime: ``shards=1`` is a single shard owning
+every lab, run in-process by :func:`repro.experiment.run_experiment`
+-- and :func:`resume_shard` on that shard is the sequential
+``resume_from=`` path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.compat import columnar_reason, switches
 from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, TraceFormatError
 from repro.ddc.nbenchprobe import NBenchProbe, parse_nbench_output
 from repro.ddc.postcollect import SamplePostCollector
 from repro.ddc.w32probe import W32Probe
 from repro.faults.plan import FAULT_CATEGORIES, FaultPlan
-from repro.machines.hardware import LabSpec
-from repro.machines.winapi import Win32Api
+from repro.machines.hardware import LabSpec, MachineSpec, build_fleet
 from repro.obs.observer import Observer, maybe_phase
 from repro.obs.snapshot import ObsSnapshot
 from repro.recovery.runtime import (
@@ -40,8 +50,11 @@ from repro.recovery.runtime import (
     RecoveryRuntime,
     fresh_runtime,
 )
+from repro.shard.gather import GatheredPasses, GatheredRows, PassRecorder
 from repro.shard.plan import ShardSpec
+from repro.sim.engine import Simulator
 from repro.sim.fleet import FleetSimulator
+from repro.sim.random import RandomStreams
 from repro.traces.records import StaticInfo, TraceMeta
 from repro.traces.store import TraceStore
 
@@ -50,6 +63,8 @@ __all__ = [
     "ShardOutcome",
     "run_shard",
     "resume_shard",
+    "gather_shard",
+    "collect_gathered",
     "execute_shard_task",
     "attach_nbench_indexes",
 ]
@@ -85,6 +100,10 @@ class ShardTask:
     #: Continue from :attr:`recovery`'s run directory instead of
     #: starting fresh (the lease regrant / campaign-resume path).
     resume: bool = False
+    #: Simulate only the owned labs and record their pass inputs
+    #: (:func:`gather_shard`) instead of replaying the full fleet;
+    #: set for process-pool runs eligible for the columnar pass.
+    gather: bool = False
 
 
 @dataclass
@@ -93,11 +112,13 @@ class ShardOutcome:
 
     The first four fields survive pickling back from a worker process;
     ``fleet`` / ``coordinator`` / ``observer`` are live objects populated
-    only when the shard ran in-process (``shards=1``).
+    only when the shard ran in-process (``shards=1``).  A gathered
+    shard has no store of its own: it returns :attr:`gathered`, which
+    the parent's pass turns into the trace.
     """
 
     shard_index: int
-    store: TraceStore
+    store: Optional[TraceStore]
     faults: Optional[FaultPlan] = None
     snapshot: Optional[ObsSnapshot] = None
     recovery: Optional[RecoveryInfo] = None
@@ -113,6 +134,8 @@ class ShardOutcome:
     #: The configuration the shard ran: the task's, or on a warm resume
     #: the checkpointed one.
     config: Optional[ExperimentConfig] = None
+    #: A gathered shard's recorded pass inputs (:func:`gather_shard`).
+    gathered: Optional[GatheredRows] = None
 
 
 def run_shard(
@@ -234,7 +257,9 @@ def _run_to_horizon(
     last = max(last, meta.iterations_run - 1)
     if task.collect_nbench:
         with maybe_phase(obs, "collect"):
-            attach_nbench_indexes(fleet, meta, owned_labs=owned)
+            attach_nbench_indexes([m.spec for m in fleet.machines],
+                                  fleet.streams.stream("nbench"), meta,
+                                  owned_labs=owned)
     if obs is not None and faults is not None and not faults.empty:
         for category in FAULT_CATEGORIES:
             obs.metrics.counter("faults.injected", category=category).inc(
@@ -360,8 +385,10 @@ def _resolve_kernel(
     Enabling the columnar pass also moves the *behavioural* loop onto
     the exact tick backend; the coordinator reads the fleet's
     write-through mirror via ``fleet.ensure_columns()``.
-    A sharded coordinator is eligible: the pass draws the full roster
-    and materialises only the owned slice.
+    A full-replay shard's coordinator is eligible: the pass draws the
+    full roster and materialises only the owned slice.  A process-pool
+    plan that is eligible never gets here: its workers gather
+    (:func:`gather_shard`) and the parent runs the pass.
     """
     if cfg.kernel == "object":
         return
@@ -381,18 +408,84 @@ def _resolve_kernel(
         _announce_fallback(reason, observer)
 
 
+def gather_shard(task: ShardTask) -> ShardOutcome:
+    """Simulate one shard's own machines and record their pass inputs.
+
+    The worker half of a gathered plan (:mod:`repro.shard.gather`): the
+    fleet builds only the owned labs' machines and agents, on the exact
+    tick backend, and a :class:`~repro.shard.gather.PassRecorder`
+    records the owned powered rows at every iteration instant.  No
+    ``"ddc"`` or ``"nbench"`` draw happens here; the parent makes them
+    all in :func:`collect_gathered`.
+    """
+    cfg = task.config
+    fleet = FleetSimulator(cfg, labs=task.labs,
+                           owned_labs=frozenset(task.shard.labs))
+    recorder = PassRecorder(fleet.ensure_columns(), fleet.sim,
+                            cfg.ddc.sample_period, cfg.horizon)
+    fleet.enable_tick_backend()
+    fleet.start()
+    recorder.start()
+    fleet.sim.run_until(cfg.horizon)
+    return ShardOutcome(
+        shard_index=task.shard.index, store=None, fleet=fleet, config=cfg,
+        gathered=recorder.rows(task.labs, task.collect_nbench),
+    )
+
+
+def collect_gathered(outcomes: Sequence[ShardOutcome]) -> TraceStore:
+    """The parent half of a gathered plan: one pass, then NBench.
+
+    Builds the roster's specs (no machine), merges the shards' rows into
+    roster order and runs the single columnar pass over them on a
+    coordinator of its own -- the same iteration chain, availability
+    draws and ``"ddc"`` stream as the sequential run -- then benchmarks
+    every machine once from the one ``"nbench"`` stream.  ``outcomes``
+    are ordered by shard index.
+    """
+    cfg = outcomes[0].config
+    first = outcomes[0].gathered
+    specs = build_fleet(first.labs)
+    passes = GatheredPasses(specs, [o.gathered for o in outcomes])
+    meta = TraceMeta(n_machines=len(specs),
+                     sample_period=cfg.ddc.sample_period,
+                     horizon=cfg.horizon)
+    store = TraceStore(meta)
+    streams = RandomStreams(cfg.seed)
+    sim = Simulator()
+    coordinator = DdcCoordinator(
+        (), sim, cfg.ddc, W32Probe(), SamplePostCollector(store),
+        streams.stream("ddc"), horizon=cfg.horizon,
+    )
+    coordinator.enable_columnar(passes)
+    coordinator.start()
+    sim.run_until(cfg.horizon)
+    if coordinator.iterations_scheduled != passes.n_passes:
+        raise TraceFormatError(
+            f"the workers recorded {passes.n_passes} passes but the "
+            f"parent scheduled {coordinator.iterations_scheduled}"
+        )
+    coordinator.finalize_meta(meta)
+    if first.collect_nbench:
+        attach_nbench_indexes(specs, streams.stream("nbench"), meta)
+    return store
+
+
 def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
     """Run (or resume) one shard task and slim the outcome for pickling.
 
     The single worker-process entry point behind both the plain pool
-    and the campaign worker loop: builds the worker-side observer when the task
+    and the campaign worker loop: routes ``task.gather`` through
+    :func:`gather_shard`, builds the worker-side observer when the task
     asks for instrumentation, routes ``task.resume`` through
     :func:`resume_shard` (where the observer comes from the checkpoint),
     snapshots the metrics and drops the live objects so the outcome
     crosses the process boundary.
     """
     observer = Observer() if task.instrument else None
-    if task.resume:
+    if task.gather:
+        outcome = gather_shard(task)
+    elif task.resume:
         outcome = resume_shard(task, observer=observer, control=control)
     else:
         runtime = (fresh_runtime(task.recovery)
@@ -417,7 +510,8 @@ def _run_shard_task(task: ShardTask) -> ShardOutcome:
 
 
 def attach_nbench_indexes(
-    fleet: FleetSimulator,
+    specs: Sequence[MachineSpec],
+    rng: np.random.Generator,
     meta: TraceMeta,
     owned_labs: Optional[frozenset] = None,
 ) -> None:
@@ -425,15 +519,15 @@ def attach_nbench_indexes(
 
     The authors collected the indexes in a dedicated NBench-probe pass
     (section 4.1); availability over 77 days guarantees each machine was
-    eventually benchmarked, so we benchmark the full roster.  A shard
-    worker still *runs* the probe on every machine -- the ``nbench``
+    eventually benchmarked, so we benchmark the full roster ``specs``,
+    in roster order, from the ``"nbench"`` stream ``rng``.  A
+    full-replay shard still *runs* the probe on every machine -- the
     stream must advance identically everywhere -- but records indexes
     only for machines in ``owned_labs``.
     """
-    probe = NBenchProbe(fleet.streams.stream("nbench"))
-    for machine in fleet.machines:
-        result = probe.run(Win32Api(machine), fleet.sim.now)
-        spec = machine.spec
+    probe = NBenchProbe(rng)
+    for spec in specs:
+        result = probe.benchmark(spec)
         if owned_labs is not None and spec.lab not in owned_labs:
             continue  # draws consumed; the owning shard records the index
         report = parse_nbench_output(result.stdout)

@@ -281,6 +281,13 @@ class FleetSimulator:
         for spans, and given to every agent (per-lab session-start and
         power-transition counters).  Absent or disabled observers cost
         nothing.
+    owned_labs:
+        Build machines and agents only for these labs (a gathered shard
+        worker, :mod:`repro.shard.gather`); ``None`` builds the whole
+        fleet.  :attr:`specs`, the calendar and every lab's demand
+        still cover the full catalog, so machine ids and every random
+        stream are the full fleet's: an agent draws only from its own
+        ``agent/<hostname>`` stream and touches only its own machine.
 
     Examples
     --------
@@ -300,6 +307,7 @@ class FleetSimulator:
         power_factory: Optional[Callable[["FleetSimulator"], PowerPolicy]] = None,
         workload_factory: Optional[Callable[["FleetSimulator"], WorkloadModel]] = None,
         observer: Optional["Observer"] = None,
+        owned_labs: Optional[frozenset] = None,
     ):
         self.config = config
         self.streams = RandomStreams(config.seed)
@@ -350,6 +358,8 @@ class FleetSimulator:
             for lab in labs
         }
         for spec in self.specs:
+            if owned_labs is not None and spec.lab not in owned_labs:
+                continue
             disk = SmartDisk.with_history(
                 spec.disk_serial,
                 spec.disk_bytes,

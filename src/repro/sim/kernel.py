@@ -36,16 +36,17 @@ argument in full.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
 from repro.traces.records import StaticInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.machines.hardware import MachineSpec
     from repro.machines.machine import SimMachine
 
-__all__ = ["FleetColumns", "round3"]
+__all__ = ["PASS_INPUTS", "RosterColumns", "FleetColumns", "round3"]
 
 
 def round3(values: np.ndarray) -> np.ndarray:
@@ -74,7 +75,62 @@ def round3(values: np.ndarray) -> np.ndarray:
     return out
 
 
-class FleetColumns:
+#: The dynamic :class:`FleetColumns` fields the probing pass reads for
+#: each powered machine, besides its username: what :meth:`FleetColumns
+#: .gather` returns, and what a gathered shard worker ships per pass.
+PASS_INPUTS = (
+    "last_update", "boot_time", "boot_time_r3", "idle_acc", "busy_frac",
+    "mem_load", "swap_load", "disk_used", "cycles", "poh_base_s",
+    "on_since", "sent_acc", "recv_acc", "sent_bps", "recv_bps",
+    "has_session", "session_start_r3",
+)
+
+
+class RosterColumns:
+    """Static per-slot identity of a roster, built from its specs alone.
+
+    The part of the pass's inputs that never changes: what the parent of
+    a gathered shard plan (:class:`~repro.shard.gather.GatheredPasses`)
+    knows without building a single machine.  Arrays are indexed by
+    roster position.
+    """
+
+    def __init__(self, specs: Sequence["MachineSpec"]):
+        self.n = len(specs)
+        self.specs = list(specs)
+        self.machine_id = np.array(
+            [s.machine_id for s in specs], dtype=np.int32
+        )
+        self.hostnames: List[str] = [s.hostname for s in specs]
+        self.labs: List[str] = [s.lab for s in specs]
+        self.disk_total = np.array(
+            [s.disk_bytes for s in specs], dtype=np.int64
+        )
+        self.total_page = np.array(
+            [s.swap_bytes for s in specs], dtype=np.int64
+        ).astype(np.float64)
+
+    def static_info(self, i: int) -> StaticInfo:
+        """The per-machine static record, exactly as the post-collector
+        would register it from a parsed W32Probe report (including the
+        ``%.0f`` round-trip of the CPU clock)."""
+        spec = self.specs[i]
+        return StaticInfo(
+            machine_id=spec.machine_id,
+            hostname=spec.hostname,
+            lab=spec.lab,
+            cpu_name=spec.cpu.model,
+            cpu_mhz=float(f"{spec.cpu.mhz:.0f}"),
+            os_name=spec.os_name,
+            ram_mb=spec.ram_mb,
+            swap_mb=spec.swap_mb,
+            disk_serial=spec.disk_serial,
+            disk_total_b=spec.disk_bytes,
+            mac=spec.mac,
+        )
+
+
+class FleetColumns(RosterColumns):
     """Fleet-wide arrays mirroring every machine's dynamic state.
 
     Constructing the mirror attaches it to each machine (via
@@ -96,21 +152,8 @@ class FleetColumns:
     """
 
     def __init__(self, machines: Sequence["SimMachine"]):
-        n = len(machines)
-        self.n = n
-        # static identity (per roster slot)
-        self.specs = [m.spec for m in machines]
-        self.machine_id = np.array(
-            [m.spec.machine_id for m in machines], dtype=np.int32
-        )
-        self.hostnames: List[str] = [m.spec.hostname for m in machines]
-        self.labs: List[str] = [m.spec.lab for m in machines]
-        self.disk_total = np.array(
-            [m.spec.disk_bytes for m in machines], dtype=np.int64
-        )
-        self.total_page = np.array(
-            [m.spec.swap_bytes for m in machines], dtype=np.int64
-        ).astype(np.float64)
+        super().__init__([m.spec for m in machines])
+        n = self.n
         # dynamic mirror (write-through from SimMachine mutators)
         self.powered = np.zeros(n, dtype=bool)
         self.boot_time = np.zeros(n)
@@ -134,21 +177,24 @@ class FleetColumns:
         for i, machine in enumerate(machines):
             machine.attach_columns(self, i)
 
-    def static_info(self, i: int) -> StaticInfo:
-        """The per-machine static record, exactly as the post-collector
-        would register it from a parsed W32Probe report (including the
-        ``%.0f`` round-trip of the CPU clock)."""
-        spec = self.specs[i]
-        return StaticInfo(
-            machine_id=spec.machine_id,
-            hostname=spec.hostname,
-            lab=spec.lab,
-            cpu_name=spec.cpu.model,
-            cpu_mhz=float(f"{spec.cpu.mhz:.0f}"),
-            os_name=spec.os_name,
-            ram_mb=spec.ram_mb,
-            swap_mb=spec.swap_mb,
-            disk_serial=spec.disk_serial,
-            disk_total_b=spec.disk_bytes,
-            mac=spec.mac,
-        )
+    def gather(self, idx: np.ndarray) -> Dict[str, object]:
+        """The gather step of the probing pass: the :data:`PASS_INPUTS`
+        of the machines at roster positions ``idx``, plus ``username``
+        (empty without a session), as of this instant."""
+        rows: Dict[str, object] = {
+            name: getattr(self, name)[idx] for name in PASS_INPUTS
+        }
+        unames = self.usernames
+        rows["username"] = [
+            unames[j] if h else ""
+            for j, h in zip(idx.tolist(), rows["has_session"].tolist())
+        ]
+        return rows
+
+    def pass_inputs(self, k: int, owned: np.ndarray):
+        """``(on, rows)`` for the pass at this instant: the roster
+        positions of every powered machine, and the gathered inputs of
+        those in the ``owned`` mask.  ``k`` is unused: the live mirror
+        always holds the current instant."""
+        on = np.flatnonzero(self.powered)
+        return on, self.gather(on[owned[on]])
