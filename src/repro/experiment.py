@@ -13,7 +13,8 @@ pass to collect the per-machine performance indexes.
 True
 
 A paper-scale run is ``run_experiment(paper_config())`` -- 77 days, 169
-machines, ~580k samples, a few tens of seconds of wall time.
+machines, ~600k samples, a few seconds of wall time on the default
+columnar kernel.
 """
 
 from __future__ import annotations
@@ -226,10 +227,13 @@ def run_experiment(
         pipeline: ``shards=1`` runs the single all-labs shard in-process
         (the classic sequential run, byte for byte), ``shards>1`` fans
         the plan out over worker processes and merges a trace
-        byte-identical to the sequential one.  On the columnar pass the
-        pool's workers simulate only their own labs and this process
-        runs the one probing pass (``docs/sharding.md``).  Combined with
-        ``recovery`` the fan-out becomes a *campaign*: each shard
+        byte-identical to the sequential one.  Without ``recovery``, a
+        run that takes the columnar pass has its workers -- pool,
+        ``supervise`` or ``net`` alike -- simulate only their own labs,
+        and this process runs the one probing pass and NBench
+        (``docs/sharding.md``); otherwise every worker replays the full
+        fleet.  Combined with ``recovery`` the fan-out becomes a
+        *campaign*: each shard
         journals and checkpoints into its own ``<run_dir>/shard-<k>/``
         namespace under a shared campaign manifest, a dead worker's
         shard is regranted and resumes from its *own* checkpoint while
@@ -246,7 +250,10 @@ def run_experiment(
         the default :class:`~repro.shard.coordinator.CampaignPolicy` or
         a policy instance to tune deadlines and regrant budgets.
         Implied whenever ``recovery`` or a campaign ``resume_from`` is
-        combined with ``shards>1``.
+        combined with ``shards>1``.  Without ``recovery`` its workers
+        gather on the columnar pass, heartbeating and taking steering
+        at every recorded instant; a dead worker's shard re-runs from
+        scratch.
     net:
         Run the campaign coordinator with **TCP** workers
         (:mod:`repro.shard.net`) instead of forked ones: the campaign
@@ -254,8 +261,11 @@ def run_experiment(
         (spawned locally with ``net.spawn_workers``, or externally via
         ``repro worker``).  Liveness, bounded regrant, steering,
         manifest mirroring and resume-from-checkpoint over reconnect
-        work exactly as for forked workers; ``net.policy`` defaults to
-        completing degraded when a shard is lost.  With ``recovery``
+        work exactly as for forked workers, and without ``recovery``
+        they gather on the columnar pass as forked workers do;
+        ``net.policy`` defaults to completing degraded when a shard is
+        lost (a gathered campaign re-simulates the lost labs here for
+        its one pass and keeps the survivors' rows).  With ``recovery``
         the run is a full campaign directory.  Mutually exclusive with
         ``supervise``, ``fleet_factory`` and ``resume_from``; requires
         ``shards >= 2``.  See ``docs/distributed.md``.
@@ -322,7 +332,13 @@ def run_experiment(
             runtime=runtime))
     plan = ShardPlan.build(labs, n_shards)
     instrument = observer is not None and observer.enabled
-    tasks = [dataclasses.replace(single, shard=spec, instrument=instrument)
+    # Without recovery, a plan that takes the columnar pass gathers on
+    # every worker source: workers simulate only their own labs and this
+    # process runs the pass (repro.shard.gather).
+    gather = (recovery is None and cfg.kernel != "object"
+              and compat.columnar_reason(on) is None)
+    tasks = [dataclasses.replace(single, shard=spec, instrument=instrument,
+                                 gather=gather)
              for spec in plan.specs]
     manifest = None
     if recovery is not None:
@@ -338,10 +354,6 @@ def run_experiment(
             cfg, plan, tasks, supervise=supervise, net=net,
             run_dir=recovery.run_dir if recovery is not None else None,
             manifest=manifest, observer=observer)
-    if cfg.kernel != "object" and compat.columnar_reason(on) is None:
-        # The pool run takes the columnar pass: workers simulate only
-        # their own labs and the parent runs the pass (repro.shard.gather).
-        tasks = [dataclasses.replace(t, gather=True) for t in tasks]
     with ProcessPoolExecutor(max_workers=n_shards) as pool:
         futures = [pool.submit(_run_shard_task, task) for task in tasks]
         outcomes = []

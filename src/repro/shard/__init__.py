@@ -5,9 +5,12 @@ outcomes merge into a trace byte-identical to the sequential run:
 
 - :mod:`repro.shard.plan` partitions the lab catalog into
   machine-balanced, lab-aligned shards;
-- :mod:`repro.shard.worker` runs one shard: a full fleet replica whose
-  DDC coordinator materialises probes only for the shard's own labs;
-- :mod:`repro.shard.merge` recombines the per-shard stores, metas and
+- :mod:`repro.shard.worker` runs one shard: without recovery on the
+  columnar pass, only the shard's own labs, recording their pass inputs
+  for the parent's one pass (:mod:`repro.shard.gather`); otherwise a
+  full fleet replica whose DDC coordinator materialises probes only for
+  the shard's own labs;
+- :mod:`repro.shard.merge` recombines the per-shard outcomes, metas and
   observability snapshots deterministically;
 - :mod:`repro.shard.coordinator` is the campaign control plane: one
   coordinator leases shards to workers it forks itself (``supervise=``,

@@ -1,17 +1,20 @@
 """Gathered shard runs: workers split the behaviour, the parent probes.
 
-A process-pool shard whose run takes the columnar pass does not replay
-the whole roster.  Its worker builds and simulates only the machines of
-the labs it owns -- every spec, the calendar and every lab's demand are
-still built, so machine ids and random streams are the full fleet's --
-and a :class:`PassRecorder` notes, at every iteration instant, which
-owned machines are powered and the pass inputs of those
-(:meth:`~repro.sim.kernel.FleetColumns.gather`), shipping a machine's
-inputs again only when they changed.  The parent merges the
-shards' recordings into roster order (:class:`GatheredPasses`) and runs
-the single sequential columnar pass over them: the availability draw,
-the ``"ddc"`` latency draws and the cumsum cursor chain of the
-sequential run, emitting its rows in its order, with no sort.
+A shard of a run that takes the columnar pass without ``recovery=`` --
+on the process pool or in a ``supervise=`` or ``net=`` campaign -- does
+not replay the whole roster.  Its worker builds and simulates only the
+machines of the labs it owns -- every spec, the calendar and every
+lab's demand are still built, so machine ids and random streams are
+the full fleet's -- and a :class:`PassRecorder` notes, at every
+iteration instant, which owned machines are powered and the pass
+inputs of those (:meth:`~repro.sim.kernel.FleetColumns.gather`),
+shipping a machine's inputs again only when they changed.  In a
+campaign the recorder also drives the worker's steering endpoint, one
+heartbeat per recorded instant.  The parent merges the shards'
+recordings into roster order (:class:`GatheredPasses`) and runs the
+single sequential columnar pass over them: the availability draw, the
+``"ddc"`` latency draws and the cumsum cursor chain of the sequential
+run, emitting its rows in its order, with no sort.
 
 Why this is exact: an agent draws only from its own
 ``agent/<hostname>`` stream and touches only its own machine, so owned
@@ -22,7 +25,10 @@ and its owner records that.  The recorder's chain is scheduled where
 0 and advances on the same ``origin + (k+1) * period < horizon`` grid,
 so each record fires after that instant's behaviour batch and sweep,
 exactly where the pass reads the mirror.  It records every instant,
-including those the parent's availability draw then loses.
+including those the parent's availability draw then loses.  For the
+same reason a campaign that loses a shard for good cannot pass over its
+survivors alone: the parent re-simulates the lost labs and keeps only
+the survivors' rows (:func:`repro.shard.merge.merge_degraded`).
 
 ``docs/sharding.md`` describes when a shard plan takes this path and
 when its workers replay the full fleet instead.
@@ -85,14 +91,20 @@ class PassRecorder:
         sweep, as the coordinator's iteration does.
     period / horizon:
         The DDC sampling period and the run's end.
+    control:
+        A campaign worker's steering endpoint, or ``None``; its
+        ``on_iteration(k, t, True)`` runs after each record, where a
+        full-replay worker's coordinator calls it after each iteration
+        (heartbeats out, PAUSE/RESUME/STOP and revocation in).
     """
 
     def __init__(self, cols: FleetColumns, sim: Simulator, period: float,
-                 horizon: float):
+                 horizon: float, control=None):
         self.cols = cols
         self.sim = sim
         self.period = float(period)
         self.horizon = float(horizon)
+        self.control = control
         self._origin = 0.0
         self._powered: List[np.ndarray] = []
         # seeded with an empty slice, so dtypes survive a shard that
@@ -120,6 +132,8 @@ class PassRecorder:
         nxt = self._origin + (k + 1) * self.period
         if nxt < self.horizon:
             self.sim.schedule(nxt, self._record, k + 1, name="gather")
+        if self.control is not None:
+            self.control.on_iteration(k, start, True)
 
     def rows(self, labs: Sequence[LabSpec],
              collect_nbench: bool) -> GatheredRows:
@@ -231,12 +245,15 @@ class GatheredPasses(RosterColumns):
 
     def pass_inputs(self, k: int, owned: np.ndarray):
         """``(on, rows)`` for pass ``k``, as :meth:`~repro.sim.kernel
-        .FleetColumns.pass_inputs` reads them off the live mirror; the
-        parent owns every machine, so ``owned`` is unused."""
+        .FleetColumns.pass_inputs` reads them off the live mirror: the
+        roster positions of every powered machine, and the inputs of
+        those in the ``owned`` mask (every machine, unless a degraded
+        campaign's pass keeps only its surviving shards' rows)."""
         a, b = self._offsets[k], self._offsets[k + 1]
-        src = self._source[a:b]
+        on = self._on[a:b]
+        src = self._source[a:b][owned[on]]
         rows: Dict[str, object] = {
             name: col[src] for name, col in self._fields.items()
         }
         rows["username"] = self._usernames[src].tolist()
-        return self._on[a:b], rows
+        return on, rows

@@ -6,10 +6,14 @@ silently different trace:
 - **samples** -- :meth:`repro.traces.store.TraceStore.merge` re-sorts
   the disjoint per-shard stores by ``(iteration, machine_id)``, which is
   exactly the sequential roster order, and refuses overlapping machines
-  or disagreeing metas.  Gathered shards (:mod:`repro.shard.gather`)
-  have no stores: their recorded pass inputs go through the one
-  columnar pass (:func:`repro.shard.worker.collect_gathered`), which
-  emits the rows in roster order;
+  or disagreeing metas.  Gathered shards (:mod:`repro.shard.gather`;
+  every fan-out without recovery that takes the columnar pass) have no
+  stores: their recorded pass inputs go through the one columnar pass
+  (:func:`repro.shard.worker.collect_gathered`), which emits the rows in
+  roster order.  When a gathered campaign lost shards for good, that
+  pass still needs their machines' powered states, so
+  :func:`merge_degraded` re-simulates the lost labs here and keeps only
+  the survivors' rows;
 - **fault ledger** -- every shard replays the *full* fault plan (hooks
   see the whole fleet), so the per-shard injection ledgers must be
   identical; any disagreement means the shards diverged and is raised;
@@ -32,7 +36,13 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import TraceFormatError
 from repro.faults.plan import FaultPlan
 from repro.obs.snapshot import ObsSnapshot
-from repro.shard.worker import ShardOutcome, collect_gathered
+from repro.shard.plan import ShardSpec
+from repro.shard.worker import (
+    ShardOutcome,
+    ShardTask,
+    collect_gathered,
+    gather_shard,
+)
 from repro.traces.store import TraceStore
 
 __all__ = ["SUM_METRICS", "MAX_GAUGES", "merge_outcomes",
@@ -59,8 +69,14 @@ MAX_GAUGES = frozenset({"experiment.phase_seconds"})
 
 def merge_outcomes(
     outcomes: Sequence[ShardOutcome],
+    *,
+    lost: Sequence[ShardSpec] = (),
 ) -> Tuple[TraceStore, Optional[FaultPlan], Optional[ObsSnapshot]]:
     """Merge shard outcomes into ``(store, faults, snapshot)``.
+
+    ``lost`` names the shards of the plan that ``outcomes`` lacks
+    because a campaign lost them for good (:func:`merge_degraded`);
+    gathered outcomes re-simulate them for the pass.
 
     Raises
     ------
@@ -74,7 +90,7 @@ def merge_outcomes(
     ordered = sorted(outcomes, key=lambda o: o.shard_index)
     gathered = sum(o.gathered is not None for o in ordered)
     if gathered == len(ordered):
-        store = collect_gathered(ordered)
+        store = _collect_gathered(ordered, lost)
     elif gathered:
         raise TraceFormatError(
             "some shards gathered pass inputs and some collected traces; "
@@ -96,6 +112,33 @@ def merge_outcomes(
     faults = _merge_faults(ordered)
     snapshot = _merge_snapshots(ordered)
     return store, faults, snapshot
+
+
+def _collect_gathered(ordered: Sequence[ShardOutcome],
+                      lost: Sequence[ShardSpec]) -> TraceStore:
+    """The one pass over gathered shards, with the survivors' rows only
+    when the plan lost shards.
+
+    The pass needs every machine's powered state, so each lost shard's
+    labs are simulated again here, as a full-replay worker simulates
+    every foreign lab; the pass and NBench then keep the labs the
+    survivors own.
+    """
+    if not lost:
+        return collect_gathered(ordered)
+    first = ordered[0]
+    labs = first.gathered.labs
+    stand_ins = [
+        gather_shard(ShardTask(config=first.config, shard=spec, labs=labs,
+                               collect_nbench=first.gathered.collect_nbench,
+                               gather=True))
+        for spec in lost
+    ]
+    lost_labs = {name for spec in lost for name in spec.labs}
+    return collect_gathered(
+        sorted([*ordered, *stand_ins], key=lambda o: o.shard_index),
+        owned_labs=frozenset(lab.name for lab in labs) - lost_labs,
+    )
 
 
 def _merge_faults(ordered: Sequence[ShardOutcome]) -> Optional[FaultPlan]:
@@ -175,8 +218,12 @@ def merge_degraded(
     surviving outcomes merge under exactly the strict rules of
     :func:`merge_outcomes` -- the accounting identity still holds over
     the survivors because the merged meta's ``n_machines`` sums only
-    *their* rosters.  The returned :class:`DegradedMergeInfo` makes the
-    exclusion explicit; it is never inferred from a shorter trace.
+    *their* rosters.  Gathered survivors cannot pass over their own
+    rows alone: the lost shards' labs are re-simulated in this process
+    and the one pass keeps the survivors' rows, byte-identical to what
+    full-replay survivors would have merged.  The returned
+    :class:`DegradedMergeInfo` makes the exclusion explicit; it is never
+    inferred from a shorter trace.
 
     Raises
     ------
@@ -210,7 +257,8 @@ def merge_degraded(
             "degraded merge with zero surviving shards: an empty "
             "campaign has no result"
         )
-    store, faults, snapshot = merge_outcomes(survivors)
+    store, faults, snapshot = merge_outcomes(
+        survivors, lost=[s for s in specs if s.index in lost])
     info = DegradedMergeInfo(
         lost_shards=tuple(lost),
         machines_lost=sum(s.n_machines for s in specs

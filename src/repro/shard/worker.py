@@ -1,5 +1,15 @@
 """One shard's run, by either of two mechanisms.
 
+**Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in
+the parent).  Every fan-out without ``recovery=`` that takes the
+columnar pass -- the process pool, a ``supervise=`` campaign on forked
+workers or a ``net=`` campaign on TCP workers -- splits the behaviour:
+each worker simulates only its owned machines and records their pass
+inputs at every iteration instant (:mod:`repro.shard.gather`),
+heartbeating and honouring steering at each record when it runs in a
+campaign; the parent runs the one columnar pass over the gathered rows
+and benchmarks the roster once.
+
 **Full replay** (:func:`run_shard`).  The worker rebuilds the *entire*
 experiment from the shared root seed -- full fleet, full calendar, full
 DDC pass structure -- so that every random stream advances exactly as
@@ -8,15 +18,9 @@ owns: probes really execute, samples are stored and counters tick for
 owned machines, while foreign machines run through the same pass
 unaccounted (with a stand-in probe where skipping the real one is
 draw-exact).  The merged per-shard artefacts are therefore
-byte-identical to the sequential run's.  Campaigns (which journal and
-checkpoint per shard) and every run on the object pass take this path.
-
-**Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in
-the parent).  A process-pool run eligible for the columnar pass splits
-the behaviour instead: each worker simulates only its owned machines
-and records their pass inputs at every iteration instant
-(:mod:`repro.shard.gather`); the parent runs the one columnar pass over
-the gathered rows and benchmarks the roster once.
+byte-identical to the sequential run's.  Recovery campaigns (which
+journal and checkpoint per shard) and every run on the object pass take
+this path.
 
 ``docs/sharding.md`` lays out both arguments.  :func:`run_shard` is
 also the *sequential* runtime: ``shards=1`` is a single shard owning
@@ -101,8 +105,8 @@ class ShardTask:
     #: starting fresh (the lease regrant / campaign-resume path).
     resume: bool = False
     #: Simulate only the owned labs and record their pass inputs
-    #: (:func:`gather_shard`) instead of replaying the full fleet;
-    #: set for process-pool runs eligible for the columnar pass.
+    #: (:func:`gather_shard`) instead of replaying the full fleet; set
+    #: for every fan-out without recovery eligible for the columnar pass.
     gather: bool = False
 
 
@@ -386,8 +390,8 @@ def _resolve_kernel(
     the exact tick backend; the coordinator reads the fleet's
     write-through mirror via ``fleet.ensure_columns()``.
     A full-replay shard's coordinator is eligible: the pass draws the
-    full roster and materialises only the owned slice.  A process-pool
-    plan that is eligible never gets here: its workers gather
+    full roster and materialises only the owned slice.  A plan without
+    recovery that is eligible never gets here: its workers gather
     (:func:`gather_shard`) and the parent runs the pass.
     """
     if cfg.kernel == "object":
@@ -408,7 +412,7 @@ def _resolve_kernel(
         _announce_fallback(reason, observer)
 
 
-def gather_shard(task: ShardTask) -> ShardOutcome:
+def gather_shard(task: ShardTask, *, control=None) -> ShardOutcome:
     """Simulate one shard's own machines and record their pass inputs.
 
     The worker half of a gathered plan (:mod:`repro.shard.gather`): the
@@ -416,24 +420,36 @@ def gather_shard(task: ShardTask) -> ShardOutcome:
     tick backend, and a :class:`~repro.shard.gather.PassRecorder`
     records the owned powered rows at every iteration instant.  No
     ``"ddc"`` or ``"nbench"`` draw happens here; the parent makes them
-    all in :func:`collect_gathered`.
+    all in :func:`collect_gathered`.  ``control`` is a campaign
+    worker's steering endpoint, driven after each record as
+    :func:`run_shard` drives it after each iteration; a worker that
+    honoured STOP returns a ``stopped`` outcome with nothing gathered.
     """
     cfg = task.config
     fleet = FleetSimulator(cfg, labs=task.labs,
                            owned_labs=frozenset(task.shard.labs))
     recorder = PassRecorder(fleet.ensure_columns(), fleet.sim,
-                            cfg.ddc.sample_period, cfg.horizon)
+                            cfg.ddc.sample_period, cfg.horizon,
+                            control=control)
     fleet.enable_tick_backend()
+    if control is not None:
+        control.bind(fleet.sim)
     fleet.start()
     recorder.start()
     fleet.sim.run_until(cfg.horizon)
-    return ShardOutcome(
-        shard_index=task.shard.index, store=None, fleet=fleet, config=cfg,
-        gathered=recorder.rows(task.labs, task.collect_nbench),
-    )
+    outcome = ShardOutcome(shard_index=task.shard.index, store=None,
+                           fleet=fleet, config=cfg)
+    if control is not None and control.stopped:
+        outcome.stopped = True
+        outcome.last_iteration = control.last_iteration
+        return outcome
+    outcome.gathered = recorder.rows(task.labs, task.collect_nbench)
+    outcome.last_iteration = len(outcome.gathered.powered) - 1
+    return outcome
 
 
-def collect_gathered(outcomes: Sequence[ShardOutcome]) -> TraceStore:
+def collect_gathered(outcomes: Sequence[ShardOutcome],
+                     owned_labs: Optional[frozenset] = None) -> TraceStore:
     """The parent half of a gathered plan: one pass, then NBench.
 
     Builds the roster's specs (no machine), merges the shards' rows into
@@ -441,13 +457,17 @@ def collect_gathered(outcomes: Sequence[ShardOutcome]) -> TraceStore:
     coordinator of its own -- the same iteration chain, availability
     draws and ``"ddc"`` stream as the sequential run -- then benchmarks
     every machine once from the one ``"nbench"`` stream.  ``outcomes``
-    are ordered by shard index.
+    are ordered by shard index.  ``owned_labs`` restricts the trace to
+    those labs' machines, as a full-replay shard owning them would
+    (a degraded campaign's survivors); the pass still reads every
+    shard's powered state.
     """
     cfg = outcomes[0].config
     first = outcomes[0].gathered
     specs = build_fleet(first.labs)
     passes = GatheredPasses(specs, [o.gathered for o in outcomes])
-    meta = TraceMeta(n_machines=len(specs),
+    meta = TraceMeta(n_machines=(len(specs) if owned_labs is None else
+                                 sum(s.lab in owned_labs for s in specs)),
                      sample_period=cfg.ddc.sample_period,
                      horizon=cfg.horizon)
     store = TraceStore(meta)
@@ -455,7 +475,7 @@ def collect_gathered(outcomes: Sequence[ShardOutcome]) -> TraceStore:
     sim = Simulator()
     coordinator = DdcCoordinator(
         (), sim, cfg.ddc, W32Probe(), SamplePostCollector(store),
-        streams.stream("ddc"), horizon=cfg.horizon,
+        streams.stream("ddc"), horizon=cfg.horizon, owned_labs=owned_labs,
     )
     coordinator.enable_columnar(passes)
     coordinator.start()
@@ -467,7 +487,8 @@ def collect_gathered(outcomes: Sequence[ShardOutcome]) -> TraceStore:
         )
     coordinator.finalize_meta(meta)
     if first.collect_nbench:
-        attach_nbench_indexes(specs, streams.stream("nbench"), meta)
+        attach_nbench_indexes(specs, streams.stream("nbench"), meta,
+                              owned_labs=owned_labs)
     return store
 
 
@@ -476,15 +497,16 @@ def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
 
     The single worker-process entry point behind both the plain pool
     and the campaign worker loop: routes ``task.gather`` through
-    :func:`gather_shard`, builds the worker-side observer when the task
-    asks for instrumentation, routes ``task.resume`` through
-    :func:`resume_shard` (where the observer comes from the checkpoint),
-    snapshots the metrics and drops the live objects so the outcome
-    crosses the process boundary.
+    :func:`gather_shard` (with the campaign's ``control``, if any),
+    builds the worker-side observer when the task asks for
+    instrumentation, routes ``task.resume`` through :func:`resume_shard`
+    (where the observer comes from the checkpoint), snapshots the
+    metrics and drops the live objects so the outcome crosses the
+    process boundary.
     """
     observer = Observer() if task.instrument else None
     if task.gather:
-        outcome = gather_shard(task)
+        outcome = gather_shard(task, control=control)
     elif task.resume:
         outcome = resume_shard(task, observer=observer, control=control)
     else:

@@ -6,7 +6,9 @@ DDC coordinator, user behaviour processes) schedule callbacks; state is
 mutated only inside callbacks, so between any two events the world is
 piecewise-constant.  Cumulative quantities (CPU idle-thread time, NIC byte
 counters, SMART power-on hours) are therefore closed-form integrals between
-events, which is what makes a 77-day x 169-machine run cheap (~10^6 events).
+events, which is what makes a 77-day x 169-machine run cheap: at seed
+2005 it fires 210,158 behavioural events plus about 15 thousand
+iteration, btick and sweep events.
 
 Design notes
 ------------

@@ -1,30 +1,46 @@
 """Gathered shard runs equal the sequential run, and replay nothing.
 
-A process-pool run eligible for the columnar pass splits the behaviour:
-each worker simulates only its own labs and records their pass inputs,
-and the parent runs the one columnar pass and NBench
-(``repro.shard.gather``).  These tests pin that the result is the
-sequential run's, seed after seed, and that no worker replays a foreign
-machine or draws a stream the parent owns.
+Every fan-out without recovery that takes the columnar pass -- the
+process pool, a ``supervise=`` campaign on forked workers and a ``net=``
+campaign on TCP workers -- splits the behaviour: each worker simulates
+only its own labs and records their pass inputs, and the parent runs
+the one columnar pass and NBench (``repro.shard.gather``).  These tests
+pin that the result is the sequential run's, seed after seed, that no
+worker replays a foreign machine or draws a stream the parent owns,
+that gathered campaign workers heartbeat and obey steering, and that a
+gathered campaign which loses a shard settles like a full-replay one.
 
-CI's ``fleet-scale`` job runs :func:`mismatching_seeds` over 24 seeds.
+CI's ``fleet-scale`` job runs :func:`mismatching_seeds` over 24 seeds,
+on the pool and under ``supervise=True``.
 """
 
 import dataclasses
+import functools
 import math
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import DdcParams, ExperimentConfig
 from repro.ddc.nbenchprobe import NBenchProbe
-from repro.errors import TraceFormatError
-from repro.experiment import run_experiment
+from repro.errors import CampaignStopped, NetworkError, TraceFormatError
+from repro.experiment import MonitoringResult, run_experiment
+from repro.faults.network import NetworkFaultPlan, ShardHolderDrop
 from repro.machines.hardware import TABLE1_LABS
+from repro.obs import health
 from repro.recovery.crashtest import result_fingerprint
-from repro.shard.merge import merge_outcomes
+from repro.recovery.runtime import RecoveryConfig
+from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
+from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
+from repro.shard.net.config import NetConfig
+from repro.shard.net.framing import FramedChannel
+from repro.shard.net.protocol import Command, Heartbeat
+from repro.shard.net.worker import NetWorkerControl, NetWorkerPolicy
 from repro.shard.plan import ShardPlan
-from repro.shard.worker import ShardTask, gather_shard
+from repro.shard.worker import ShardTask, gather_shard, run_shard
 from repro.sim.calendar import DAY, HOUR, AcademicCalendar
 
 #: Seeds of the tier-1 sweep; 900101 is a seed where a behavioural event
@@ -34,19 +50,41 @@ SWEEP_SEEDS = (2005, 200501, 900101)
 #: A week from Monday 00:00: it crosses the Friday-night 04:00 closing
 #: and the Saturday 21:00 closing.
 SWEEP_DAYS = 7
+#: Instants a gathered worker records over the sweep's week.
+SWEEP_INSTANTS = SWEEP_DAYS * 96
+#: Fast reconnects, so a TCP campaign's spawned workers attach at once.
+FAST_WORKERS = NetWorkerPolicy(connect_attempts=40, backoff_base=0.02,
+                               backoff_cap=0.2)
 
 
 def sweep_config(seed: int) -> ExperimentConfig:
     return ExperimentConfig(days=SWEEP_DAYS, seed=seed)
 
 
-def mismatching_seeds(seeds, shards: int = 2):
+@functools.lru_cache(maxsize=None)
+def sequential_fingerprint(seed: int) -> str:
+    return result_fingerprint(run_experiment(sweep_config(seed)))
+
+
+def mismatching_seeds(seeds, shards: int = 2, **fanout):
     """Seeds whose ``shards``-shard fingerprint differs from the
-    sequential run's, under the default kernel."""
+    sequential run's, under the default kernel; ``fanout`` picks the
+    worker source (``supervise=True`` or ``net=...``; the pool when
+    empty)."""
     return [seed for seed in seeds
             if result_fingerprint(run_experiment(sweep_config(seed),
-                                                 shards=shards))
-            != result_fingerprint(run_experiment(sweep_config(seed)))]
+                                                 shards=shards, **fanout))
+            != sequential_fingerprint(seed)]
+
+
+def fast_net(**kwargs) -> NetConfig:
+    """A TCP campaign on two spawned loopback workers."""
+    return NetConfig(spawn_workers=2, worker_policy=FAST_WORKERS, **kwargs)
+
+
+def fingerprint(cfg, store) -> str:
+    return result_fingerprint(MonitoringResult(
+        config=cfg, fleet=None, coordinator=None, store=store))
 
 
 def csv_bytes(store, path):
@@ -62,12 +100,28 @@ def gathered_calls(monkeypatch):
     calls = []
     original = merge_mod.collect_gathered
 
-    def spy(outcomes):
+    def spy(outcomes, **kwargs):
         calls.append(len(outcomes))
-        return original(outcomes)
+        return original(outcomes, **kwargs)
 
     monkeypatch.setattr(merge_mod, "collect_gathered", spy)
     return calls
+
+
+@pytest.fixture
+def merged_outcomes(monkeypatch):
+    """The shard outcomes each fan-out hands to the merge."""
+    import repro.experiment as experiment_mod
+
+    merged = []
+    original = experiment_mod.merge_outcomes
+
+    def spy(outcomes):
+        merged.append(list(outcomes))
+        return original(outcomes)
+
+    monkeypatch.setattr(experiment_mod, "merge_outcomes", spy)
+    return merged
 
 
 class TestSeedSweep:
@@ -103,6 +157,229 @@ class TestMechanismChoice:
         assert gathered_calls == [2]
 
 
+class TestCampaignsGather:
+    """``supervise=`` and ``net=`` campaigns without recovery gather."""
+
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_forked_campaign_equals_sequential(self, seed, gathered_calls):
+        result = run_experiment(sweep_config(seed), shards=2,
+                                supervise=True)
+        assert gathered_calls == [2]
+        assert result_fingerprint(result) == sequential_fingerprint(seed)
+        # one heartbeat per recorded instant
+        assert result.campaign.heartbeats == {0: SWEEP_INSTANTS,
+                                              1: SWEEP_INSTANTS}
+        assert result.campaign.last_iterations == {
+            0: SWEEP_INSTANTS - 1, 1: SWEEP_INSTANTS - 1}
+
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_tcp_campaign_equals_sequential(self, seed, gathered_calls):
+        result = run_experiment(sweep_config(seed), shards=2,
+                                net=fast_net())
+        assert gathered_calls == [2]
+        assert result_fingerprint(result) == sequential_fingerprint(seed)
+        assert result.degraded is None
+        assert result.campaign.heartbeats == {0: SWEEP_INSTANTS,
+                                              1: SWEEP_INSTANTS}
+
+    def test_object_kernel_campaign_keeps_the_full_replay(
+            self, gathered_calls, merged_outcomes):
+        cfg = ExperimentConfig(days=1, seed=11, kernel="object")
+        result = run_experiment(cfg, shards=2, supervise=True)
+        assert gathered_calls == []
+        [outcomes] = merged_outcomes
+        assert all(o.gathered is None and o.store is not None
+                   for o in outcomes)
+        assert result_fingerprint(result) == result_fingerprint(
+            run_experiment(cfg))
+
+    def test_recovery_campaign_keeps_the_full_replay(
+            self, gathered_calls, merged_outcomes, tmp_path):
+        cfg = ExperimentConfig(days=1, seed=11)
+        result = run_experiment(
+            cfg, shards=2,
+            recovery=RecoveryConfig(run_dir=tmp_path / "camp", fsync=False))
+        assert gathered_calls == []
+        [outcomes] = merged_outcomes
+        assert all(o.gathered is None and o.store is not None
+                   for o in outcomes)
+        assert result_fingerprint(result) == result_fingerprint(
+            run_experiment(cfg))
+
+
+def gathered_tasks(cfg):
+    """A 2-shard plan's tasks as run_experiment builds them for a
+    gathered campaign."""
+    return [ShardTask(config=cfg, shard=spec, labs=tuple(TABLE1_LABS),
+                      gather=True)
+            for spec in ShardPlan.build(TABLE1_LABS, 2).specs]
+
+
+def run_in_thread(coordinator):
+    """Start ``coordinator.run()`` on a thread; its outcomes or error
+    land in the returned box."""
+    box = {}
+
+    def drive():
+        try:
+            box["outcomes"] = coordinator.run()
+        except BaseException as exc:  # noqa: BLE001 - relayed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=drive)
+    thread.start()
+    return thread, box
+
+
+def await_states(coordinator, state, deadline=30.0):
+    """Wait until every shard is in ``state``."""
+    end = time.monotonic() + deadline
+    while time.monotonic() < end:
+        if set(coordinator.states().values()) == {state}:
+            return True
+        time.sleep(0.005)
+    return False
+
+
+def run_gathered_worker(task, commands=()):
+    """Run ``gather_shard`` as a campaign worker does, on a steering
+    endpoint over a socketpair with ``commands`` already queued; returns
+    the outcome and every frame the worker sent."""
+    worker_end, coordinator_end = socket.socketpair()
+    worker = FramedChannel(worker_end)
+    coordinator = FramedChannel(coordinator_end)
+    for verb in commands:
+        coordinator.send(Command(verb))
+    frames = []
+
+    def read():
+        while True:
+            try:
+                frames.append(coordinator.recv(timeout=30.0))
+            except NetworkError:
+                return  # the worker end closed
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        outcome = gather_shard(task, control=NetWorkerControl(0, 1, worker))
+    finally:
+        worker.close()
+        reader.join(timeout=30)
+        coordinator.close()
+    return outcome, frames
+
+
+class TestGatheredSteering:
+    """Gathered campaign workers heartbeat and obey steering at each
+    recorded instant, as full-replay workers do at each iteration."""
+
+    def test_heartbeat_per_recorded_instant(self):
+        task = gathered_tasks(ExperimentConfig(days=1, seed=5))[0]
+        outcome, frames = run_gathered_worker(task)
+        assert all(isinstance(m, Heartbeat) for m in frames)
+        assert [m.iteration for m in frames] == list(range(96))
+        assert [m.sim_time for m in frames] == [k * 900.0 for k in range(96)]
+        assert len(outcome.gathered.powered) == 96
+        assert outcome.last_iteration == 95
+        assert not outcome.stopped
+
+    def test_stop_returns_a_stopped_outcome(self):
+        task = gathered_tasks(ExperimentConfig(days=1, seed=5))[0]
+        outcome, frames = run_gathered_worker(task, commands=["stop"])
+        assert [type(m).__name__ for m in frames] == ["Heartbeat", "Ack"]
+        assert outcome.stopped and outcome.gathered is None
+        assert outcome.last_iteration == 0
+        assert outcome.fleet.sim.now == 0.0
+
+    def test_paused_and_resumed_campaign_equals_sequential(self):
+        cfg = sweep_config(SWEEP_SEEDS[0])
+        coordinator = CampaignCoordinator(gathered_tasks(cfg))
+        thread, box = run_in_thread(coordinator)
+        try:
+            assert await_states(coordinator, health.RUNNING), \
+                coordinator.states()
+            coordinator.pause()
+            assert await_states(coordinator, health.PAUSED), \
+                coordinator.states()
+            coordinator.resume()
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert "error" not in box, box
+        assert coordinator.states() == {0: health.DONE, 1: health.DONE}
+        store, _, _ = merge_outcomes(box["outcomes"])
+        assert fingerprint(cfg, store) == sequential_fingerprint(
+            SWEEP_SEEDS[0])
+
+    def test_stop_raises_and_leaves_the_shards_stopped(self):
+        coordinator = CampaignCoordinator(
+            gathered_tasks(sweep_config(SWEEP_SEEDS[0])))
+        thread, box = run_in_thread(coordinator)
+        try:
+            assert await_states(coordinator, health.RUNNING), \
+                coordinator.states()
+            # Paused workers cannot finish before STOP reaches them.
+            coordinator.pause()
+            assert await_states(coordinator, health.PAUSED), \
+                coordinator.states()
+            coordinator.stop()
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        error = box.get("error")
+        assert isinstance(error, CampaignStopped), box
+        assert coordinator.states() == {0: health.STOPPED,
+                                        1: health.STOPPED}
+        assert all(0 <= k < SWEEP_INSTANTS - 1
+                   for k in error.last_iterations.values())
+
+
+class TestGatheredDegradedMerge:
+    """A gathered campaign that loses a shard for good settles exactly
+    as a full-replay campaign would."""
+
+    @staticmethod
+    def full_replay_reference(cfg, lost):
+        plan = ShardPlan.build(TABLE1_LABS, 2)
+        outcomes = [None if spec.index == lost else
+                    run_shard(ShardTask(config=cfg, shard=spec,
+                                        labs=tuple(TABLE1_LABS)))
+                    for spec in plan.specs]
+        store, _, _, info = merge_degraded(outcomes, plan)
+        return fingerprint(cfg, store), info
+
+    def test_first_shard_lost(self, gathered_calls):
+        cfg = ExperimentConfig(days=1, seed=2005)
+        plan = ShardPlan.build(TABLE1_LABS, 2)
+        outcomes = [None, gather_shard(gathered_tasks(cfg)[1])]
+        store, faults, snapshot, info = merge_degraded(outcomes, plan)
+        assert gathered_calls == [2]
+        assert faults is None and snapshot is None
+        assert (fingerprint(cfg, store), info) == \
+            self.full_replay_reference(cfg, lost=0)
+        assert store.meta.n_machines == plan.specs[1].n_machines
+
+    def test_tcp_campaign_losing_a_shard(self, gathered_calls):
+        cfg = ExperimentConfig(days=1, seed=2005)
+        faults = NetworkFaultPlan(
+            [ShardHolderDrop(shard=1, after=15, times=None)], seed=2005)
+        policy = CampaignPolicy(degraded_after=0.4, lease_timeout=1.0,
+                                backoff_base=0.05, join_timeout=20.0,
+                                max_regrants=1, allow_partial=True)
+        result = run_experiment(cfg, shards=2,
+                                net=fast_net(policy=policy, faults=faults))
+        # the survivor and the re-simulated lost shard
+        assert gathered_calls == [2]
+        assert result.campaign.states == {0: health.DONE, 1: health.LOST}
+        reference, info = self.full_replay_reference(cfg, lost=1)
+        assert info == DegradedMergeInfo(lost_shards=(1,), machines_lost=80,
+                                         machines_total=169)
+        assert result.degraded == info
+        assert result_fingerprint(result) == reference
+        assert len(result.store) == 4003
+
+
 class TestNoReplay:
     def test_workers_build_and_simulate_only_their_labs(self, monkeypatch,
                                                         tmp_path):
@@ -126,6 +403,8 @@ class TestNoReplay:
             assert len(outcome.fleet.machines) == spec.n_machines
             assert len(outcome.fleet.agents) == spec.n_machines
             assert len(outcome.fleet.specs) == len(seq.fleet.machines)
+            assert outcome.last_iteration == len(outcome.gathered.powered) - 1
+            assert outcome.last_iteration == seq.meta.iterations_scheduled - 1
         assert benchmarked == []
         assert (sum(o.fleet._backend.env.events_fired for o in outcomes)
                 == seq.fleet._backend.env.events_fired)
