@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "observability snapshot to this JSONL path")
     p_run.add_argument("--recover-dir", default=None, metavar="DIR",
                        help="enable crash-safe persistence: journal every "
-                       "sample and checkpoint the run state into DIR")
+                       "pass and checkpoint the run state into DIR")
     p_run.add_argument("--checkpoint-every", type=int, default=8,
                        metavar="N", help="checkpoint every N iterations "
                        "(default 8; needs --recover-dir)")

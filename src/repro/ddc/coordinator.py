@@ -500,10 +500,11 @@ class DdcCoordinator:
         resilience, retries, observation, a custom probe or
         post-collector) keeps the per-object path, whose output the
         columnar one is bit-identical to anyway.  A bound recovery
-        runtime is no such hook: the pass journals its rows through
-        :meth:`~repro.recovery.runtime.RecoveryRuntime.on_columns`, in
-        roster order and before the store admits them, writing the same
-        journal bytes as the object path.  A *sharded* coordinator
+        runtime is no such hook: it journals the rows the store gained
+        once per iteration, in
+        :meth:`~repro.recovery.runtime.RecoveryRuntime.on_iteration_end`,
+        and both passes admit the same rows, so they write the same
+        journal bytes.  A *sharded* coordinator
         (``owned_labs`` set) is eligible: the pass still draws and times
         the full roster -- replicating the sequential cursor chain and
         RNG cursor exactly -- and restricts materialisation (samples,
@@ -677,10 +678,6 @@ class DdcCoordinator:
             hostname=[hostnames[j] for j in idx_list],
             lab=[labs[j] for j in idx_list],
         )
-        if self.recovery is not None:
-            # write-ahead, as on the object path: journaled, each row
-            # flushed, before the store admits them
-            self.recovery.on_columns(k, columns)
         store = self.post_collect.store
         store.extend_columns(**columns)
         meta = store.meta

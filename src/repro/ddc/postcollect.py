@@ -11,20 +11,21 @@ step 3).
 monitoring experiment: it parses W32Probe reports into
 :class:`~repro.traces.records.Sample` records, maintains the per-machine
 static info, and appends to a :class:`~repro.traces.store.TraceStore`.
+It has no persistence hook of its own: a crash-safe run journals the
+rows the store gained at the end of each pass
+(:meth:`repro.recovery.runtime.RecoveryRuntime.on_iteration_end`), so
+the object pass and the columnar pass write the same journal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.ddc.w32probe import parse_w32probe, session_fields
 from repro.errors import ProbeError
 from repro.traces.records import Sample, StaticInfo
 from repro.traces.store import TraceStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.recovery.runtime import RecoveryRuntime
 
 __all__ = ["PostCollectContext", "PostCollector", "SamplePostCollector"]
 
@@ -80,17 +81,6 @@ class SamplePostCollector:
         self.store = store
         self.strict = strict
         self.parse_failures = 0
-        #: Write-ahead hook installed by :class:`repro.recovery.runtime
-        #: .RecoveryRuntime`; when set, every parsed sample is journaled
-        #: to disk before it is admitted into the store.
-        self.journal: Optional["RecoveryRuntime"] = None
-
-    def __getstate__(self) -> dict:
-        # The journal hook holds open file handles; checkpoints revive
-        # without it and the resume path re-binds a fresh runtime.
-        state = self.__dict__.copy()
-        state["journal"] = None
-        return state
 
     def __call__(
         self, stdout: str, stderr: str, context: PostCollectContext
@@ -107,8 +97,6 @@ class SamplePostCollector:
                 ) from exc
             self.parse_failures += 1
             return None
-        if self.journal is not None:
-            self.journal.on_sample(sample, context)
         self.store.add(sample)
         self._register_static(report, context)
         return sample

@@ -55,7 +55,7 @@ from repro.shard.coordinator import (
 )
 from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
 from repro.shard.net.config import NetConfig
-from repro.shard.net.worker import spawn_local_workers
+from repro.shard.net.worker import local_worker_id, spawn_local_workers
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import (
     ShardOutcome,
@@ -189,15 +189,18 @@ def run_experiment(
         output byte for byte.
     recovery:
         :class:`repro.recovery.RecoveryConfig` enabling the crash-safe
-        persistence layer: every sample is write-ahead journaled and the
-        full simulation state checkpointed every N iterations into
+        persistence layer: every pass's rows are journaled as one
+        record before the checkpoint that covers them, and the full
+        simulation state is checkpointed every N iterations into
         ``recovery.run_dir``.  Like ``faults`` and ``observer``, ``None``
         leaves the hot path hook-free and the output bitwise-identical.
     resume_from:
         Run directory (or :class:`~repro.recovery.RecoveryConfig`) of a
         crashed recovery-enabled run.  The latest valid checkpoint is
         loaded, the journal tail is CRC-verified (corrupt or torn
-        segments are quarantined, not crashed on) and the simulation
+        segments are quarantined, not crashed on; a journal of another
+        format version raises :class:`~repro.errors.JournalError` before
+        anything moves) and the simulation
         continues to the horizon; the regenerated iterations are checked
         against the journaled digests.  Mutually exclusive with
         ``recovery``.  A sequential directory resumes as the single
@@ -483,6 +486,12 @@ def _run_campaign(
             )
         outcomes = coordinator.run()
     finally:
+        # A worker that held no connection at shutdown never got Bye: it
+        # is reconnecting to the closed listener and would only give up
+        # when its connect budget ran out.  Terminate it at once.
+        for index, proc in enumerate(procs):
+            if local_worker_id(index) not in coordinator.dismissed:
+                proc.terminate()
         for proc in procs:
             proc.join(timeout=5.0)
         for proc in procs:

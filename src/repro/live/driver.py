@@ -8,10 +8,11 @@ background thread in ``sample_period`` chunks.  With a finite ``rate``
 the driver sleeps between chunks so that simulated time tracks
 ``rate x`` wall time; ``rate=None`` runs unpaced (``--rate max``).
 
-Every sample and iteration marker is write-ahead journaled by the
-recovery runtime before the chunk returns, which is what makes the
-journal a live feed: the :class:`~repro.live.ingest.LiveIngestor` tails
-it concurrently.  Stopping is cooperative --
+Every iteration's pass record -- the rows its pass added -- is
+journaled and flushed by the recovery runtime before the chunk returns,
+which is what makes the journal a live feed: the
+:class:`~repro.live.ingest.LiveIngestor` tails it concurrently.
+Stopping is cooperative --
 :meth:`~repro.sim.engine.Simulator.request_stop` drains the current
 event and returns -- and both the clean and the stopped path seal the
 journal through :meth:`RecoveryRuntime.finish`, so a stopped live run is

@@ -6,7 +6,9 @@ Two snapshot builders over the *same* journal:
   :class:`~repro.live.rollup.LiveRollups` (exactly what the live
   ingestor does, minus the waiting);
 - :func:`batch_snapshot` reconstructs a
-  :class:`~repro.traces.store.TraceStore` and runs the real
+  :class:`~repro.traces.store.TraceStore` -- one
+  :meth:`~repro.traces.store.TraceStore.extend_columns` per pass record
+  -- and runs the real
   :mod:`repro.analysis` modules (``pairwise_cpu``,
   ``idleness_by_login_state``, ``machines_on_series``,
   ``uptime_ratios``, ``cluster_equivalence``) over the columnar trace,
@@ -14,7 +16,9 @@ Two snapshot builders over the *same* journal:
   :data:`~repro.live.rollup.ROUND_DECIMALS` rounding.
 
 The replay guarantee -- pinned by ``tests/live/test_rollups.py`` and
-the CI live-smoke job -- is that the two dicts are **equal**.
+the CI live-smoke job -- is that the two dicts are **equal**.  Both
+refuse a journal of another format version with
+:class:`~repro.errors.LiveError` before reading any record.
 
 Journal-derived metadata
 ------------------------
@@ -35,10 +39,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.errors import AnalysisError, LiveError
+from repro.errors import AnalysisError, JournalError, LiveError
 from repro.live.rollup import LiveRollups, _round
-from repro.recovery.journal import JournalTailReader, iter_bodies
-from repro.recovery.runtime import sample_from_json_dict
+from repro.recovery.journal import (
+    JournalTailReader,
+    iter_bodies,
+    require_version,
+)
 
 __all__ = [
     "batch_snapshot",
@@ -55,26 +62,38 @@ def _default_period() -> float:
     return DdcParams().sample_period
 
 
+def _require_version(journal_dir: Union[str, Path]) -> None:
+    try:
+        require_version(journal_dir)
+    except JournalError as exc:
+        raise LiveError(str(exc)) from exc
+
+
 def read_journal(
     journal_dir: Union[str, Path],
 ) -> Tuple[List[dict], List[dict]]:
-    """Drain a static journal; returns ``(sample bodies, iter bodies)``."""
+    """Drain a static journal; returns ``(pass columns, iter bodies)``.
+
+    ``pass columns`` holds one
+    :meth:`~repro.traces.store.TraceStore.extend_columns` keyword dict
+    per pass record that added rows, in journal order.
+    """
+    _require_version(journal_dir)
     reader = JournalTailReader(journal_dir)
-    samples: List[dict] = []
+    passes: List[dict] = []
     iters: List[dict] = []
     while True:
         records = reader.poll()
         if not records:
             break
         for rec in records:
-            kind = rec.body.get("kind")
-            if kind == "sample":
-                samples.append(rec.body["data"])
-            elif kind == "iter":
+            if rec.body.get("kind") == "iter":
                 iters.append(rec.body)
+                if rec.rows is not None:
+                    passes.append(rec.rows)
     if reader.records_read == 0:
         raise LiveError(f"no journal records found under {journal_dir}")
-    return samples, iters
+    return passes, iters
 
 
 def infer_sample_period(
@@ -110,6 +129,7 @@ def replay_rollups(
     journal_dir: Union[str, Path], *, sample_period: Optional[float] = None
 ) -> LiveRollups:
     """Stream a finished journal through fresh :class:`LiveRollups`."""
+    _require_version(journal_dir)
     if sample_period is None:
         sample_period = infer_sample_period(
             journal_dir, default=_default_period()
@@ -162,15 +182,15 @@ def batch_snapshot(
     from repro.traces.records import TraceMeta
     from repro.traces.store import TraceStore
 
-    sample_bodies, iter_bodies = read_journal(journal_dir)
+    passes, iter_bodies = read_journal(journal_dir)
     if sample_period is None:
         sample_period = infer_sample_period(
             journal_dir, default=_default_period()
         )
 
     store = TraceStore()
-    for data in sample_bodies:
-        store.add(sample_from_json_dict(data))
+    for cols in passes:
+        store.extend_columns(**cols)
 
     scheduled = len(iter_bodies)
     runs = sum(1 for b in iter_bodies if b.get("ran", True))

@@ -1,8 +1,9 @@
 """Incrementally-updated rollups over a streamed journal.
 
-:class:`LiveRollups` consumes journal records one at a time -- samples
-and iteration markers, in journal order -- and maintains running
-analogues of the batch analyses:
+:class:`LiveRollups` consumes journal records in journal order -- one
+pass record per iteration, whose rows it decodes and folds one at a
+time before it counts the iteration -- and maintains running analogues
+of the batch analyses:
 
 - **response rate** (Table 2): samples / attempts,
 - **availability** (Fig 3): average powered-on and user-free machines
@@ -40,7 +41,7 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.errors import LiveError
-from repro.recovery.journal import JournalRecord
+from repro.recovery.journal import JournalRecord, decode_pass
 
 __all__ = ["LiveRollups", "ROUND_DECIMALS", "MAX_GAP_FACTOR"]
 
@@ -57,6 +58,11 @@ MAX_GAP_FACTOR = 1.75
 #: Reboot-detector clock slack in seconds (matches
 #: :meth:`~repro.traces.columnar.ColumnarTrace.reboot_between`).
 REBOOT_SLACK = 30.0
+
+#: The pass-record columns :meth:`LiveRollups._ingest_row` takes, in
+#: its argument order.
+_ROW_FIELDS = ("machine_id", "t", "uptime_s", "cpu_idle_s", "has_session",
+               "session_start", "iteration", "lab", "hostname", "username")
 
 #: Forgotten-session threshold (seconds); keep in sync with
 #: :data:`repro.analysis.cpu.FORGOTTEN_THRESHOLD` without importing the
@@ -151,30 +157,36 @@ class LiveRollups:
     # ingestion
     # ------------------------------------------------------------------
     def ingest_records(self, records: List[JournalRecord]) -> int:
-        """Consume a batch of decoded journal records; returns samples added."""
+        """Consume a batch of journal records; returns samples added.
+
+        Each pass record's rows -- as its reader decoded them, else
+        decoded here (:func:`decode_pass`) -- are folded row by row, in
+        store order, before the iteration itself is counted.
+        """
         added = 0
         with self._lock:
             for rec in records:
-                kind = rec.body.get("kind")
                 self.records_ingested += 1
-                if kind == "sample":
-                    self._ingest_sample(rec.body["data"])
-                    added += 1
-                elif kind == "iter":
-                    self._ingest_iter(rec.body)
+                if rec.body.get("kind") != "iter":
+                    continue
+                cols = (rec.rows if rec.rows is not None
+                        else decode_pass(rec.body))
+                if cols is not None:
+                    rows = zip(*(
+                        col if isinstance(col, list) else col.tolist()
+                        for col in (cols[name] for name in _ROW_FIELDS)))
+                    for row in rows:
+                        self._ingest_row(*row)
+                    added += len(cols["t"])
+                self._ingest_iter(rec.body)
         return added
 
-    def _ingest_sample(self, d: dict) -> None:
-        mid = int(d["machine_id"])
-        t = float(d["t"])
-        uptime = float(d["uptime_s"])
-        idle = float(d["cpu_idle_s"])
-        has_session = bool(d["has_session"])
-        ss = d.get("session_start")
-
+    def _ingest_row(self, mid: int, t: float, uptime: float, idle: float,
+                    has_session: int, ss: float, iteration: int,
+                    lab_name: str, hostname: str, username: str) -> None:
         m = self._machines.get(mid)
         if m is None:
-            m = _MachineState(d["lab"], d["hostname"])
+            m = _MachineState(lab_name, hostname)
             self._machines[mid] = m
             lab = self._labs.get(m.lab)
             if lab is None:
@@ -186,9 +198,11 @@ class LiveRollups:
         lab = self._labs[m.lab]
 
         # Forgotten-session reclassification (occupied_mask semantics:
-        # an absent logon time leaves the raw login state untouched).
+        # an absent logon time, NaN, compares false and leaves the raw
+        # login state untouched).
+        has_session = bool(has_session)
         occupied = has_session
-        if has_session and ss is not None and t - float(ss) >= FORGOTTEN_THRESHOLD:
+        if has_session and t - ss >= FORGOTTEN_THRESHOLD:
             occupied = False
 
         # Pairwise idleness where a valid predecessor exists, the probe's
@@ -238,11 +252,11 @@ class LiveRollups:
             lab.occupied += 1
 
         m.last_t = t
-        m.last_iteration = int(d["iteration"])
+        m.last_iteration = iteration
         m.last_uptime = uptime
         m.last_idle = idle
         m.last_has_session = has_session
-        m.last_username = d.get("username", "")
+        m.last_username = username
         m.last_uptime_s = uptime
 
     def _ingest_iter(self, body: dict) -> None:

@@ -5,8 +5,8 @@ restarts (509 of 7,392 iterations were simply lost); this package gives
 the reproduction the same resilience, without losing iterations:
 
 - :mod:`repro.recovery.journal` -- a write-ahead **trace journal**:
-  append-only, CRC-guarded, segment-rotated JSONL the coordinator writes
-  every sample to before it enters the in-memory store;
+  append-only, CRC-guarded, segment-rotated JSONL holding one record per
+  probing pass, written before any checkpoint that covers the pass;
 - :mod:`repro.recovery.checkpoint` -- **experiment checkpoints**:
   versioned, atomically-renamed snapshots of the live simulation graph
   (clock, event heap, RNG streams, fleet state, DDC schedule position,

@@ -35,9 +35,10 @@ row count.  ``delta-00000123.delta`` is a JSON header line::
      "strings": ["hostname", "lab", "username"],
      "payload_len": N, "payload_crc": "xxxxxxxx"}
 
-followed by rows ``[start, stop)``: each numeric column's raw buffer,
-then each string column's int32 codes, then one UTF-8 JSON array with
-each string column's distinct values in first-seen order.
+followed by rows ``[start, stop)`` as one :mod:`repro.recovery.rows`
+block, the layout journal pass records share: each numeric column's raw
+buffer, then each string column's int32 codes, then one UTF-8 JSON
+array with each string column's distinct values in first-seen order.
 
 Writes are atomic and ordered: the delta is staged as ``.tmp``, fsynced
 (``fsync=True``) and renamed into place before the checkpoint that
@@ -72,8 +73,9 @@ import numpy as np
 from repro.config import ExperimentConfig
 from repro.errors import CheckpointError
 from repro.recovery.journal import Quarantine, _crc_hex, _fsync_dir
+from repro.recovery.rows import NUMERIC, STRINGS, decode_rows, encode_rows
 from repro.traces.records import TraceMeta
-from repro.traces.store import CSV_FIELDS, TraceStore
+from repro.traces.store import TraceStore
 
 __all__ = [
     "CHECKPOINT_GLOB",
@@ -97,8 +99,6 @@ CHECKPOINT_GLOB = "ckpt-*.ckpt"
 DELTA_GLOB = "delta-*.delta"
 _CKPT_FMT = "ckpt-{:08d}.ckpt"
 _DELTA_FMT = "delta-{:08d}.delta"
-#: Dtype of a delta's string-column codes.
-_CODES = np.dtype("<i4")
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -293,72 +293,16 @@ def _read_framed(path: Path) -> Tuple[dict, bytes]:
 # ----------------------------------------------------------------------
 # deltas
 # ----------------------------------------------------------------------
-def _delta_layout() -> Tuple[List[list], List[str]]:
-    """``[name, dtype]`` of each numeric trace column, and the string
-    columns' names, in the order a delta stores them."""
-    store = TraceStore()
-    numeric: List[list] = []
-    strings: List[str] = []
-    for name in CSV_FIELDS:
-        col = store.column(name)
-        if isinstance(col, list):
-            strings.append(name)
-        else:
-            numeric.append([name, np.dtype(col.typecode).str])
-    return numeric, strings
-
-
-_NUMERIC, _STRINGS = _delta_layout()
-
-
-def _encode_delta(store: TraceStore, start: int,
-                  stop: int) -> Tuple[dict, bytes]:
-    """Header fields and payload of rows ``[start, stop)`` of ``store``."""
-    buffers = [memoryview(store.column(name))[start:stop]
-               for name, _ in _NUMERIC]
-    values: List[list] = []
-    for name in _STRINGS:
-        index: Dict[str, int] = {}
-        buffers.append(np.array(
-            [index.setdefault(v, len(index))
-             for v in store.column(name)[start:stop]],
-            dtype=_CODES).tobytes())
-        values.append(list(index))
-    payload = b"".join(buffers) + json.dumps(values).encode("utf-8")
-    header = {"start": start, "stop": stop, "numeric": _NUMERIC,
-              "strings": _STRINGS}
-    return header, payload
-
-
 def _read_delta(path: Path) -> _Delta:
     """Load and fully verify one delta file."""
     header, payload = _read_framed(path)
     try:
         start, stop = int(header["start"]), int(header["stop"])
-        n = stop - start
-        if start < 0 or n < 0:
+        if start < 0 or stop < start:
             raise ValueError(f"bad row range [{start}, {stop})")
-        if header["numeric"] != _NUMERIC or header["strings"] != _STRINGS:
+        if header["numeric"] != NUMERIC or header["strings"] != STRINGS:
             raise ValueError("column layout is not the trace store's")
-        columns: Dict[str, Any] = {}
-        offset = 0
-        for name, dtype in _NUMERIC:
-            dtype = np.dtype(dtype)
-            columns[name] = np.frombuffer(payload, dtype=dtype, count=n,
-                                          offset=offset)
-            offset += n * dtype.itemsize
-        codes = []
-        for name in _STRINGS:
-            codes.append(np.frombuffer(payload, dtype=_CODES, count=n,
-                                       offset=offset))
-            offset += n * _CODES.itemsize
-        values = json.loads(payload[offset:])
-        if len(values) != len(codes):
-            raise ValueError("string values do not match the columns")
-        for name, col, vals in zip(_STRINGS, codes, values):
-            if n and (col.min() < 0 or col.max() >= len(vals)):
-                raise ValueError(f"column {name!r} has out-of-range codes")
-            columns[name] = [vals[c] for c in col.tolist()]
+        columns = decode_rows(payload, stop - start)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path.name}: bad delta: {exc}") from exc
     return _Delta(path=path, iteration=int(header["iteration"]),
@@ -441,10 +385,10 @@ def write_checkpoint(
                 f"delta start row {rows_from} is outside the store's "
                 f"{rows} rows"
             )
-        header, body = _encode_delta(store, rows_from, rows)
-        _write_framed(ckpt_dir / _DELTA_FMT.format(iteration),
-                      dict(header, iteration=int(iteration)), body,
-                      fsync=fsync)
+        header = {"iteration": int(iteration), "start": rows_from,
+                  "stop": rows, "numeric": NUMERIC, "strings": STRINGS}
+        _write_framed(ckpt_dir / _DELTA_FMT.format(iteration), header,
+                      encode_rows(store, rows_from, rows), fsync=fsync)
     header = {
         "iteration": int(iteration),
         "sim_now": float(sim_now),

@@ -1,51 +1,62 @@
 """Write-ahead trace journal: append-only, CRC-guarded, segment-rotated.
 
-The journal is the durability half of :mod:`repro.recovery`.  Every
-sample the coordinator collects is appended here *before* it is admitted
-into the in-memory :class:`~repro.traces.store.TraceStore`, and every
-iteration closes with a marker carrying a digest of the iteration's
-samples.  A crashed run therefore leaves a byte-exact, checkable record
-of everything it had collected.
+The journal is the durability half of :mod:`repro.recovery`.  At the end
+of every scheduled iteration the runtime journals the rows the trace
+store gained during that pass as one **pass record** and flushes it,
+before any checkpoint or heartbeat that covers those rows.  A crashed
+run therefore leaves a byte-exact, checkable record of every pass it
+had finished; a pass cut short loses only rows that lived in memory,
+which the resumed run regenerates.
 
-Format
-------
+Format (:data:`JOURNAL_VERSION` 2)
+----------------------------------
 One JSONL file per **segment** (``segment-000001.jsonl`` ...).  Each line
 is ``{"body":{...},"crc":"xxxxxxxx"}`` where ``crc`` is the CRC32 (hex)
 of the compact, key-sorted JSON encoding of ``body``.  Body kinds:
 
 ``head``
     First record of a segment: schema version and segment index.
-``sample``
-    One collected sample (iteration index + the full field dict).
 ``iter``
-    End-of-iteration marker: iteration index, simulation time, number of
-    samples this iteration and the CRC32 digest chained over their record
-    CRCs (``digest = crc32(crc_1 || crc_2 || ...)``).
+    The pass record closing one iteration: iteration index, simulation
+    time, whether the pass ran, the number ``n`` of rows the pass added,
+    and -- when ``n > 0`` -- ``rows``, the base64 of those rows as one
+    :mod:`repro.recovery.rows` block (the checkpoint deltas' layout).
+    ``digest`` is the CRC32 of that block (of no bytes when ``n == 0``).
 ``seal``
     Segment footer: record count and a whole-segment digest.  A sealed
     segment is immutable; only the newest segment may lack a seal.
 
+Segments rotate at the first iteration boundary at which the segment's
+records plus the rows its pass records carry reach ``segment_records``:
+rotation is measured in samples, so a segment spans the passes that a
+version-1 segment, which held one line per sample, did.
+
 Read-side policy (crash tolerance)
 ----------------------------------
-Reading never raises on damaged data.  A torn trailing line (the
-signature of a crash mid-``write``) is dropped and logged; a segment with
-interior CRC damage or a bad seal is moved wholesale into the run's
-``quarantine/`` directory and recorded in ``quarantine/ledger.jsonl``
-with a machine-readable reason.  Because the simulation re-generates
-samples deterministically from the last checkpoint, journal damage costs
-verification coverage, never result correctness.
+Reading never raises on damaged data.  A pass record whose line CRC
+verifies but whose rows do not decode to ``n`` rows is damage exactly
+like a CRC failure.  A torn trailing line (the signature of a crash
+mid-``write``) is dropped and logged; a segment with interior damage or
+a bad seal is moved wholesale into the run's ``quarantine/`` directory
+and recorded in ``quarantine/ledger.jsonl`` with a machine-readable
+reason.  Because the simulation re-generates samples deterministically
+from the last checkpoint, journal damage costs verification coverage,
+never result correctness.  A journal written in another format version
+is refused up front by :func:`require_version`, before anything moves.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import JournalError
+from repro.recovery.rows import decode_rows
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -58,12 +69,15 @@ __all__ = [
     "TailAnomaly",
     "encode_record",
     "decode_line",
+    "decode_pass",
+    "decode_record",
     "iter_bodies",
+    "require_version",
     "scan_journal",
 ]
 
 #: Journal schema version (bumped on incompatible format changes).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 _SEGMENT_FMT = "segment-{:06d}.jsonl"
 
@@ -141,6 +155,53 @@ def decode_line(line: str) -> dict:
     return body
 
 
+def decode_pass(body: dict) -> Optional[Dict[str, Any]]:
+    """The rows of an ``iter`` pass record, as store columns.
+
+    Returns ``None`` when the pass added no rows, else the keyword
+    columns of :meth:`~repro.traces.store.TraceStore.extend_columns`.
+
+    Raises
+    ------
+    JournalError
+        When ``rows`` is missing, present for ``n == 0``, not base64 or
+        not a block of exactly ``n`` rows.  The ``digest`` is not checked
+        here: it is what resume verifies a regenerated pass against.
+    """
+    n = body.get("n")
+    rows = body.get("rows")
+    if type(n) is not int or n < 0:
+        raise JournalError(f"pass record has bad row count {n!r}")
+    if n == 0:
+        if rows is not None:
+            raise JournalError("pass record with n == 0 carries rows")
+        return None
+    if not isinstance(rows, str):
+        raise JournalError(f"pass record of {n} rows carries none")
+    try:
+        payload = base64.b64decode(rows, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise JournalError(f"pass record rows are not base64: {exc}") from exc
+    try:
+        return decode_rows(payload, n)
+    except ValueError as exc:
+        raise JournalError(f"bad pass record rows: {exc}") from exc
+
+
+def decode_record(line: str) -> Tuple[dict, Optional[Dict[str, Any]]]:
+    """:func:`decode_line`, plus the rows of a pass record.
+
+    Returns the body and, for a pass record that added rows, its
+    :func:`decode_pass` columns.  Every reader verifies lines through
+    here, so a pass record whose rows do not decode is damage exactly
+    like a CRC failure.
+    """
+    body = decode_line(line)
+    if body.get("kind") == "iter":
+        return body, decode_pass(body)
+    return body, None
+
+
 class Quarantine:
     """The run's corruption sink: a directory plus a reason ledger.
 
@@ -199,15 +260,16 @@ class JournalWriter:
     journal_dir:
         Directory holding the segment files (created if missing).
     segment_records:
-        Soft rotation threshold: a segment is sealed at the first
-        iteration boundary at or past this many records, keeping
-        segments aligned with whole iterations.
+        Soft rotation threshold, in samples: a segment is sealed at the
+        first iteration boundary at which its records plus the rows its
+        pass records carry reach this many, keeping segments aligned
+        with whole iterations.
     start_segment:
         Index of the first segment this writer creates; a resumed run
         continues numbering after the crashed generation's segments.
     fsync:
-        Whether seals and closes fsync to disk.  Individual records are
-        always flushed to the OS (that *is* the write-ahead guarantee);
+        Whether seals and closes fsync to disk.  Every record is flushed
+        to the OS as it is written (that *is* the write-ahead guarantee);
         fsync additionally survives power loss, at a syscall cost.
     """
 
@@ -227,6 +289,8 @@ class JournalWriter:
         self.fsync = bool(fsync)
         self.segment = int(start_segment) - 1
         self.records_in_segment = 0
+        #: Rows carried by the open segment's pass records.
+        self.rows_in_segment = 0
         self.records_total = 0
         self.segments_sealed = 0
         self._fh = None
@@ -247,6 +311,7 @@ class JournalWriter:
             raise JournalError(f"segment already exists: {path}")
         self._fh = open(path, "w")
         self.records_in_segment = 0
+        self.rows_in_segment = 0
         self._segment_crcs = []
         self._write({"kind": "head", "version": JOURNAL_VERSION,
                      "segment": self.segment})
@@ -256,8 +321,8 @@ class JournalWriter:
             self._open_next()
         line = encode_record(body)
         self._fh.write(line + "\n")
-        # Flush every record: a sample must reach the OS before it is
-        # admitted into the in-memory store (write-ahead discipline).
+        # Flush every record: a pass must reach the OS before the
+        # checkpoint or heartbeat that covers it (write-ahead discipline).
         self._fh.flush()
         self.records_in_segment += 1
         self.records_total += 1
@@ -268,23 +333,27 @@ class JournalWriter:
     # ------------------------------------------------------------------
     # record kinds
     # ------------------------------------------------------------------
-    def sample(self, iteration: int, data: dict) -> str:
-        """Journal one collected sample; returns its record CRC."""
-        return self._write({"kind": "sample", "k": iteration, "data": data})
-
     def iteration_end(self, iteration: int, t: float, n_samples: int,
-                      digest: str, *, ran: bool = True) -> None:
-        """Close iteration ``iteration``; rotate the segment if due.
+                      digest: str, *, ran: bool = True,
+                      rows: bytes = b"") -> None:
+        """Journal iteration ``iteration``'s pass record; rotate if due.
 
+        ``rows`` is the :mod:`repro.recovery.rows` block of the
+        ``n_samples`` rows the pass added and ``digest`` its CRC32.
         ``ran`` records whether the coordinator actually executed the
         probing pass (``False`` for iterations lost to the availability
         draw or an injected outage).  Live replay needs the distinction
         to reproduce the batch denominators -- a lost iteration and a
         run-but-empty iteration both journal ``n == 0``.
         """
-        self._write({"kind": "iter", "k": iteration, "t": t,
-                     "n": n_samples, "digest": digest, "ran": bool(ran)})
-        if self.records_in_segment >= self.segment_records:
+        body = {"kind": "iter", "k": iteration, "t": t, "n": n_samples,
+                "digest": digest, "ran": bool(ran)}
+        if n_samples:
+            body["rows"] = base64.b64encode(rows).decode("ascii")
+        self._write(body)
+        self.rows_in_segment += n_samples
+        if self.records_in_segment + self.rows_in_segment \
+                >= self.segment_records:
             self.seal()
 
     def seal(self) -> None:
@@ -339,6 +408,9 @@ class JournalRecord:
     segment: int
     line_no: int
     body: dict
+    #: A pass record's rows as store columns, when its reader decoded
+    #: them (:class:`JournalTailReader` does); ``None`` otherwise.
+    rows: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -359,7 +431,7 @@ class JournalScan:
     """Result of :func:`scan_journal` over a whole journal directory."""
 
     segments: List[SegmentScan] = field(default_factory=list)
-    #: Per-iteration ``(digest, n_samples)`` from surviving ``iter`` records.
+    #: Per-iteration ``(digest, n_samples)`` from surviving pass records.
     iteration_digests: Dict[int, Tuple[str, int]] = field(default_factory=dict)
     #: Highest segment index seen on disk (0 when the journal is empty).
     last_segment: int = 0
@@ -429,7 +501,7 @@ def _scan_segment(index: int, path: Path, is_last: bool,
         if not line.strip():
             continue
         try:
-            body = decode_line(line)
+            body, _ = decode_record(line)
         except JournalError as exc:
             if is_last and line_no == len(lines) and not trailing:
                 # Damage limited to the final complete-looking line of
@@ -561,12 +633,41 @@ def iter_bodies(journal_dir: Union[str, Path]) -> Iterator[dict]:
                 if not line.strip():
                     continue
                 try:
-                    body = decode_line(line)
+                    body, _ = decode_record(line)
                 except JournalError:
                     break
                 if body.get("kind") == "seal":
                     break
                 yield body
+
+
+def require_version(journal_dir: Union[str, Path]) -> None:
+    """Refuse a journal written in another format version.
+
+    Reads only each segment's head line and moves nothing, so a resume
+    or replay can refuse a foreign journal before it quarantines or
+    rewrites anything.  A head that does not decode is left to the
+    scan's damage policy.
+
+    Raises
+    ------
+    JournalError
+        Naming the segment's version and :data:`JOURNAL_VERSION`.
+    """
+    for _index, path in _segment_files(Path(journal_dir)):
+        with open(path, "rb") as fh:
+            head = fh.readline()
+        try:
+            body = decode_line(head.decode("utf-8", errors="replace")
+                               .rstrip("\n"))
+        except JournalError:
+            continue
+        version = body.get("version")
+        if body.get("kind") == "head" and version != JOURNAL_VERSION:
+            raise JournalError(
+                f"{path} is journal version {version!r}; this "
+                f"build reads journal version {JOURNAL_VERSION} only"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -612,11 +713,12 @@ class JournalTailReader:
       segment and wait for the next one, mirroring the batch policy of
       not trusting anything after the first corruption.
 
-    ``poll`` returns decoded records in order (``head``/``sample``/
-    ``iter``; seal records are verified and swallowed, as in
-    :meth:`JournalScan.records`).  An empty list means no complete new
-    data -- the caller decides whether the writer is merely idle or the
-    journal is finished.
+    ``poll`` returns decoded records in order (``head``/``iter``; seal
+    records are verified and swallowed, as in
+    :meth:`JournalScan.records`).  A pass record arrives with its rows
+    decoded into :attr:`JournalRecord.rows`.  An empty list means no
+    complete new data -- the caller decides whether the writer is
+    merely idle or the journal is finished.
     """
 
     def __init__(self, journal_dir: Union[str, Path],
@@ -723,7 +825,7 @@ class JournalTailReader:
         if not raw.strip():
             return
         try:
-            body = decode_line(raw)
+            body, rows = decode_record(raw)
         except JournalError as exc:
             # A complete-but-unverifiable line is corruption, not an
             # in-flight write: the writer emits line + newline in one
@@ -747,7 +849,7 @@ class JournalTailReader:
             return
         self._crcs.append(_envelope_crc(raw))
         self.records_read += 1
-        out.append(JournalRecord(self._segment, self._line_no, body))
+        out.append(JournalRecord(self._segment, self._line_no, body, rows))
 
 
 def _fsync_dir(path: Path) -> None:

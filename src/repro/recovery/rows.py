@@ -1,0 +1,103 @@
+"""The columnar trace-row codec of checkpoint deltas and journal records.
+
+A block of trace rows is encoded as each numeric column's raw buffer
+(:data:`NUMERIC` order and dtypes), then each string column's int32
+codes (:data:`STRINGS` order), then one UTF-8 JSON array holding each
+string column's distinct values in first-seen order.  The bytes depend
+only on the rows, so two stores holding the same rows encode them
+identically.
+
+:mod:`repro.recovery.checkpoint` frames a block as a row delta and
+:mod:`repro.recovery.journal` as the rows of one pass record; each
+wraps :func:`decode_rows`'s ``ValueError`` in its own typed error.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
+
+from repro.traces.store import CSV_FIELDS, TraceStore
+
+__all__ = ["NUMERIC", "ROW_BYTES", "STRINGS", "decode_rows", "encode_rows"]
+
+#: Dtype of the string columns' codes.
+_CODES = np.dtype("<i4")
+
+
+def _layout() -> Tuple[List[list], List[str]]:
+    """``[name, dtype]`` of each numeric trace column, and the string
+    columns' names, in the order a block stores them."""
+    store = TraceStore()
+    numeric: List[list] = []
+    strings: List[str] = []
+    for name in CSV_FIELDS:
+        col = store.column(name)
+        if isinstance(col, list):
+            strings.append(name)
+        else:
+            numeric.append([name, np.dtype(col.typecode).str])
+    return numeric, strings
+
+
+NUMERIC, STRINGS = _layout()
+
+#: Fixed-width bytes per row: the numeric buffers plus the codes.
+ROW_BYTES = (sum(np.dtype(dtype).itemsize for _, dtype in NUMERIC)
+             + len(STRINGS) * _CODES.itemsize)
+
+
+def encode_rows(store: TraceStore, start: int, stop: int) -> bytes:
+    """Rows ``[start, stop)`` of ``store`` as one block."""
+    buffers: List[Any] = [memoryview(store.column(name))[start:stop]
+                          for name, _ in NUMERIC]
+    values: List[list] = []
+    for name in STRINGS:
+        index: Dict[str, int] = {}
+        buffers.append(np.array(
+            [index.setdefault(v, len(index))
+             for v in store.column(name)[start:stop]],
+            dtype=_CODES).tobytes())
+        values.append(list(index))
+    return b"".join(buffers) + json.dumps(values).encode("utf-8")
+
+
+def decode_rows(payload: bytes, n: int) -> Dict[str, Any]:
+    """The ``n`` rows of a block as :meth:`TraceStore.extend_columns`
+    keyword columns.
+
+    Raises ``ValueError`` when the block does not hold exactly ``n``
+    rows: a short buffer, a string table that is not one list of
+    strings per string column, or a code outside its column's table.
+    """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"bad row count {n!r}")
+    fixed = n * ROW_BYTES
+    if len(payload) < fixed:
+        raise ValueError(f"{len(payload)} bytes cannot hold {n} rows "
+                         f"of {ROW_BYTES} bytes")
+    columns: Dict[str, Any] = {}
+    offset = 0
+    for name, dtype in NUMERIC:
+        dtype = np.dtype(dtype)
+        columns[name] = np.frombuffer(payload, dtype=dtype, count=n,
+                                      offset=offset)
+        offset += n * dtype.itemsize
+    codes = []
+    for name in STRINGS:
+        codes.append(np.frombuffer(payload, dtype=_CODES, count=n,
+                                   offset=offset))
+        offset += n * _CODES.itemsize
+    values = json.loads(payload[offset:])
+    if (not isinstance(values, list) or len(values) != len(STRINGS)
+            or not all(isinstance(vals, list)
+                       and set(map(type, vals)) <= {str}
+                       for vals in values)):
+        raise ValueError("string values do not match the columns")
+    for name, col, vals in zip(STRINGS, codes, values):
+        if n and (col.min() < 0 or col.max() >= len(vals)):
+            raise ValueError(f"column {name!r} has out-of-range codes")
+        columns[name] = [vals[c] for c in col.tolist()]
+    return columns

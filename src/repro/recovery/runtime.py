@@ -1,21 +1,20 @@
 """The recovery runtime: journaling, checkpoint cadence, crash points.
 
 One :class:`RecoveryRuntime` accompanies a crash-safe run.  It is bound
-to the live experiment graph after construction and hooks two spots:
-
-- :class:`~repro.ddc.postcollect.SamplePostCollector` calls
-  :meth:`RecoveryRuntime.on_sample` with every parsed sample *before*
-  admitting it to the :class:`~repro.traces.store.TraceStore`
-  (write-ahead discipline); the columnar pass hands a whole iteration's
-  columns to :meth:`RecoveryRuntime.on_columns` before it admits them;
-- :class:`~repro.ddc.coordinator.DdcCoordinator` calls
-  :meth:`RecoveryRuntime.on_iteration_end` at the end of every scheduled
-  iteration, after the next iteration has been put on the heap -- so a
-  checkpoint taken there revives into a run that keeps iterating.
+to the live experiment graph after construction and hooks one spot:
+:class:`~repro.ddc.coordinator.DdcCoordinator` calls
+:meth:`RecoveryRuntime.on_iteration_end` at the end of every scheduled
+iteration, after the next iteration has been put on the heap -- so a
+checkpoint taken there revives into a run that keeps iterating.  There
+the runtime journals the rows the trace store gained during the pass as
+one pass record (:mod:`repro.recovery.journal`) and flushes it, then
+takes the checkpoint if one is due; the coordinator's heartbeat runs
+after that.  Both probing kernels admit identical rows to the store, so
+they write identical journal bytes with no per-sample hook.
 
 The runtime itself is never pickled into checkpoints (the coordinator
-and post-collector drop their references in ``__getstate__``); a resumed
-run constructs a fresh runtime around the revived graph.
+drops its reference in ``__getstate__``); a resumed run constructs a
+fresh runtime around the revived graph.
 
 Crash injection
 ---------------
@@ -30,8 +29,6 @@ inherit the kill switch.
 
 from __future__ import annotations
 
-import math
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -42,13 +39,12 @@ from repro.recovery.checkpoint import (
     DELTA_GLOB,
     write_checkpoint,
 )
-from repro.recovery.journal import JournalWriter, Quarantine
-from repro.traces.records import Sample
+from repro.recovery.journal import JournalWriter, Quarantine, _crc_hex
+from repro.recovery.rows import encode_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ExperimentConfig
     from repro.ddc.coordinator import DdcCoordinator
-    from repro.ddc.postcollect import PostCollectContext
     from repro.faults.plan import FaultPlan
     from repro.obs.observer import Observer
     from repro.sim.fleet import FleetSimulator
@@ -62,8 +58,6 @@ __all__ = [
     "RecoveryRuntime",
     "fresh_runtime",
     "run_dir_in_use",
-    "sample_to_json_dict",
-    "sample_from_json_dict",
     "shard_dir",
 ]
 
@@ -85,10 +79,10 @@ class CrashSpec:
     """Where to kill the run: an iteration plus a named crash point."""
 
     iteration: int
+    #: ``mid_iteration`` fires at the first iteration at or after
+    #: ``iteration`` whose pass added rows, before its pass record is
+    #: written (the write is torn); the checkpoint points fire as named.
     point: str = "post_checkpoint"
-    #: For ``mid_iteration``: crash after this many samples of the
-    #: iteration have been journaled (the next write is torn).
-    sample_index: int = 3
 
     def __post_init__(self) -> None:
         if self.point not in CRASH_POINTS:
@@ -114,7 +108,8 @@ class RecoveryConfig:
         Take a checkpoint every N scheduled iterations (the paper's
         cadence would be every ~2 hours of covered time at N=8).
     segment_records:
-        Journal segment rotation threshold (records per segment).
+        Journal segment rotation threshold, in samples (see
+        :class:`~repro.recovery.journal.JournalWriter`).
     fsync:
         Whether checkpoints and segment seals fsync (see
         :class:`~repro.recovery.journal.JournalWriter`).
@@ -219,22 +214,6 @@ class RecoveryInfo:
     quarantine_entries: List[dict] = field(default_factory=list)
 
 
-def sample_to_json_dict(sample: Sample) -> dict:
-    """JSON-safe dict form of a sample (NaN logon time becomes null)."""
-    d = {k: getattr(sample, k) for k in Sample.__slots__}
-    if math.isnan(d["session_start"]):
-        d["session_start"] = None
-    return d
-
-
-def sample_from_json_dict(d: dict) -> Sample:
-    """Inverse of :func:`sample_to_json_dict`."""
-    d = dict(d)
-    if d.get("session_start") is None:
-        d["session_start"] = float("nan")
-    return Sample(**d)
-
-
 class RecoveryRuntime:
     """Live recovery state machine for one (possibly resumed) run."""
 
@@ -273,11 +252,10 @@ class RecoveryRuntime:
         self._faults: Optional["FaultPlan"] = None
         self._observer: Optional["Observer"] = None
         self._exp_config: Optional["ExperimentConfig"] = None
-        #: Store rows already in a checkpoint delta (set by bind()).
+        #: Store rows already in a checkpoint delta / in a pass record
+        #: (both set by bind()).
         self._rows_checkpointed = 0
-        # per-iteration journaling state
-        self._iter_crcs: List[str] = []
-        self._iter_samples = 0
+        self._rows_journaled = 0
         self._obs_instruments = None
 
     # ------------------------------------------------------------------
@@ -295,7 +273,7 @@ class RecoveryRuntime:
         self._fleet = fleet
         self._coordinator = coordinator
         self._store = store
-        self._rows_checkpointed = len(store)
+        self._rows_checkpointed = self._rows_journaled = len(store)
         self._faults = faults
         self._exp_config = config
         obs = observer if observer is not None and observer.enabled else None
@@ -310,79 +288,57 @@ class RecoveryRuntime:
                 "diverged": m.counter("recovery.replay_divergences"),
             }
         coordinator.recovery = self
-        coordinator.post_collect.journal = self
 
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
-    def on_sample(self, sample: Sample, context: "PostCollectContext") -> None:
-        """Write-ahead journal one sample (called before store admission)."""
-        self._journal_sample(context.iteration, sample_to_json_dict(sample))
+    def on_sample(self, sample, context) -> None:
+        """No-op: samples are journaled per pass, by :meth:`on_iteration_end`.
 
-    def on_columns(self, iteration: int, columns: Dict[str, object]) -> None:
-        """Write-ahead journal one columnar pass's rows, in roster order.
-
-        ``columns`` are the keyword columns the pass is about to hand to
-        :meth:`~repro.traces.store.TraceStore.extend_columns`, one per
-        :class:`Sample` field.  Each row goes through the routine
-        :meth:`on_sample` uses, as the dict :func:`sample_to_json_dict`
-        builds, so the journal bytes do not depend on the kernel.
+        Nothing in the collection path calls it; it stays because
+        ``benchmarks/perf/layers.py`` wraps it by name.
         """
-        fields = Sample.__slots__
-        values = [col if isinstance(col, list) else col.tolist()
-                  for col in (columns[name] for name in fields)]
-        at = fields.index("session_start")
-        values[at] = [None if math.isnan(s) else s for s in values[at]]
-        for row in zip(*values):
-            self._journal_sample(iteration, dict(zip(fields, row)))
-
-    def _journal_sample(self, iteration: int, data: dict) -> None:
-        crc = self.journal.sample(iteration, data)
-        self._iter_crcs.append(crc)
-        self._iter_samples += 1
-        self.info.samples_journaled += 1
-        self.info.records_journaled += 1
-        if self._obs_instruments is not None:
-            self._obs_instruments["samples"].inc()
-        # At-or-after the spec iteration: the named one may have been a
-        # lost iteration (availability draw) with no samples to tear.
-        if (self.crash is not None and not self.crash_fired
-                and self.crash.point == "mid_iteration"
-                and iteration >= self.crash.iteration
-                and self._iter_samples >= self.crash.sample_index):
-            self._die(torn=True)
 
     def on_iteration_end(self, k: int, t: float, *, ran: bool = True) -> None:
-        """Close iteration ``k``: journal marker, verify, maybe checkpoint.
+        """Close iteration ``k``: pass record, verify, maybe checkpoint.
 
-        ``ran`` is forwarded into the iteration marker so journal-only
-        consumers (live replay) can reproduce the coordinator's
-        ``iterations_run`` count.
+        The rows the store gained since the previous pass record are
+        journaled as one record and flushed before the checkpoint (and
+        the coordinator's heartbeat) that covers them.  ``ran`` is
+        forwarded into the record so journal-only consumers (live
+        replay) can reproduce the coordinator's ``iterations_run`` count.
         """
-        digest = format(
-            zlib.crc32("".join(self._iter_crcs).encode("ascii")) & 0xFFFFFFFF,
-            "08x",
-        )
-        self._verify_replay(k, digest)
+        start, stop = self._rows_journaled, len(self._store)
+        n = stop - start
         crashing = (self.crash is not None and not self.crash_fired
                     and self.crash.iteration == k)
+        # At-or-after the spec iteration: the named one may have been a
+        # lost iteration (availability draw) with no rows to tear.
+        if (n and self.crash is not None and not self.crash_fired
+                and self.crash.point == "mid_iteration"
+                and k >= self.crash.iteration):
+            self._die(torn=True)
+        rows = encode_rows(self._store, start, stop) if n else b""
+        digest = _crc_hex(rows)
+        self._verify_replay(k, digest, n)
         if crashing and self.crash.point == "mid_seal":
-            # Journal the iteration marker, then die half-way through a
+            # Journal the pass record, then die half-way through a
             # forced segment seal: the footer line is torn.
-            self.journal.iteration_end(k, t, self._iter_samples, digest,
-                                       ran=ran)
+            self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows)
             self.info.records_journaled += 1
             self.journal.tear('{"crc":"00000000","body":{"kind":"seal"')
             self._die(torn=False)
-        self.journal.iteration_end(k, t, self._iter_samples, digest, ran=ran)
+        self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows)
+        self._rows_journaled = stop
+        self.info.samples_journaled += n
         self.info.records_journaled += 1
+        if self._obs_instruments is not None and n:
+            self._obs_instruments["samples"].inc(n)
         if self.journal.segments_sealed > self.info.segments_sealed:
             newly = self.journal.segments_sealed - self.info.segments_sealed
             self.info.segments_sealed = self.journal.segments_sealed
             if self._obs_instruments is not None:
                 self._obs_instruments["seals"].inc(newly)
-        self._iter_crcs = []
-        self._iter_samples = 0
         if (k + 1) % self.config.checkpoint_every == 0:
             if crashing and self.crash.point == "pre_checkpoint":
                 self._die(torn=False)
@@ -397,12 +353,12 @@ class RecoveryRuntime:
             self._die(torn=False)
 
     # ------------------------------------------------------------------
-    def _verify_replay(self, k: int, digest: str) -> None:
+    def _verify_replay(self, k: int, digest: str, n: int) -> None:
         expected = self.expected_digests.pop(k, None)
         if expected is None:
             return
         exp_digest, exp_n = expected
-        if digest == exp_digest and self._iter_samples == exp_n:
+        if digest == exp_digest and n == exp_n:
             self.info.replay_verified += 1
             if self._obs_instruments is not None:
                 self._obs_instruments["verified"].inc()
@@ -412,7 +368,7 @@ class RecoveryRuntime:
             self._obs_instruments["diverged"].inc()
         if self.config.strict_replay:
             raise ResumeDivergence(
-                f"iteration {k}: resumed run produced {self._iter_samples} "
+                f"iteration {k}: resumed run produced {n} "
                 f"samples with digest {digest}, journal recorded {exp_n} "
                 f"with digest {exp_digest}; the code or configuration "
                 "changed between crash and resume"

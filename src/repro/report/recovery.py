@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import JournalError
 from repro.recovery.checkpoint import describe_checkpoints
-from repro.recovery.journal import Quarantine, decode_line
+from repro.recovery.journal import JOURNAL_VERSION, Quarantine, decode_record
 from repro.recovery.manifest import CampaignManifest, is_campaign_dir
 from repro.recovery.runtime import RecoveryConfig, shard_dir
 from repro.report.tables import Table
@@ -43,23 +43,29 @@ def _segment_rows(journal_dir: Path) -> List[dict]:
         records = samples = iters = 0
         sealed = False
         damaged = 0
+        version = None
         for line in lines:
             try:
-                body = decode_line(line)
+                body, _ = decode_record(line)
             except JournalError:
                 damaged += 1
                 continue
             records += 1
             kind = body.get("kind")
-            if kind == "sample":
-                samples += 1
-            elif kind == "iter":
+            if kind == "iter":
                 iters += 1
+                samples += body["n"]
             elif kind == "seal":
                 sealed = True
+            elif kind == "head":
+                version = body.get("version")
         row.update(records=records, samples=samples, iterations=iters,
-                   sealed=sealed, torn_tail=torn, damaged_lines=damaged)
-        if damaged:
+                   sealed=sealed, torn_tail=torn, damaged_lines=damaged,
+                   version=version)
+        if version not in (None, JOURNAL_VERSION):
+            # Another format's records do not decode as this one's.
+            row["status"] = "unsupported_version"
+        elif damaged:
             row["status"] = "corrupt"
         elif torn:
             row["status"] = "torn"
@@ -115,7 +121,9 @@ def recovery_status(run_dir: Union[str, Path]) -> dict:
         "segments": segments,
         "samples_journaled": sum(s["samples"] for s in segments),
         "quarantine": ledger,
-        "resumable": latest is not None or bool(segments),
+        # resume refuses a journal of another format version outright
+        "resumable": (latest is not None or bool(segments)) and not any(
+            s["status"] == "unsupported_version" for s in segments),
     }
 
 
@@ -204,7 +212,11 @@ def render_recovery_report(run_dir: Union[str, Path]) -> str:
 
     latest = status["latest_checkpoint"]
     parts.append("")
-    if latest is not None:
+    if any(s["status"] == "unsupported_version" for s in status["segments"]):
+        parts.append("the journal is another format version; resume "
+                     "refuses it -- finish the run with the code that "
+                     "started it")
+    elif latest is not None:
         parts.append(
             f"resumable from iteration {latest['iteration']} "
             f"({status['samples_journaled']} samples journaled)"

@@ -57,7 +57,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     CampaignStopped,
@@ -300,6 +300,9 @@ class CampaignCoordinator:
         self._heartbeats: Dict[int, int] = {k: 0 for k in indexes}
         self._outcomes: Dict[int, ShardOutcome] = {}
         self.lost_shards: List[int] = []
+        #: Worker ids sent ``Bye`` at shutdown; a worker missing here held
+        #: no connection then and never learns the campaign is over.
+        self.dismissed: Set[str] = set()
         self._stop_requested = False
         self._paused = False
         self._ran = False
@@ -811,6 +814,8 @@ class CampaignCoordinator:
         for conn in self._conns.values():
             try:
                 conn.channel.send(Bye())
+                if conn.worker_id is not None:
+                    self.dismissed.add(conn.worker_id)
             except NetworkError:
                 pass
             conn.channel.close()

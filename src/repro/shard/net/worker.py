@@ -57,7 +57,7 @@ from repro.shard.net.protocol import (
 from repro.shard.worker import execute_shard_task
 
 __all__ = ["NetWorkerPolicy", "NetWorkerControl", "run_worker",
-           "serve_socket", "spawn_local_workers"]
+           "local_worker_id", "serve_socket", "spawn_local_workers"]
 
 #: Poll cadence while paused (seconds); each poll also re-heartbeats.
 _PAUSE_POLL = 0.05
@@ -329,6 +329,12 @@ def _worker_entry(endpoint: str, worker_id: str, policy) -> None:
     sys.exit(run_worker(endpoint, worker_id=worker_id, policy=policy))
 
 
+def local_worker_id(index: int) -> str:
+    """The worker id :func:`spawn_local_workers` gives its ``index``-th
+    process."""
+    return f"w{index}"
+
+
 def spawn_local_workers(
     endpoint: str,
     n: int,
@@ -348,7 +354,7 @@ def spawn_local_workers(
     for i in range(n):
         proc = ctx.Process(
             target=_worker_entry,
-            args=(endpoint, f"w{i}", policy),
+            args=(endpoint, local_worker_id(i), policy),
             name=f"repro-net-worker-{i}",
             daemon=True,
         )

@@ -297,7 +297,12 @@ def resume_shard(
     ``observer`` and ``fleet_factory`` as :func:`run_shard` takes them.
     """
     from repro.recovery.checkpoint import config_digest, load_latest_checkpoint
-    from repro.recovery.journal import Quarantine, retro_seal, scan_journal
+    from repro.recovery.journal import (
+        Quarantine,
+        require_version,
+        retro_seal,
+        scan_journal,
+    )
 
     rcfg = task.recovery
     if rcfg is None:
@@ -305,6 +310,9 @@ def resume_shard(
             "resume_shard needs task.recovery: a shard can only resume "
             "from its own recovery directory"
         )
+    # A journal of another format version is refused before anything
+    # is quarantined, swept or retro-sealed.
+    require_version(rcfg.journal_dir)
     quarantine = Quarantine(rcfg.run_dir)
     ckpt = load_latest_checkpoint(rcfg.checkpoint_dir, quarantine)
     scan = scan_journal(rcfg.journal_dir, quarantine)
@@ -382,7 +390,8 @@ def _resolve_kernel(
     reports itself eligible and the fleet is the stock one; ``"object"``
     never enables it; ``"columnar"`` raises when the run is ineligible
     instead of silently falling back.  A bound recovery runtime does not
-    block the columnar pass, which journals through it; the checkpoints
+    block the columnar pass: it journals the rows either pass admits at
+    the end of each iteration; the checkpoints
     it takes then carry the columnar mirror and the tick backend, so a
     resumed run continues on the same kernel.
 

@@ -16,29 +16,31 @@ from repro.live.replay import (
     replay_snapshot,
 )
 from repro.live.rollup import LiveRollups
-from repro.recovery.journal import JournalRecord
+from tests.recovery.passes import pass_record
 
 
 def _sample(mid, t, *, iteration, uptime=3600.0, idle=1800.0,
             has_session=False, session_start=None, lab="lab66",
             username=""):
-    return JournalRecord(1, 0, {"kind": "sample", "k": iteration, "data": {
-        "machine_id": mid,
-        "t": t,
-        "iteration": iteration,
-        "uptime_s": uptime,
-        "cpu_idle_s": idle,
-        "has_session": has_session,
-        "session_start": session_start,
-        "lab": lab,
-        "hostname": f"m{mid:03d}",
-        "username": username,
-    }})
+    """A pass record of iteration ``iteration`` holding one row."""
+    return pass_record(iteration, 900.0 * iteration, [dict(
+        machine_id=mid,
+        t=t,
+        iteration=iteration,
+        uptime_s=uptime,
+        cpu_idle_s=idle,
+        has_session=has_session,
+        session_start=(float("nan") if session_start is None
+                       else session_start),
+        lab=lab,
+        hostname=f"m{mid:03d}",
+        username=username,
+    )])
 
 
-def _iter(k, *, period=900.0, n=3, ran=True):
-    return JournalRecord(1, 0, {"kind": "iter", "k": k, "t": period * k,
-                                "n": n, "digest": "0" * 8, "ran": ran})
+def _iter(k, *, period=900.0, ran=True):
+    """A pass record of iteration ``k`` that added no rows."""
+    return pass_record(k, period * k, [], ran=ran)
 
 
 class TestDifferential:

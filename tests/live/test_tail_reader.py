@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
-import zlib
-
 import pytest
 
 from repro.recovery.journal import (
     JournalTailReader,
     JournalWriter,
     Quarantine,
+    decode_line,
+    decode_pass,
     encode_record,
     scan_journal,
 )
-
-
-def _digest(crcs):
-    return format(zlib.crc32("".join(crcs).encode()) & 0xFFFFFFFF, "08x")
+from tests.recovery.passes import machine_rows, pass_body, write_pass
 
 
 def write_iteration(writer, k, samples=3, *, ran=True):
-    crcs = [writer.sample(k, {"machine_id": i, "k": k})
-            for i in range(samples)]
-    writer.iteration_end(k, 900.0 * k, samples, _digest(crcs), ran=ran)
+    write_pass(writer, k, samples, ran=ran)
 
 
 def drain(reader):
@@ -42,8 +37,9 @@ class TestFollowBasics:
         write_iteration(w, 0)
         records = drain(reader)
         kinds = [r.body["kind"] for r in records]
-        assert kinds == ["head", "sample", "sample", "sample", "iter"]
-        assert reader.records_read == 5
+        assert kinds == ["head", "iter"]
+        assert records[1].body["n"] == 3
+        assert reader.records_read == 2
         w.close()
 
     def test_incremental_no_reread(self, tmp_path):
@@ -59,9 +55,10 @@ class TestFollowBasics:
         w.close()
 
     def test_rotation_mid_read(self, tmp_path):
-        # Seal threshold of 4 records: every iteration (3 samples + iter
-        # marker + head) trips rotation, so the reader must follow the
-        # writer across segment boundaries while both are running.
+        # Seal threshold of 4 samples: every iteration (head + a pass
+        # record of 3 rows, weighing 1 + 3) trips rotation, so the reader
+        # must follow the writer across segment boundaries while both
+        # are running.
         w = JournalWriter(tmp_path, segment_records=4, fsync=False)
         reader = JournalTailReader(tmp_path)
         seen = []
@@ -99,7 +96,7 @@ class TestTornAndDamaged:
         reader = JournalTailReader(tmp_path)
         drain(reader)
         # emulate a partially flushed line: bytes present, no newline
-        line = encode_record({"kind": "sample", "k": 1, "data": {"x": 1}})
+        line = encode_record(pass_body(1, 900.0, machine_rows(1, 1)))
         with open(w.segment_path, "a") as fh:
             fh.write(line[: len(line) // 2])
             fh.flush()
@@ -108,7 +105,7 @@ class TestTornAndDamaged:
         with open(w.segment_path, "a") as fh:
             fh.write(line[len(line) // 2:] + "\n")
         [record] = drain(reader)
-        assert record.body["data"] == {"x": 1}
+        assert decode_pass(record.body)["machine_id"].tolist() == [0]
 
     def test_torn_tail_permanent_once_next_segment_exists(self, tmp_path):
         w = JournalWriter(tmp_path, segment_records=4, fsync=False)
@@ -130,16 +127,17 @@ class TestTornAndDamaged:
         w = JournalWriter(tmp_path, segment_records=100, fsync=False)
         write_iteration(w, 0)
         write_iteration(w, 1)
-        w.abort()  # close without seal; file keeps both iterations
+        write_iteration(w, 2)
+        w.abort()  # close without seal; file keeps all three iterations
         path = next(tmp_path.glob("segment-*.jsonl"))
         lines = path.read_text().splitlines()
-        # line 3 is iteration 0's second sample (machine_id 1)
-        assert '"machine_id":1' in lines[2]
-        lines[2] = lines[2].replace('"machine_id":1', '"machine_id":9')
+        # line 3 is iteration 1's pass record
+        assert decode_line(lines[2])["k"] == 1
+        lines[2] = lines[2].replace('"k":1', '"k":9')
         path.write_text("\n".join(lines) + "\n")
         reader = JournalTailReader(tmp_path)
         records = drain(reader)
-        # prefix (head + iteration 0's first sample) is delivered ...
+        # prefix (head + iteration 0's pass record) is delivered ...
         assert len(records) == 2
         # ... then the damaged line poisons the rest of the segment: the
         # mismatch itself plus the skipped remainder are both surfaced
@@ -160,7 +158,7 @@ class TestTornAndDamaged:
         # damage segment 2 after its seal verified on disk
         seg2 = journal / "segment-000002.jsonl"
         lines = seg2.read_text().splitlines()
-        lines[1] = lines[1].replace('"machine_id":0', '"machine_id":7')
+        lines[1] = lines[1].replace('"k":1', '"k":7')
         seg2.write_text("\n".join(lines) + "\n")
         reader = JournalTailReader(journal)
         records = reader.poll()  # hits the damage, surfaces it, moves on
@@ -216,5 +214,5 @@ class TestRanFlag:
         w.close()
         reader = JournalTailReader(tmp_path, start_segment=1)
         drain(reader)
-        assert reader.records_read == 5  # head + 3 samples + iter
+        assert reader.records_read == 2  # head + the pass record
         assert reader.seals_verified == 1

@@ -13,18 +13,13 @@ from repro.recovery.journal import (
     retro_seal,
     scan_journal,
 )
+from tests.recovery.passes import write_pass
 
 
 def write_iterations(writer, n_iters=3, samples_per_iter=4, start=0):
     """Drive a writer through complete iterations, mirroring the runtime."""
-    import zlib
-
     for k in range(start, start + n_iters):
-        crcs = []
-        for i in range(samples_per_iter):
-            crcs.append(writer.sample(k, {"machine_id": i, "k": k}))
-        digest = format(zlib.crc32("".join(crcs).encode()) & 0xFFFFFFFF, "08x")
-        writer.iteration_end(k, 900.0 * k, samples_per_iter, digest)
+        write_pass(writer, k, samples_per_iter)
 
 
 class TestRecordCodec:
@@ -80,11 +75,11 @@ class TestRecordCodec:
 class TestWriter:
     def test_segment_head_and_flush(self, tmp_path):
         w = JournalWriter(tmp_path, fsync=False)
-        w.sample(0, {"machine_id": 1})
+        write_pass(w, 0, 1)
         # write-ahead discipline: the record is on disk before close
         lines = w.segment_path.read_text().splitlines()
         assert decode_line(lines[0])["kind"] == "head"
-        assert decode_line(lines[1])["kind"] == "sample"
+        assert decode_line(lines[1])["kind"] == "iter"
         w.close()
 
     def test_rotation_at_iteration_boundary(self, tmp_path):
@@ -92,7 +87,9 @@ class TestWriter:
         write_iterations(w, n_iters=4, samples_per_iter=4)
         w.close()
         files = sorted(tmp_path.glob("segment-*.jsonl"))
-        assert len(files) >= 2
+        # rotation counts samples: head + 4 rows + marker reaches 8 at
+        # the second pass, so each segment holds two passes
+        assert len(files) == 2
         # every segment ends with a valid seal record
         for path in files:
             last = decode_line(path.read_text().splitlines()[-1])
@@ -112,7 +109,7 @@ class TestWriter:
 
     def test_start_segment_continues_numbering(self, tmp_path):
         w = JournalWriter(tmp_path, start_segment=4, fsync=False)
-        w.sample(0, {})
+        write_pass(w, 0, 0)
         assert w.segment_path.name == "segment-000004.jsonl"
         w.close()
 
@@ -122,7 +119,7 @@ class TestWriter:
         w.close()
         w2 = JournalWriter(tmp_path, start_segment=1, fsync=False)
         with pytest.raises(JournalError, match="already exists"):
-            w2.sample(0, {})
+            write_pass(w2, 0, 0)
 
 
 class TestScan:

@@ -17,6 +17,7 @@ on the pool and under ``supervise=True``.
 import dataclasses
 import functools
 import math
+import multiprocessing
 import socket
 import threading
 import time
@@ -367,8 +368,14 @@ class TestGatheredDegradedMerge:
         policy = CampaignPolicy(degraded_after=0.4, lease_timeout=1.0,
                                 backoff_base=0.05, join_timeout=20.0,
                                 max_regrants=1, allow_partial=True)
+        t0 = time.perf_counter()
         result = run_experiment(cfg, shards=2,
                                 net=fast_net(policy=policy, faults=faults))
+        # The dropped holder is still reconnecting when the campaign
+        # settles; it is terminated at once, not awaited for seconds.
+        assert time.perf_counter() - t0 < 3.0
+        assert [p for p in multiprocessing.active_children()
+                if p.name.startswith("repro-net-worker")] == []
         # the survivor and the re-simulated lost shard
         assert gathered_calls == [2]
         assert result.campaign.states == {0: health.DONE, 1: health.LOST}
