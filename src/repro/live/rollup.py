@@ -1,9 +1,9 @@
 """Incrementally-updated rollups over a streamed journal.
 
 :class:`LiveRollups` consumes journal records in journal order -- one
-pass record per iteration, whose rows it decodes and folds one at a
-time before it counts the iteration -- and maintains running analogues
-of the batch analyses:
+pass record per iteration, whose rows it folds as arrays before it
+counts the iteration -- and maintains running analogues of the batch
+analyses:
 
 - **response rate** (Table 2): samples / attempts,
 - **availability** (Fig 3): average powered-on and user-free machines
@@ -30,20 +30,44 @@ the last few ulps, so every float in a snapshot is rounded to
 :data:`ROUND_DECIMALS` decimals -- the rounding both sides of the
 differential test (:mod:`repro.live.replay`) apply.
 
+How a batch folds
+-----------------
+The per-machine accumulators are NumPy arrays indexed by machine id
+(roster ids are dense, as the batch ``bincount`` analyses assume) that
+grow geometrically; labs get integer codes in first-seen order.  A
+batch's rows are folded :data:`FOLD_ROWS` at a time with array
+expressions.  Within such a slice a row's predecessor is the previous
+row of the same machine (a stable argsort on machine id); a machine's
+first row in the slice takes the carried ``last_*`` state.  Running
+float totals add in row order, exactly as a loop over the rows would:
+fleet totals through ``np.cumsum`` seeded with the running value,
+per-lab and per-machine sums through ``np.add.at``.  So the totals do
+not depend on how the records are split into batches.
+
+A batch folds whole or not at all: a non-increasing collection time or
+a negative machine id raises :class:`~repro.errors.LiveError` with the
+rollups as they were.  Each slice checks its rows before it changes
+anything, and a batch of several slices puts back a copy of the state
+taken before its first.
+
 Thread safety: all public methods take an internal lock; a condition
-variable is notified at every iteration marker for the subscription
-feed.
+variable is notified after every batch that holds an iteration marker,
+for the subscription feed.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import threading
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import LiveError
 from repro.recovery.journal import JournalRecord, decode_pass
 
-__all__ = ["LiveRollups", "ROUND_DECIMALS", "MAX_GAP_FACTOR"]
+__all__ = ["LiveRollups", "ROUND_DECIMALS", "MAX_GAP_FACTOR", "FOLD_ROWS"]
 
 #: Decimal places every float in a snapshot is rounded to.  Summation
 #: order between the streaming accumulators and NumPy's pairwise sums
@@ -59,15 +83,53 @@ MAX_GAP_FACTOR = 1.75
 #: :meth:`~repro.traces.columnar.ColumnarTrace.reboot_between`).
 REBOOT_SLACK = 30.0
 
-#: The pass-record columns :meth:`LiveRollups._ingest_row` takes, in
-#: its argument order.
-_ROW_FIELDS = ("machine_id", "t", "uptime_s", "cpu_idle_s", "has_session",
-               "session_start", "iteration", "lab", "hostname", "username")
-
 #: Forgotten-session threshold (seconds); keep in sync with
 #: :data:`repro.analysis.cpu.FORGOTTEN_THRESHOLD` without importing the
 #: NumPy-heavy analysis stack into the ingest path.
 FORGOTTEN_THRESHOLD = 10 * 3600.0
+
+#: Most rows one array step folds.  A replay hands over a whole drained
+#: journal in one batch; folding it in slices keeps the fold's
+#: temporaries (a few dozen bytes a row) bounded.
+FOLD_ROWS = 4096
+
+#: Per-machine arrays, indexed by machine id: attribute -> (dtype, the
+#: value of a slot no row has reached).  A NaN ``last_t`` means "no
+#: predecessor": every gap computed from it is NaN, so no time check
+#: raises and no pair forms, as for a machine's first sample.
+_MACHINE_ARRAYS = {
+    "_m_samples": (np.int64, 0),
+    "_m_pairs": (np.int64, 0),
+    "_m_idle_sum": (np.float64, 0.0),
+    "_m_lab": (np.intp, -1),
+    "_m_hostname": (object, None),
+    "_m_last_t": (np.float64, np.nan),
+    "_m_last_iteration": (np.int64, -1),
+    "_m_last_uptime": (np.float64, 0.0),
+    "_m_last_idle": (np.float64, 0.0),
+    "_m_last_has_session": (np.bool_, False),
+    "_m_last_username": (object, ""),
+}
+
+#: Per-lab arrays, indexed by lab code.
+_LAB_ARRAYS = {
+    "_l_machines": (np.int64, 0),
+    "_l_samples": (np.int64, 0),
+    "_l_occupied": (np.int64, 0),
+    "_l_pairs": (np.int64, 0),
+    "_l_idle_sum": (np.float64, 0.0),
+}
+
+#: Everything a fold changes: what a batch that fails part-way puts back.
+_FOLDED = (
+    *_MACHINE_ARRAYS, *_LAB_ARRAYS, "_order", "_lab_names", "_lab_codes",
+    "_max_mid", "samples", "occupied_samples", "pairs", "occupied_pairs",
+    "idle_sum", "idle_sum_occupied", "idle_sum_free", "eq_total",
+    "eq_occupied", "eq_free",
+)
+
+#: One slice of a batch: ``(pass columns, start row, stop row)`` pieces.
+_Slice = List[Tuple[Dict[str, Any], int, int]]
 
 
 def _round(x: Optional[float]) -> Optional[float]:
@@ -77,41 +139,62 @@ def _round(x: Optional[float]) -> Optional[float]:
     return round(float(x), ROUND_DECIMALS)
 
 
-class _MachineState:
-    """Streaming accumulator for one machine."""
-
-    __slots__ = (
-        "lab", "hostname", "samples", "pairs", "idle_sum",
-        "last_t", "last_iteration", "last_uptime", "last_idle",
-        "last_has_session", "last_username", "last_uptime_s",
-    )
-
-    def __init__(self, lab: str, hostname: str):
-        self.lab = lab
-        self.hostname = hostname
-        self.samples = 0
-        self.pairs = 0
-        self.idle_sum = 0.0
-        self.last_t: Optional[float] = None
-        self.last_iteration = -1
-        self.last_uptime = 0.0
-        self.last_idle = 0.0
-        self.last_has_session = False
-        self.last_username = ""
-        self.last_uptime_s = 0.0
+def _slices(passes: List[Dict[str, Any]], bound: int) -> Iterator[_Slice]:
+    """The rows of ``passes``, in order, as slices of at most ``bound``."""
+    piece: _Slice = []
+    size = 0
+    for cols in passes:
+        n = len(cols["t"])
+        start = 0
+        while start < n:
+            stop = min(n, start + bound - size)
+            piece.append((cols, start, stop))
+            size += stop - start
+            start = stop
+            if size == bound:
+                yield piece
+                piece, size = [], 0
+    if piece:
+        yield piece
 
 
-class _LabState:
-    """Streaming accumulator for one lab."""
+def _column(piece: _Slice, name: str, dtype: Any = None) -> np.ndarray:
+    parts = [cols[name][start:stop] for cols, start, stop in piece]
+    if len(parts) == 1:
+        return np.asarray(parts[0], dtype=dtype)
+    return np.concatenate(parts, dtype=dtype)
 
-    __slots__ = ("machines", "samples", "occupied", "pairs", "idle_sum")
 
-    def __init__(self) -> None:
-        self.machines = 0
-        self.samples = 0
-        self.occupied = 0
-        self.pairs = 0
-        self.idle_sum = 0.0
+def _strings(piece: _Slice, name: str) -> List[str]:
+    return list(itertools.chain.from_iterable(
+        cols[name][start:stop] for cols, start, stop in piece))
+
+
+def _links(mid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's predecessor within the slice, and each machine's last row.
+
+    ``pred[i]`` is the previous row of row ``i``'s machine, or -1 when
+    row ``i`` is that machine's first in the slice.
+    """
+    order = np.argsort(mid, kind="stable")
+    ordered = mid[order]
+    same = ordered[1:] == ordered[:-1]
+    pred = np.full(len(mid), -1, dtype=np.intp)
+    pred[order[1:][same]] = order[:-1][same]
+    return pred, order[np.concatenate((~same, [True]))]
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _add(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, in order: a cumsum
+    seeded with the running value (``np.sum`` adds pairwise, and
+    Python's ``sum`` compensates from 3.12 on)."""
+    if not len(values):
+        return total
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
 class LiveRollups:
@@ -150,8 +233,21 @@ class LiveRollups:
         self.sim_time: Optional[float] = None
         self.records_ingested = 0
         self._max_mid = -1
-        self._machines: Dict[int, _MachineState] = {}
-        self._labs: Dict[str, _LabState] = {}
+        #: Machine ids in first-seen order.
+        self._order: List[int] = []
+        self._lab_names: List[str] = []
+        self._lab_codes: Dict[str, int] = {}
+        for name, (dtype, fill) in {**_MACHINE_ARRAYS, **_LAB_ARRAYS}.items():
+            setattr(self, name, np.full(0, fill, dtype=dtype))
+
+    def _grow(self, arrays: dict, n: int) -> None:
+        """Grow ``arrays`` (a field table) geometrically to ``n`` slots."""
+        for name, (dtype, fill) in arrays.items():
+            old = getattr(self, name)
+            if n > len(old):
+                new = np.full(max(n, 2 * len(old)), fill, dtype=dtype)
+                new[:len(old)] = old
+                setattr(self, name, new)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -159,113 +255,160 @@ class LiveRollups:
     def ingest_records(self, records: List[JournalRecord]) -> int:
         """Consume a batch of journal records; returns samples added.
 
-        Each pass record's rows -- as its reader decoded them, else
-        decoded here (:func:`decode_pass`) -- are folded row by row, in
-        store order, before the iteration itself is counted.
-        """
-        added = 0
-        with self._lock:
-            for rec in records:
-                self.records_ingested += 1
-                if rec.body.get("kind") != "iter":
-                    continue
-                cols = (rec.rows if rec.rows is not None
-                        else decode_pass(rec.body))
-                if cols is not None:
-                    rows = zip(*(
-                        col if isinstance(col, list) else col.tolist()
-                        for col in (cols[name] for name in _ROW_FIELDS)))
-                    for row in rows:
-                        self._ingest_row(*row)
-                    added += len(cols["t"])
-                self._ingest_iter(rec.body)
-        return added
+        The rows of the batch's pass records -- as their reader decoded
+        them, else decoded here (:func:`decode_pass`) -- are folded in
+        journal order, then the batch's iteration markers are counted.
 
-    def _ingest_row(self, mid: int, t: float, uptime: float, idle: float,
-                    has_session: int, ss: float, iteration: int,
-                    lab_name: str, hostname: str, username: str) -> None:
-        m = self._machines.get(mid)
-        if m is None:
-            m = _MachineState(lab_name, hostname)
-            self._machines[mid] = m
-            lab = self._labs.get(m.lab)
-            if lab is None:
-                lab = _LabState()
-                self._labs[m.lab] = lab
-            lab.machines += 1
-            if mid > self._max_mid:
-                self._max_mid = mid
-        lab = self._labs[m.lab]
+        Raises
+        ------
+        LiveError
+            On a collection time not after its machine's previous one,
+            or a negative machine id.  The rollups are then unchanged.
+        """
+        passes: List[Dict[str, Any]] = []
+        marks: List[Tuple[bool, int, float]] = []
+        for rec in records:
+            body = rec.body
+            if body.get("kind") != "iter":
+                continue
+            cols = rec.rows if rec.rows is not None else decode_pass(body)
+            if cols is not None and len(cols["t"]):
+                passes.append(cols)
+            marks.append((bool(body.get("ran", True)), int(body["k"]),
+                          float(body["t"])))
+        with self._lock:
+            slices = list(_slices(passes, FOLD_ROWS))
+            # A slice checks its rows before it changes anything, but
+            # of several, a later one can fail after earlier ones
+            # folded: those start from a copy of the state to put back.
+            saved = ({name: copy.copy(getattr(self, name))
+                      for name in _FOLDED} if len(slices) > 1 else None)
+            try:
+                for piece in slices:
+                    self._fold(piece)
+            except LiveError:
+                if saved is not None:
+                    self.__dict__.update(saved)
+                raise
+            for ran, k, t in marks:
+                self.iterations_scheduled += 1
+                self.iterations_run += ran
+                self.last_iteration = k
+                self.sim_time = t
+            self.records_ingested += len(records)
+            if marks:
+                self._iter_cond.notify_all()
+        return sum(len(cols["t"]) for cols in passes)
+
+    def _lab_code(self, name: str) -> int:
+        code = self._lab_codes.get(name)
+        if code is None:
+            code = self._lab_codes[name] = len(self._lab_names)
+            self._lab_names.append(name)
+            self._grow(_LAB_ARRAYS, code + 1)
+        return code
+
+    def _fold(self, piece: _Slice) -> None:
+        """Fold one slice of rows into every accumulator.
+
+        The rows are checked first: a negative machine id (which an
+        array index would wrap to another machine) or a time not after
+        its machine's previous one raises before anything changes.
+        """
+        mid = _column(piece, "machine_id", np.intp)
+        if mid.min() < 0:
+            raise LiveError(
+                f"negative machine id {mid.min()} in a pass record")
+        self._grow(_MACHINE_ARRAYS, int(mid.max()) + 1)
+        t = _column(piece, "t")
+        pred, last = _links(mid)
+        inside = pred >= 0
+        prev_t = np.where(inside, t[pred], self._m_last_t[mid])
+        bad = np.flatnonzero(t - prev_t <= 0)
+        if len(bad):
+            row = bad[0]
+            raise LiveError(
+                f"non-increasing collection times for machine {mid[row]}: "
+                f"{float(prev_t[row])} -> {float(t[row])}"
+            )
+        uptime = _column(piece, "uptime_s")
+        idle = _column(piece, "cpu_idle_s")
+        has_session = _column(piece, "has_session") != 0
+
+        # Machines first seen here, in row order: a machine keeps the
+        # lab and hostname of its first row, and a lab's code is its
+        # rank among first-seen labs.
+        firsts = np.flatnonzero(~inside)
+        new = firsts[self._m_samples[mid[firsts]] == 0]
+        if len(new):
+            rows = new.tolist()
+            labs = _strings(piece, "lab")
+            hosts = _strings(piece, "hostname")
+            ids = mid[new]
+            codes = [self._lab_code(labs[row]) for row in rows]
+            np.add.at(self._l_machines, codes, 1)
+            self._m_lab[ids] = codes
+            self._m_hostname[ids] = [hosts[row] for row in rows]
+            self._order.extend(ids.tolist())
+            self._max_mid = max(self._max_mid, int(ids.max()))
+        lab = self._m_lab[mid]
 
         # Forgotten-session reclassification (occupied_mask semantics:
         # an absent logon time, NaN, compares false and leaves the raw
         # login state untouched).
-        has_session = bool(has_session)
-        occupied = has_session
-        if has_session and t - ss >= FORGOTTEN_THRESHOLD:
-            occupied = False
+        occupied = has_session & ~(
+            t - _column(piece, "session_start") >= FORGOTTEN_THRESHOLD)
 
         # Pairwise idleness where a valid predecessor exists, the probe's
         # boot-relative average otherwise -- exactly the batch estimator
         # (pairwise_cpu + cluster_equivalence's fallback).
-        fallback = idle / uptime if uptime > 0 else 1.0
-        fallback = min(max(fallback, 0.0), 1.0)
-        contrib = fallback
-        if m.last_t is not None:
-            gap = t - m.last_t
-            if gap <= 0:
-                raise LiveError(
-                    f"non-increasing collection times for machine {mid}: "
-                    f"{m.last_t} -> {t}"
-                )
-            if gap <= self.max_gap and not (
-                uptime + REBOOT_SLACK < m.last_uptime + gap
-            ):
-                pair_idle = (idle - m.last_idle) / gap
-                pair_idle = min(max(pair_idle, 0.0), 1.0)
-                contrib = pair_idle
-                self.pairs += 1
-                self.idle_sum += pair_idle
-                m.pairs += 1
-                m.idle_sum += pair_idle
-                lab.pairs += 1
-                lab.idle_sum += pair_idle
-                if occupied:
-                    self.occupied_pairs += 1
-                    self.idle_sum_occupied += pair_idle
-                else:
-                    self.idle_sum_free += pair_idle
+        prev_uptime = np.where(inside, uptime[pred], self._m_last_uptime[mid])
+        prev_idle = np.where(inside, idle[pred], self._m_last_idle[mid])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fallback = _clamp(np.where(uptime > 0, idle / uptime, 1.0))
+            gap = t - prev_t
+            pair = (gap <= self.max_gap) & ~(
+                uptime + REBOOT_SLACK < prev_uptime + gap)
+            pair_idle = _clamp((idle - prev_idle) / gap)
+        contrib = np.where(pair, pair_idle, fallback)
 
+        # Fleet totals add in row order, like a loop over the rows.
+        idle_pairs = pair_idle[pair]
+        pair_occupied = occupied[pair]
+        self.idle_sum = _add(self.idle_sum, idle_pairs)
+        self.idle_sum_occupied = _add(self.idle_sum_occupied,
+                                      idle_pairs[pair_occupied])
+        self.idle_sum_free = _add(self.idle_sum_free,
+                                  idle_pairs[~pair_occupied])
         # Cluster-equivalence contribution, split by the *raw* login
         # state (Fig 6); NBench weights are 1.0 for journal-only fleets.
-        self.eq_total += contrib
-        if has_session:
-            self.eq_occupied += contrib
-        else:
-            self.eq_free += contrib
+        self.eq_total = _add(self.eq_total, contrib)
+        self.eq_occupied = _add(self.eq_occupied, contrib[has_session])
+        self.eq_free = _add(self.eq_free, contrib[~has_session])
+        self.samples += len(mid)
+        self.occupied_samples += int(occupied.sum())
+        self.pairs += len(idle_pairs)
+        self.occupied_pairs += int(pair_occupied.sum())
 
-        self.samples += 1
-        lab.samples += 1
-        m.samples += 1
-        if occupied:
-            self.occupied_samples += 1
-            lab.occupied += 1
+        # Per-machine and per-lab sums: np.add.at adds in row order too.
+        pair_mid = mid[pair]
+        pair_lab = lab[pair]
+        np.add.at(self._m_samples, mid, 1)
+        np.add.at(self._m_pairs, pair_mid, 1)
+        np.add.at(self._m_idle_sum, pair_mid, idle_pairs)
+        np.add.at(self._l_samples, lab, 1)
+        np.add.at(self._l_occupied, lab[occupied], 1)
+        np.add.at(self._l_pairs, pair_lab, 1)
+        np.add.at(self._l_idle_sum, pair_lab, idle_pairs)
 
-        m.last_t = t
-        m.last_iteration = iteration
-        m.last_uptime = uptime
-        m.last_idle = idle
-        m.last_has_session = has_session
-        m.last_username = username
-        m.last_uptime_s = uptime
-
-    def _ingest_iter(self, body: dict) -> None:
-        self.iterations_scheduled += 1
-        if body.get("ran", True):
-            self.iterations_run += 1
-        self.last_iteration = int(body["k"])
-        self.sim_time = float(body["t"])
-        self._iter_cond.notify_all()
+        ends = mid[last]
+        self._m_last_t[ends] = t[last]
+        self._m_last_iteration[ends] = _column(piece, "iteration")[last]
+        self._m_last_uptime[ends] = uptime[last]
+        self._m_last_idle[ends] = idle[last]
+        self._m_last_has_session[ends] = has_session[last]
+        users = _strings(piece, "username")
+        self._m_last_username[ends] = [users[row] for row in last.tolist()]
 
     # ------------------------------------------------------------------
     # subscription feed
@@ -316,8 +459,8 @@ class LiveRollups:
             "counts": {
                 "samples": self.samples,
                 "machines": n,
-                "machines_seen": len(self._machines),
-                "labs": len(self._labs),
+                "machines_seen": len(self._order),
+                "labs": len(self._lab_names),
                 "attempts": attempts,
                 "occupied_samples": self.occupied_samples,
                 "pairs": self.pairs,
@@ -332,9 +475,9 @@ class LiveRollups:
             return out
 
         free_pairs = self.pairs - self.occupied_pairs
-        ratios = [
-            min(m.samples / runs, 1.0) for m in self._machines.values()
-        ]
+        # First-seen order: the mean below adds the ratios in it.
+        ratios = np.minimum(self._m_samples[self._order] / runs,
+                            1.0).tolist()
         out["fleet"] = {
             "response_rate": _round(self.samples / attempts),
             "avg_powered_on": _round(self.samples / runs),
@@ -367,69 +510,87 @@ class LiveRollups:
             },
         }
         labs: dict = {}
-        for name in sorted(self._labs):
-            st = self._labs[name]
+        for name in sorted(self._lab_names):
+            code = self._lab_codes[name]
+            machines = int(self._l_machines[code])
+            samples = int(self._l_samples[code])
+            occupied = int(self._l_occupied[code])
+            pairs = int(self._l_pairs[code])
             labs[name] = {
-                "machines": st.machines,
-                "samples": st.samples,
-                "occupied_samples": st.occupied,
-                "response_rate": _round(st.samples / (runs * st.machines)),
-                "avg_powered_on": _round(st.samples / runs),
-                "avg_user_free": _round((st.samples - st.occupied) / runs),
-                "pairs": st.pairs,
-                "idle_pct": _round(100.0 * st.idle_sum / st.pairs)
-                if st.pairs else None,
+                "machines": machines,
+                "samples": samples,
+                "occupied_samples": occupied,
+                "response_rate": _round(samples / (runs * machines)),
+                "avg_powered_on": _round(samples / runs),
+                "avg_user_free": _round((samples - occupied) / runs),
+                "pairs": pairs,
+                "idle_pct": _round(100.0 * float(self._l_idle_sum[code])
+                                   / pairs) if pairs else None,
             }
         out["labs"] = labs
         if include_machines:
-            machines: dict = {}
-            for mid in sorted(self._machines):
-                m = self._machines[mid]
-                machines[str(mid)] = self._machine_dict(mid, m, runs)
-            out["machines"] = machines
+            out["machines"] = self._machine_dicts(
+                np.flatnonzero(self._m_samples > 0))
         return out
 
-    def _machine_dict(self, mid: int, m: _MachineState, runs: int) -> dict:
-        return {
-            "lab": m.lab,
-            "hostname": m.hostname,
-            "samples": m.samples,
-            "uptime_ratio": _round(min(m.samples / runs, 1.0)) if runs else None,
-            "pairs": m.pairs,
-            "idle_pct": _round(100.0 * m.idle_sum / m.pairs)
-            if m.pairs else None,
-            "last": {
-                "t": _round(m.last_t),
-                "iteration": m.last_iteration,
-                "has_session": m.last_has_session,
-                "username": m.last_username,
-                "uptime_s": _round(m.last_uptime_s),
-            },
-        }
+    def _machine_dicts(self, mids: np.ndarray) -> Dict[str, dict]:
+        """``str(mid) -> machine view`` for sampled machines ``mids``."""
+        runs = self.iterations_run
+        rows = zip(
+            mids.tolist(),
+            self._m_lab[mids].tolist(),
+            self._m_samples[mids].tolist(),
+            self._m_pairs[mids].tolist(),
+            self._m_idle_sum[mids].tolist(),
+            self._m_last_t[mids].tolist(),
+            self._m_last_iteration[mids].tolist(),
+            self._m_last_has_session[mids].tolist(),
+            self._m_last_uptime[mids].tolist(),
+        )
+        out: Dict[str, dict] = {}
+        for mid, lab, samples, pairs, idle_sum, t, k, session, up in rows:
+            out[str(mid)] = {
+                "lab": self._lab_names[lab],
+                "hostname": self._m_hostname[mid],
+                "samples": samples,
+                "uptime_ratio": _round(min(samples / runs, 1.0))
+                if runs else None,
+                "pairs": pairs,
+                "idle_pct": _round(100.0 * idle_sum / pairs)
+                if pairs else None,
+                "last": {
+                    "t": _round(t),
+                    "iteration": k,
+                    "has_session": session,
+                    "username": self._m_last_username[mid],
+                    "uptime_s": _round(up),
+                },
+            }
+        return out
 
     # Endpoint views -----------------------------------------------------
     def lab_snapshot(self, name: str) -> Optional[dict]:
         """Snapshot of one lab plus its member machines; None if unknown."""
         with self._lock:
-            if name not in self._labs:
+            code = self._lab_codes.get(name)
+            if code is None:
                 return None
             snap = self._snapshot_locked(include_machines=False)
-            lab = snap["labs"].get(name)
-            runs = self.iterations_run
-            members = {
-                str(mid): self._machine_dict(mid, m, runs)
-                for mid, m in sorted(self._machines.items())
-                if m.lab == name
-            }
-            return {"lab": name, "stats": lab, "machines": members}
+            members = self._machine_dicts(np.flatnonzero(
+                (self._m_samples > 0) & (self._m_lab == code)))
+            return {"lab": name, "stats": snap["labs"].get(name),
+                    "machines": members}
 
     def machine_snapshot(self, mid: int) -> Optional[dict]:
-        """Snapshot of one machine; None if never sampled."""
+        """Snapshot of one machine; None if never sampled.
+
+        Any id outside the arrays, negative ones included, is unknown.
+        """
         with self._lock:
-            m = self._machines.get(mid)
-            if m is None:
+            if not (0 <= mid < len(self._m_samples)
+                    and self._m_samples[mid] > 0):
                 return None
             return {
                 "machine_id": mid,
-                **self._machine_dict(mid, m, self.iterations_run),
+                **self._machine_dicts(np.array([mid]))[str(mid)],
             }

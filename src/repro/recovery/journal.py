@@ -751,7 +751,16 @@ class JournalTailReader:
         ))
 
     def _next_index(self) -> Optional[int]:
-        """Lowest on-disk segment index after the current one, if any."""
+        """Lowest on-disk segment index after the current one, if any.
+
+        The writer numbers segments consecutively, so the successor is
+        opened by name; the directory is listed only when it is absent
+        (the first segment, a gap left by quarantine, or the end).
+        """
+        if self._segment is not None and (
+            self.dir / _SEGMENT_FMT.format(self._segment + 1)
+        ).exists():
+            return self._segment + 1
         for index, _path in _segment_files(self.dir):
             if self._segment is None or index > self._segment:
                 return index

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+from unittest import mock
 
 import pytest
 
+import repro.live.rollup as rollup
 from repro.errors import LiveError
 from repro.live.config import LiveConfig, parse_rate
 from repro.live.replay import (
@@ -137,6 +139,28 @@ class TestStreamingEstimators:
         r.ingest_records([_sample(0, 900.0, iteration=1)])
         with pytest.raises(LiveError):
             r.ingest_records([_sample(0, 900.0, iteration=2)])
+        before = (r.snapshot(), r.records_ingested)
+        # Machine 1 is fine, then machine 0 goes back in time: the whole
+        # call is refused, folded in one slice or in one slice per row.
+        batch = [_sample(1, 1800.0, iteration=2),
+                 _sample(0, 2700.0, iteration=3),
+                 _sample(0, 2000.0, iteration=4)]
+        for fold_rows in (rollup.FOLD_ROWS, 1):
+            with mock.patch.object(rollup, "FOLD_ROWS", fold_rows):
+                with pytest.raises(LiveError,
+                                   match=r"machine 0: 2700\.0 -> 2000\.0"):
+                    r.ingest_records(batch)
+            assert (r.snapshot(), r.records_ingested) == before
+            assert r.machine_snapshot(1) is None
+
+    def test_negative_machine_id_rejected(self):
+        r = LiveRollups(900.0)
+        r.ingest_records([_sample(0, 900.0, iteration=1)])
+        before = r.snapshot()
+        with pytest.raises(LiveError, match="negative machine id -1"):
+            r.ingest_records([_sample(1, 1800.0, iteration=2),
+                              _sample(-1, 1800.0, iteration=2)])
+        assert r.snapshot() == before
 
     def test_empty_snapshot_shape(self):
         snap = LiveRollups(900.0).snapshot()
@@ -152,6 +176,10 @@ class TestStreamingEstimators:
         view = r.lab_snapshot("lab66")
         assert view is not None and "3" in view["machines"]
         assert r.machine_snapshot(3)["lab"] == "lab66"
+        # ids no row reached, outside the per-machine arrays or negative
+        # (which an array index would wrap to machine 3)
+        for mid in (0, 4, 10 ** 11, -1, -4):
+            assert r.machine_snapshot(mid) is None
 
     def test_invalid_period_rejected(self):
         with pytest.raises(LiveError):

@@ -71,6 +71,11 @@ class TestEndpoints:
     def test_machine_bad_id_400_unknown_404(self, served):
         assert _get(served.url, "/machines/zero")[0] == 400
         assert _get(served.url, "/machines/99999")[0] == 404
+        # The rollups index arrays by machine id: a negative id must not
+        # wrap to another machine, nor a huge one fail the request.
+        for mid in ("-1", "99999999999"):
+            assert _get(served.url, f"/machines/{mid}") == (
+                404, {"error": f"unknown machine {mid}"})
 
     def test_unknown_endpoint_404(self, served):
         assert _get(served.url, "/nope")[0] == 404

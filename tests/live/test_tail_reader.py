@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.recovery.journal as journal
 from repro.recovery.journal import (
     JournalTailReader,
     JournalWriter,
@@ -87,6 +88,38 @@ class TestFollowBasics:
         assert reader.segments_finished > before
         assert any(r.body["kind"] == "head" for r in records)
         w.close()
+
+
+class TestSegmentTransitions:
+    def test_drain_lists_the_directory_at_most_twice_per_poll(
+            self, tmp_path, monkeypatch):
+        # Every iteration (head + a pass record of 3 rows) seals its
+        # segment: 150 iterations leave 150 segments.
+        w = JournalWriter(tmp_path, segment_records=4, fsync=False)
+        for k in range(150):
+            write_iteration(w, k)
+        w.close()
+        assert len(list(tmp_path.glob("segment-*.jsonl"))) == 150
+        listings = []
+        real = journal._segment_files
+
+        def counting(journal_dir):
+            listings.append(journal_dir)
+            return real(journal_dir)
+
+        monkeypatch.setattr(journal, "_segment_files", counting)
+        reader = JournalTailReader(tmp_path)
+        records = reader.poll()
+        # the successor is opened by name; the listings are the first
+        # segment's and the one that finds no successor at the end
+        assert len(listings) <= 2
+        assert [r.body["k"] for r in records
+                if r.body["kind"] == "iter"] == list(range(150))
+        assert reader.seals_verified == 150
+        assert reader.segments_finished == 149
+        listings.clear()
+        assert reader.poll() == []
+        assert len(listings) <= 2
 
 
 class TestTornAndDamaged:

@@ -9,6 +9,7 @@ it against the run's in-memory store.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,13 @@ from tests.recovery.passes import machine_rows, pass_body, write_pass
 
 #: The paper's 169-machine fleet for two days.
 TRUTH_CONFIG = ExperimentConfig(days=2, seed=2005)
+
+#: SHA-256 of ``json.dumps(replay_snapshot(journal), sort_keys=True)``
+#: for TRUTH_CONFIG's journal, as the per-row fold
+#: (``tests/live/row_oracle.py``) formats it; both kernels write the
+#: same journal.
+REPLAY_SHA256 = (
+    "0381abf7742de07cad8ae06b02eef4f0206fb246eba74b19a3887b6b7897e9c1")
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +97,12 @@ class TestJournalTruth:
         assert status["samples_journaled"] == len(result.store)
         assert len(status["segments"]) > 1
         assert {s["version"] for s in status["segments"]} == {JOURNAL_VERSION}
+
+    def test_replay_snapshot_bytes_are_pinned(self, journaled_runs, kernel):
+        _result, run_dir = journaled_runs[kernel]
+        snap = replay_snapshot(run_dir / "journal")
+        text = json.dumps(snap, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPLAY_SHA256
 
 
 def damaged(body: dict, *, n=None, code=None) -> str:
