@@ -64,8 +64,7 @@ def test_distributed_overhead(tmp_path):
     rows = []
 
     supervised, sup_s = _timed(
-        lambda: run_experiment(cfg, collect_nbench=False, shards=SHARDS,
-                               supervise=True))
+        lambda: run_experiment(cfg, collect_nbench=False, shards=SHARDS))
     baseline_csv = _csv(supervised, tmp_path / "sup.csv")
     rows.append({"mode": "supervised_local",
                  "wall_seconds": round(sup_s, 3),

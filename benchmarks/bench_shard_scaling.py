@@ -7,7 +7,7 @@ report with the wall-clock numbers.
 
 Speedup expectations
 --------------------
-Shards run on a :class:`concurrent.futures.ProcessPoolExecutor`, so the
+Shards run on worker processes the campaign coordinator forks, so the
 achievable speedup is bounded by the physical core count.  The target
 from docs/sharding.md -- **>= 1.5x at 4 shards** -- is asserted only
 when the host actually has >= 4 CPUs; on smaller hosts (including

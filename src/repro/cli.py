@@ -94,18 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "load shedding (see docs/resilience.md)")
     p_run.add_argument("--shards", type=int, default=1, metavar="N",
                        help="collect the run as N lab-aligned worker "
-                       "processes and merge a byte-identical trace "
+                       "processes on the campaign coordinator "
+                       "(heartbeats, liveness deadlines, bounded "
+                       "regrant) and merge a byte-identical trace "
                        "(default 1: the classic sequential run; with "
-                       "--recover-dir the run becomes a campaign with "
+                       "--recover-dir each shard also checkpoints for "
                        "per-shard crash recovery; see "
                        "docs/sharding.md and docs/shard_recovery.md)")
-    p_run.add_argument("--supervise", action="store_true",
-                       help="run the shards on the campaign coordinator "
-                       "with worker processes it forks itself "
-                       "(heartbeats, liveness deadlines, bounded "
-                       "regrant) even without --recover-dir; implied "
-                       "when --shards > 1 and --recover-dir are combined; "
-                       "--listen/--workers use TCP workers instead")
     p_run.add_argument("--listen", default=None, metavar="ENDPOINT",
                        help="run the sharded campaign on TCP workers: the "
                        "campaign coordinator listens on ENDPOINT "
@@ -235,7 +230,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resilience=args.resilience,
         policy=args.resilience,
         net=args.listen is not None or args.workers is not None,
-        supervise=args.supervise,
         observer=bool(args.obs_out),
         no_run_dir=not args.recover_dir,
         machines=args.machines is not None,
@@ -327,11 +321,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rcfg = (RecoveryConfig(run_dir=args.recover_dir,
                            checkpoint_every=args.checkpoint_every)
             if args.recover_dir else None)
-    run_kwargs = {"supervise": True if args.supervise else None}
     if args.resume:
-        run_kwargs["resume_from"] = rcfg
+        run_kwargs = {"resume_from": rcfg}
     else:
-        run_kwargs.update(observer=observer, recovery=rcfg,
+        run_kwargs = dict(observer=observer, recovery=rcfg,
                           resilience=policy, net=net)
         if args.machines is not None:
             from repro.machines.hardware import scaled_labs

@@ -26,7 +26,7 @@ SWITCHES = {
     "resilience": "resilience=; --resilience",
     "policy": "a ResiliencePolicy via resilience= or config.ddc.resilience",
     "net": "net=; --listen or --workers",
-    "supervise": "supervise=; --supervise",
+    "supervise": "a CampaignPolicy via supervise= (no CLI flag)",
     "one_shard": "shards= or config.shards below 2; --shards below 2",
     "sharded": "shards= or config.shards above 1; --shards above 1",
     "columnar": "config.kernel='columnar'; --kernel columnar",
@@ -96,10 +96,9 @@ RULES: Tuple[Rule, ...] = (
          "needs --shards >= 2 (shards=): it exists to fan shards out "
          "over workers"),
     Rule(("net", "supervise"), ValueError,
-         "net= (--listen/--workers) and supervise= (--supervise) are "
-         "mutually exclusive: each picks the campaign coordinator's "
-         "workers (TCP or forked); tune a net= campaign with "
-         "NetConfig(policy=CampaignPolicy(...))"),
+         "net= (--listen/--workers) and supervise= are mutually "
+         "exclusive: supervise= tunes a campaign on forked workers; tune "
+         "a net= campaign with NetConfig(policy=CampaignPolicy(...))"),
     Rule(("net", "fleet_factory"), ValueError,
          "fleet_factory is not supported with net= (--listen/--workers): "
          "networked workers rebuild their fleet from the picklable config"),

@@ -190,13 +190,11 @@ class InjectedCrash(ReproError):
 class ShardWorkerError(ReproError):
     """A shard worker process died and could not be brought back.
 
-    Replaces the executor's opaque ``BrokenProcessPool`` with the
-    identity of the failed shard: which shard it was, the seconds since
-    the campaign coordinator last heard the shard's heartbeat (``None``
-    on the plain pool path, which has no heartbeat channel, and when a
-    campaign stalls with no worker at all), the last iteration the
-    worker reported complete, and how many lease regrants were burned
-    before giving up.
+    Raised by the campaign coordinator with the identity of the failed
+    shard: which shard it was, the seconds since the coordinator last
+    heard the shard's heartbeat (``None`` when a campaign stalls with no
+    worker at all), the last iteration the worker reported complete,
+    and how many lease regrants were burned before giving up.
     """
 
     def __init__(

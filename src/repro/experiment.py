@@ -20,8 +20,6 @@ columnar kernel.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +28,7 @@ from typing import Optional, Sequence, Union
 from repro import compat
 from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
-from repro.errors import CheckpointError, ShardWorkerError
+from repro.errors import CheckpointError
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import Observer, maybe_phase
 from repro.obs.snapshot import ObsSnapshot
@@ -57,13 +55,7 @@ from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
 from repro.shard.net.config import NetConfig
 from repro.shard.net.worker import local_worker_id, spawn_local_workers
 from repro.shard.plan import ShardPlan
-from repro.shard.worker import (
-    ShardOutcome,
-    ShardTask,
-    _run_shard_task,
-    resume_shard,
-    run_shard,
-)
+from repro.shard.worker import ShardOutcome, ShardTask, resume_shard, run_shard
 from repro.sim.fleet import FleetSimulator
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import TraceMeta
@@ -105,9 +97,9 @@ class MonitoringResult:
         runs only; single-shard runs snapshot their live ``observer``).
     campaign:
         :class:`~repro.shard.coordinator.CampaignReport` of a sharded
-        campaign (``supervise=``, ``recovery=`` or ``net=``): per-shard
-        health states, lease regrant counts, heartbeats, recovery
-        summaries and lost shards (``None`` otherwise).
+        run (every ``shards>1`` run is a campaign): per-shard health
+        states, lease regrant counts, heartbeats, recovery summaries and
+        lost shards (``None`` for a sequential run).
     degraded:
         :class:`~repro.shard.merge.DegradedMergeInfo` when a campaign
         run with ``allow_partial`` permanently lost shards and concluded
@@ -154,7 +146,7 @@ def run_experiment(
     resume_from: Optional[Union[str, Path, RecoveryConfig]] = None,
     resilience: Optional[ResiliencePolicy] = None,
     shards: Optional[int] = None,
-    supervise: Union[bool, CampaignPolicy, None] = None,
+    supervise: Optional[CampaignPolicy] = None,
     net: Optional[NetConfig] = None,
 ) -> MonitoringResult:
     """Run a full monitoring experiment and return its artefacts.
@@ -228,35 +220,27 @@ def run_experiment(
         (``None`` defers to ``config.shards``, default 1).  Every value
         routes through the same :mod:`repro.shard` plan/worker/merge
         pipeline: ``shards=1`` runs the single all-labs shard in-process
-        (the classic sequential run, byte for byte), ``shards>1`` fans
-        the plan out over worker processes and merges a trace
-        byte-identical to the sequential one.  Without ``recovery``, a
-        run that takes the columnar pass has its workers -- pool,
-        ``supervise`` or ``net`` alike -- simulate only their own labs,
-        and this process runs the one probing pass and NBench
-        (``docs/sharding.md``); otherwise every worker replays the full
-        fleet.  Combined with ``recovery`` the fan-out becomes a
-        *campaign*: each shard
+        (the classic sequential run, byte for byte), ``shards>1`` is a
+        *campaign* on :class:`~repro.shard.coordinator.CampaignCoordinator`,
+        which leases the shards to worker processes it forks (or to TCP
+        workers with ``net``) under heartbeats, liveness deadlines and
+        bounded regrant -- a dead worker's shard re-runs -- and merges a
+        trace byte-identical to the sequential one.  Without
+        ``recovery``, a run that takes the columnar pass has its workers
+        simulate only their own labs, and this process runs the one
+        probing pass and NBench (``docs/sharding.md``); otherwise every
+        worker replays the full fleet.  With ``recovery`` each shard
         journals and checkpoints into its own ``<run_dir>/shard-<k>/``
-        namespace under a shared campaign manifest, a dead worker's
-        shard is regranted and resumes from its *own* checkpoint while
-        healthy shards keep running, and ``resume_from=<run_dir>``
-        resumes the whole campaign.  Incompatible with
-        ``fleet_factory`` (workers rebuild fleets from the config in
-        their own processes).
+        namespace under a shared campaign manifest, a regranted shard
+        resumes from its *own* checkpoint while healthy shards keep
+        running, and ``resume_from=<run_dir>`` resumes the whole
+        campaign.  Incompatible with ``fleet_factory`` (workers rebuild
+        fleets from the config in their own processes).
     supervise:
-        Run ``shards>1`` on the campaign coordinator
-        (:class:`~repro.shard.coordinator.CampaignCoordinator`) with
-        worker processes it forks itself -- heartbeats, liveness
-        deadlines, bounded regrant-with-backoff, PAUSE/RESUME/STOP
-        steering -- instead of a bare process pool.  Pass ``True`` for
-        the default :class:`~repro.shard.coordinator.CampaignPolicy` or
-        a policy instance to tune deadlines and regrant budgets.
-        Implied whenever ``recovery`` or a campaign ``resume_from`` is
-        combined with ``shards>1``.  Without ``recovery`` its workers
-        gather on the columnar pass, heartbeating and taking steering
-        at every recorded instant; a dead worker's shard re-runs from
-        scratch.
+        A :class:`~repro.shard.coordinator.CampaignPolicy` tuning the
+        forked workers' campaign of a ``shards>1`` run or a campaign
+        resume (deadlines, regrant budget, backoff); ``None`` takes the
+        default policy.  Anything else raises :class:`TypeError`.
     net:
         Run the campaign coordinator with **TCP** workers
         (:mod:`repro.shard.net`) instead of forked ones: the campaign
@@ -270,12 +254,19 @@ def run_experiment(
         lost (a gathered campaign re-simulates the lost labs here for
         its one pass and keeps the survivors' rows).  With ``recovery``
         the run is a full campaign directory.  Mutually exclusive with
-        ``supervise``, ``fleet_factory`` and ``resume_from``; requires
-        ``shards >= 2``.  See ``docs/distributed.md``.
+        ``supervise`` (tune it with ``net.policy``), ``fleet_factory``
+        and ``resume_from``; requires ``shards >= 2``.  See
+        ``docs/distributed.md``.
 
     Combinations that cannot work together are rejected by the
     :mod:`repro.compat` table before anything touches the filesystem.
     """
+    if supervise is not None and not isinstance(supervise, CampaignPolicy):
+        raise TypeError(
+            f"supervise= takes a CampaignPolicy or None, not "
+            f"{supervise!r}: every sharded run now runs on the campaign "
+            "coordinator, so there is nothing left to switch on"
+        )
     cfg = config or paper_config()
     if resilience is not None:
         cfg = cfg.replace(
@@ -291,7 +282,7 @@ def run_experiment(
         resilience=resilience is not None,
         policy=cfg.ddc.resilience is not None,
         net=net is not None,
-        supervise=bool(supervise),
+        supervise=supervise is not None,
         fleet_factory=fleet_factory is not None,
         faults=faults is not None and not faults.empty,
         observer=observer is not None and observer.enabled,
@@ -312,7 +303,7 @@ def run_experiment(
                 rcfg, config,
                 requested_shards=shards,
                 observer=observer,
-                supervise=supervise,
+                policy=supervise,
             )
         if n_shards > 1:
             raise CheckpointError(
@@ -352,30 +343,10 @@ def run_experiment(
             strict_postcollect=strict_postcollect,
             instrument=instrument,
         )
-    if net is not None or recovery is not None or supervise:
-        return _run_campaign(
-            cfg, plan, tasks, supervise=supervise, net=net,
-            run_dir=recovery.run_dir if recovery is not None else None,
-            manifest=manifest, observer=observer)
-    with ProcessPoolExecutor(max_workers=n_shards) as pool:
-        futures = [pool.submit(_run_shard_task, task) for task in tasks]
-        outcomes = []
-        for task, future in zip(tasks, futures):
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool as exc:
-                raise ShardWorkerError(
-                    f"shard {task.shard.index} worker died in the process "
-                    "pool (no heartbeat channel, no regrant budget); run "
-                    "with supervise=True (CLI: --supervise) for liveness "
-                    "tracking and bounded regrant, or add recovery= for "
-                    "per-shard checkpointed regrant",
-                    shard_index=task.shard.index,
-                ) from exc
-    store, merged_faults, snapshot = merge_outcomes(outcomes)
-    return MonitoringResult(config=cfg, fleet=None, coordinator=None,
-                            store=store, faults=merged_faults,
-                            observer=None, obs_snapshot=snapshot)
+    return _run_campaign(
+        cfg, plan, tasks, policy=supervise, net=net,
+        run_dir=recovery.run_dir if recovery is not None else None,
+        manifest=manifest, observer=observer)
 
 
 def _in_process_result(outcome: ShardOutcome) -> MonitoringResult:
@@ -449,7 +420,7 @@ def _run_campaign(
     plan: ShardPlan,
     tasks: Sequence[ShardTask],
     *,
-    supervise: Union[bool, CampaignPolicy, None],
+    policy: Optional[CampaignPolicy],
     net: Optional[NetConfig],
     run_dir: Optional[Path],
     manifest: Optional[CampaignManifest],
@@ -466,8 +437,6 @@ def _run_campaign(
     """
     if net is not None:
         policy = net.policy or CampaignPolicy(allow_partial=True)
-    else:
-        policy = supervise if isinstance(supervise, CampaignPolicy) else None
     coordinator = CampaignCoordinator(
         tasks,
         endpoint=net.endpoint if net is not None else None,
@@ -524,7 +493,7 @@ def _resume_campaign(
     *,
     requested_shards: Optional[int],
     observer: Optional[Observer],
-    supervise: Union[bool, CampaignPolicy, None],
+    policy: Optional[CampaignPolicy],
 ) -> MonitoringResult:
     """Resume a whole campaign: every shard from its own checkpoint.
 
@@ -571,7 +540,7 @@ def _resume_campaign(
         )
         for spec in plan.specs
     ]
-    return _run_campaign(cfg, plan, tasks, supervise=supervise, net=None,
+    return _run_campaign(cfg, plan, tasks, policy=policy, net=None,
                          run_dir=rcfg.run_dir, manifest=manifest,
                          observer=observer)
 

@@ -12,15 +12,14 @@ outcomes merge into a trace byte-identical to the sequential run:
   the shard's own labs;
 - :mod:`repro.shard.merge` recombines the per-shard outcomes, metas and
   observability snapshots deterministically;
-- :mod:`repro.shard.coordinator` is the campaign control plane: one
-  coordinator leases shards to workers it forks itself (``supervise=``,
-  ``recovery=``) or to TCP workers (``net=``, :mod:`repro.shard.net`),
-  with heartbeats, liveness deadlines, bounded regrant-with-backoff from
-  per-shard checkpoints and PAUSE/RESUME/STOP steering
-  (``docs/shard_recovery.md``, ``docs/distributed.md``).
+- :mod:`repro.shard.coordinator` is the campaign control plane that
+  runs every ``shards>1`` run: one coordinator leases shards to workers
+  it forks itself or to TCP workers (``net=``, :mod:`repro.shard.net`),
+  with heartbeats, liveness deadlines, bounded regrant-with-backoff
+  (from per-shard checkpoints under ``recovery=``) and
+  PAUSE/RESUME/STOP steering (``docs/shard_recovery.md``,
+  ``docs/distributed.md``).
 
-A plain ``shards>1`` run fans the tasks out over a
-:class:`concurrent.futures.ProcessPoolExecutor` instead.
 ``repro.experiment.run_experiment`` routes every run -- including the
 sequential ``shards=1`` case -- through this plan/worker/merge pipeline;
 see ``docs/sharding.md`` for the determinism argument.

@@ -10,8 +10,8 @@ PAUSE/RESUME/STOP steering and mirrors every shard's health into the
 campaign manifest.  Workers come from one of two sources and speak the
 same framed protocol (:mod:`repro.shard.net.protocol`) either way:
 
-- **local children** (``endpoint=None``; ``supervise=``, ``recovery=``
-  with ``shards>1`` and campaign resumes): the coordinator forks one
+- **local children** (``endpoint=None``; every ``shards>1`` run
+  without ``net=``, and campaign resumes): the coordinator forks one
   worker process per shard.  Each child holds one end of a
   :func:`socket.socketpair` and runs the worker loop of
   :mod:`repro.shard.net.worker`.  No port is opened: frames are

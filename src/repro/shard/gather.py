@@ -1,8 +1,8 @@
 """Gathered shard runs: workers split the behaviour, the parent probes.
 
 A shard of a run that takes the columnar pass without ``recovery=`` --
-on the process pool or in a ``supervise=`` or ``net=`` campaign -- does
-not replay the whole roster.  Its worker builds and simulates only the
+on forked or on TCP (``net=``) campaign workers -- does not replay the
+whole roster.  Its worker builds and simulates only the
 machines of the labs it owns -- every spec, the calendar and every
 lab's demand are still built, so machine ids and random streams are
 the full fleet's -- and a :class:`PassRecorder` notes, at every

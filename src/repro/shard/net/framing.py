@@ -1,6 +1,6 @@
 """Length-prefixed, CRC-checked message framing over a stream socket.
 
-Every protocol message travels as one *frame*::
+Every protocol message travels as one or more *frames*::
 
     +----------+----------+----------+--------------------+
     | length   | crc32    | sequence | payload            |
@@ -15,6 +15,12 @@ whose sequence it has already seen, which turns duplicated delivery
 (a real TCP impossibility, but an injected-fault reality) into
 exactly-once delivery at the protocol layer.
 
+A message whose pickle exceeds :data:`MAX_FRAME` (a large shard
+outcome) is split into consecutive frames of at most ``MAX_FRAME``
+payload bytes; every frame but the last sets the :data:`MORE` bit of
+its length word, and the receiver joins the payloads before it
+unpickles.
+
 Timeout discipline: a timed-out read keeps whatever partial frame has
 arrived in an internal buffer and raises
 :class:`~repro.errors.ChannelTimeout`; the next read resumes mid-frame,
@@ -23,12 +29,13 @@ stream can't be trusted after a bad CRC -- so consumers must close the
 channel on :class:`~repro.errors.FrameCorruption`.
 
 Fault injection: a coordinator-side channel may carry a
-:class:`~repro.faults.network.NetworkFaultPlan`; each frame, in each
+:class:`~repro.faults.network.NetworkFaultPlan`; each message, in each
 direction, is described to the plan as a
 :class:`~repro.faults.network.FrameInfo` and the returned action is
-applied here (drop the connection, blackhole the frame, delay,
-duplicate, throttle).  Workers never carry a plan -- injection happens
-at one end only, so the ledger is a single deterministic record.
+applied here to all of its frames (drop the connection, blackhole,
+delay, duplicate, throttle).  Workers never carry a plan -- injection
+happens at one end only, so the ledger is a single deterministic
+record.
 """
 
 from __future__ import annotations
@@ -44,15 +51,18 @@ from typing import Any, Optional
 from repro.errors import ChannelClosed, ChannelTimeout, FrameCorruption
 from repro.faults.network import FrameInfo, NetworkFaultPlan
 
-__all__ = ["FramedChannel", "HEADER", "MAX_FRAME"]
+__all__ = ["FramedChannel", "HEADER", "MAX_FRAME", "MORE"]
 
 #: Frame header: payload length, payload CRC32, sequence number.
 HEADER = struct.Struct(">IIQ")
 
-#: Hard ceiling on payload size.  A 100k-machine shard outcome pickles
-#: to a few hundred MB at the very worst; anything above this is a
-#: corrupt length field, not a real frame.
+#: Hard ceiling on one frame's payload size; a larger message is split
+#: into several frames.  A length field above it is a corrupt header,
+#: not a real frame.
 MAX_FRAME = 256 * 1024 * 1024
+
+#: Length-word bit set on every frame of a split message but its last.
+MORE = 1 << 31
 
 
 class FramedChannel:
@@ -93,6 +103,9 @@ class FramedChannel:
         self._recv_count = 0
         self._last_recv_seq = 0
         self._buffer = bytearray()
+        #: Payloads of a split message received so far; kept across a
+        #: timed-out read like a partial frame in :attr:`_buffer`.
+        self._parts: list = []
         self._closed = False
 
     @property
@@ -128,8 +141,10 @@ class FramedChannel:
     def send(self, message: Any) -> None:
         """Frame and send one message, applying any injected fault.
 
-        Raises :class:`~repro.errors.ChannelClosed` if the channel is
-        closed, the write fails, or an injected disconnect fires.
+        The fault plan is consulted once per message; a duplicate
+        repeats every frame of it.  Raises
+        :class:`~repro.errors.ChannelClosed` if the channel is closed,
+        the write fails, or an injected disconnect fires.
         """
         if self._closed:
             raise ChannelClosed(f"conn {self.conn_id}: channel is closed")
@@ -148,17 +163,22 @@ class FramedChannel:
                 return
             if action.seconds > 0:
                 time.sleep(action.seconds)
-        self._send_seq += 1
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = HEADER.pack(len(payload), zlib.crc32(payload),
-                            self._send_seq) + payload
-        if action is not None and action.category == "net_duplicate":
-            frame = frame + frame  # same sequence number twice
+        payload = memoryview(pickle.dumps(message,
+                                          protocol=pickle.HIGHEST_PROTOCOL))
+        copies = 2 if (action is not None
+                       and action.category == "net_duplicate") else 1
         try:
             # The deadline is set here, as in _fill: a preceding read
             # leaves its own (possibly tiny) remaining time behind.
             self._sock.settimeout(self.io_timeout)
-            self._sock.sendall(frame)
+            for start in range(0, len(payload), MAX_FRAME):
+                part = payload[start:start + MAX_FRAME]
+                more = MORE if start + MAX_FRAME < len(payload) else 0
+                self._send_seq += 1
+                frame = HEADER.pack(len(part) | more, zlib.crc32(part),
+                                    self._send_seq) + part
+                # a duplicate repeats the frame's sequence number
+                self._sock.sendall(frame * copies)
         except OSError as exc:
             self.close()
             raise ChannelClosed(
@@ -201,7 +221,8 @@ class FramedChannel:
         """Receive the next new message, applying any injected fault.
 
         Duplicate frames (sequence already seen) are silently skipped.
-        A timeout leaves any partial frame buffered for the next call.
+        A timeout leaves any partial frame, and the frames of a split
+        message received so far, buffered for the next call.
         """
         deadline = time.monotonic() + (self.io_timeout if timeout is None
                                        else float(timeout))
@@ -209,7 +230,8 @@ class FramedChannel:
             if self._closed:
                 raise ChannelClosed(f"conn {self.conn_id}: channel is closed")
             self._fill(HEADER.size, deadline)
-            length, crc, seq = HEADER.unpack_from(self._buffer)
+            word, crc, seq = HEADER.unpack_from(self._buffer)
+            length = word & ~MORE
             if length > MAX_FRAME:
                 self.close()
                 raise FrameCorruption(
@@ -227,6 +249,12 @@ class FramedChannel:
             if seq <= self._last_recv_seq:
                 continue  # duplicated delivery -- drop and keep reading
             self._last_recv_seq = seq
+            if word & MORE:
+                self._parts.append(payload)
+                continue
+            if self._parts:
+                payload = b"".join(self._parts + [payload])
+                self._parts = []
             self._recv_count += 1
             action = self._consult("recv", "", self._recv_count)
             if action is not None:
@@ -252,7 +280,7 @@ class FramedChannel:
         """Whether a complete frame already sits in the buffer."""
         if len(self._buffer) < HEADER.size:
             return False
-        length = HEADER.unpack_from(self._buffer)[0]
+        length = HEADER.unpack_from(self._buffer)[0] & ~MORE
         return len(self._buffer) >= HEADER.size + min(length, MAX_FRAME)
 
     def poll(self, timeout: float = 0.0) -> Any:

@@ -1,7 +1,9 @@
 """Message vocabulary of the coordinator/worker wire protocol.
 
-Every message is a small frozen dataclass carried as one frame by
-:class:`~repro.shard.net.framing.FramedChannel`.  The conversation::
+Every message is a frozen dataclass carried by
+:class:`~repro.shard.net.framing.FramedChannel` as one frame, or as
+several when its pickle exceeds the frame ceiling (a large
+``Outcome``).  The conversation::
 
     worker                         coordinator
       | -- Hello ------------------->  |   register / score
@@ -19,9 +21,8 @@ ignores messages from stale epochs (a zombie worker that lost its lease
 during a partition) and answers them with ``Command("revoke")``.
 
 Messages cross a pickle boundary, so they must stay plain data: no
-sockets, no locks, no open files.  ``Assign.task`` is the same
-:class:`~repro.shard.worker.ShardTask` the process pool ships over a
-process boundary -- picklable by construction.
+sockets, no locks, no open files.  ``Assign.task`` is a
+:class:`~repro.shard.worker.ShardTask`, picklable by construction.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible wire change; ``Hello``/``Welcome`` check it.
-PROTOCOL_VERSION = 1
+#: Version 2 splits a message above the frame ceiling into several
+#: frames (:data:`repro.shard.net.framing.MORE`).
+PROTOCOL_VERSION = 2
 
 #: Verbs a :class:`Command` may carry.
 COMMAND_VERBS = ("pause", "resume", "stop", "revoke")

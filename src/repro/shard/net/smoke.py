@@ -126,7 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"victim=shard-{victim}")
     t0 = time.time()
     obs_base = Observer()
-    baseline = run_experiment(config, shards=2, supervise=True,
+    baseline = run_experiment(config, shards=2,
                               faults=_machine_faults(args.seed),
                               observer=obs_base)
     fp_baseline = result_fingerprint(baseline)

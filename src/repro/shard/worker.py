@@ -2,13 +2,12 @@
 
 **Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in
 the parent).  Every fan-out without ``recovery=`` that takes the
-columnar pass -- the process pool, a ``supervise=`` campaign on forked
-workers or a ``net=`` campaign on TCP workers -- splits the behaviour:
-each worker simulates only its owned machines and records their pass
-inputs at every iteration instant (:mod:`repro.shard.gather`),
-heartbeating and honouring steering at each record when it runs in a
-campaign; the parent runs the one columnar pass over the gathered rows
-and benchmarks the roster once.
+columnar pass -- on forked or on TCP campaign workers -- splits the
+behaviour: each worker simulates only its owned machines and records
+their pass inputs at every iteration instant (:mod:`repro.shard.gather`),
+heartbeating and honouring steering at each record; the parent runs
+the one columnar pass over the gathered rows and benchmarks the roster
+once.
 
 **Full replay** (:func:`run_shard`).  The worker rebuilds the *entire*
 experiment from the shared root seed -- full fleet, full calendar, full
@@ -93,9 +92,9 @@ class ShardTask:
     collect_nbench: bool = True
     strict_postcollect: bool = True
     faults: Optional[FaultPlan] = None
-    #: Whether a pool worker should build its own :class:`Observer` and
-    #: return its snapshot (the in-process path passes a live observer
-    #: to :func:`run_shard` instead).
+    #: Whether a campaign worker should build its own :class:`Observer`
+    #: and return its snapshot (the in-process path passes a live
+    #: observer to :func:`run_shard` instead).
     instrument: bool = False
     #: Per-shard crash-safe persistence (a campaign hands each worker
     #: ``campaign_config.for_shard(k)``); the worker constructs the
@@ -355,8 +354,7 @@ def resume_shard(
 
 
 #: Fallback reasons already logged by this process (one line per reason,
-#: not one per shard run -- a 16-worker pool would otherwise print the
-#: same diagnosis 16 times).
+#: not one per shard run).
 _fallback_logged: set = set()
 
 
@@ -504,9 +502,10 @@ def collect_gathered(outcomes: Sequence[ShardOutcome],
 def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
     """Run (or resume) one shard task and slim the outcome for pickling.
 
-    The single worker-process entry point behind both the plain pool
-    and the campaign worker loop: routes ``task.gather`` through
-    :func:`gather_shard` (with the campaign's ``control``, if any),
+    The single worker-process entry point, called by the campaign
+    worker loop of :mod:`repro.shard.net.worker` on forked and TCP
+    workers alike: routes ``task.gather`` through :func:`gather_shard`
+    (with the campaign's steering ``control``, if any),
     builds the worker-side observer when the task asks for
     instrumentation, routes ``task.resume`` through :func:`resume_shard`
     (where the observer comes from the checkpoint), snapshots the
@@ -533,11 +532,6 @@ def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
     outcome.coordinator = None
     outcome.observer = None
     return outcome
-
-
-def _run_shard_task(task: ShardTask) -> ShardOutcome:
-    """Pool entry point (no steering channel)."""
-    return execute_shard_task(task)
 
 
 def attach_nbench_indexes(

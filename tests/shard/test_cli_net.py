@@ -1,5 +1,7 @@
 """``repro run --listen/--workers`` and ``repro worker``: CLI surface."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -22,10 +24,14 @@ class TestRunNetValidation:
         assert "--shards >= 2" in capsys.readouterr().err
 
     def test_conflicts_with_supervise(self, tmp_path, capsys):
-        rc = main(["run", "--days", "1", "--workers", "2", "--shards", "2",
-                   "--supervise", "--out", self.out(tmp_path)])
-        assert rc == 2
+        # --supervise is gone (every sharded run is a campaign), so the
+        # parser rejects it as an unknown flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--days", "1", "--workers", "2", "--shards", "2",
+                  "--supervise", "--out", self.out(tmp_path)])
+        assert exit_info.value.code == 2
         assert "--supervise" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_conflicts_with_resume(self, tmp_path, capsys):
         recover = tmp_path / "campaign"

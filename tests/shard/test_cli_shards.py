@@ -15,6 +15,7 @@ class TestRunShards:
         assert sh.read_bytes() == seq.read_bytes()
         out = capsys.readouterr().out
         assert "response rate" in out
+        assert "campaign: 2 shards supervised, 0 restarts" in out
 
     def test_sharded_run_exports_merged_snapshot(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -38,10 +39,10 @@ class TestRunShards:
         sup = tmp_path / "sup.csv"
         assert main(["run", "--days", "1", "--seed", "4",
                      "--out", str(seq)]) == 0
-        assert main(["run", "--days", "1", "--seed", "4", "--shards", "2",
-                     "--supervise", "--out", str(sup)]) == 0
+        assert main(["run", "--days", "1", "--seed", "4", "--shards", "3",
+                     "--out", str(sup)]) == 0
         assert sup.read_bytes() == seq.read_bytes()
-        assert "campaign: 2 shards supervised" in capsys.readouterr().out
+        assert "campaign: 3 shards supervised" in capsys.readouterr().out
 
 
 class TestRunCampaign:

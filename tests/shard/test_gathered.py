@@ -1,17 +1,17 @@
 """Gathered shard runs equal the sequential run, and replay nothing.
 
-Every fan-out without recovery that takes the columnar pass -- the
-process pool, a ``supervise=`` campaign on forked workers and a ``net=``
-campaign on TCP workers -- splits the behaviour: each worker simulates
-only its own labs and records their pass inputs, and the parent runs
-the one columnar pass and NBench (``repro.shard.gather``).  These tests
-pin that the result is the sequential run's, seed after seed, that no
-worker replays a foreign machine or draws a stream the parent owns,
-that gathered campaign workers heartbeat and obey steering, and that a
-gathered campaign which loses a shard settles like a full-replay one.
+Every fan-out without recovery that takes the columnar pass -- a
+campaign on forked workers or a ``net=`` campaign on TCP workers --
+splits the behaviour: each worker simulates only its own labs and
+records their pass inputs, and the parent runs the one columnar pass
+and NBench (``repro.shard.gather``).  These tests pin that the result
+is the sequential run's, seed after seed, that no worker replays a
+foreign machine or draws a stream the parent owns, that gathered
+campaign workers heartbeat and obey steering, and that a gathered
+campaign which loses a shard settles like a full-replay one.
 
-CI's ``fleet-scale`` job runs :func:`mismatching_seeds` over 24 seeds,
-on the pool and under ``supervise=True``.
+CI's ``fleet-scale`` job runs :func:`mismatching_seeds` over 24 seeds
+on forked workers.
 """
 
 import dataclasses
@@ -70,8 +70,7 @@ def sequential_fingerprint(seed: int) -> str:
 def mismatching_seeds(seeds, shards: int = 2, **fanout):
     """Seeds whose ``shards``-shard fingerprint differs from the
     sequential run's, under the default kernel; ``fanout`` picks the
-    worker source (``supervise=True`` or ``net=...``; the pool when
-    empty)."""
+    worker source (``net=...``; forked workers when empty)."""
     return [seed for seed in seeds
             if result_fingerprint(run_experiment(sweep_config(seed),
                                                  shards=shards, **fanout))
@@ -146,6 +145,8 @@ class TestSeedSweep:
 class TestMechanismChoice:
     def test_object_kernel_pool_keeps_the_full_replay(self, gathered_calls,
                                                       tmp_path):
+        """A plain ``shards=2`` run (forked campaign workers, the
+        default policy) under the object pass merges full replays."""
         cfg = ExperimentConfig(days=1, seed=11, kernel="object")
         sharded = run_experiment(cfg, shards=2)
         assert gathered_calls == []
@@ -159,12 +160,13 @@ class TestMechanismChoice:
 
 
 class TestCampaignsGather:
-    """``supervise=`` and ``net=`` campaigns without recovery gather."""
+    """Campaigns with an explicit policy and ``net=`` campaigns without
+    recovery gather; the object pass and recovery keep the full replay."""
 
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_forked_campaign_equals_sequential(self, seed, gathered_calls):
         result = run_experiment(sweep_config(seed), shards=2,
-                                supervise=True)
+                                supervise=CampaignPolicy())
         assert gathered_calls == [2]
         assert result_fingerprint(result) == sequential_fingerprint(seed)
         # one heartbeat per recorded instant
@@ -186,7 +188,7 @@ class TestCampaignsGather:
     def test_object_kernel_campaign_keeps_the_full_replay(
             self, gathered_calls, merged_outcomes):
         cfg = ExperimentConfig(days=1, seed=11, kernel="object")
-        result = run_experiment(cfg, shards=2, supervise=True)
+        result = run_experiment(cfg, shards=2, supervise=CampaignPolicy())
         assert gathered_calls == []
         [outcomes] = merged_outcomes
         assert all(o.gathered is None and o.store is not None

@@ -47,8 +47,7 @@ def net(workers=2, *, faults=None, policy=FAST):
 @pytest.fixture(scope="module")
 def baseline_fp():
     """Fingerprint of the campaign on forked local workers."""
-    return result_fingerprint(run_experiment(CFG, shards=2,
-                                             supervise=True))
+    return result_fingerprint(run_experiment(CFG, shards=2))
 
 
 class TestLoopbackEquivalence:
@@ -185,7 +184,8 @@ class TestNetValidation:
 
     def test_conflicts_with_supervise(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            run_experiment(CFG, shards=2, supervise=True, net=NetConfig())
+            run_experiment(CFG, shards=2, supervise=CampaignPolicy(),
+                           net=NetConfig())
 
     def test_conflicts_with_fleet_factory(self):
         with pytest.raises(ValueError, match="fleet_factory"):

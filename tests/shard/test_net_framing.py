@@ -1,5 +1,7 @@
 """Framing layer: frames, CRC, dedup, timeouts, endpoints, net faults."""
 
+import multiprocessing
+import pickle
 import socket
 import struct
 import threading
@@ -8,7 +10,10 @@ import zlib
 
 import pytest
 
+import repro.shard.net.framing as framing
+from repro.config import ExperimentConfig
 from repro.errors import ChannelClosed, ChannelTimeout, FrameCorruption
+from repro.experiment import run_experiment
 from repro.faults.network import (
     ConnectionDrop,
     FrameInfo,
@@ -19,9 +24,14 @@ from repro.faults.network import (
     Partition,
     ShardHolderDrop,
 )
-from repro.shard.net.config import format_endpoint, parse_endpoint
-from repro.shard.net.framing import HEADER, MAX_FRAME, FramedChannel
-from repro.shard.net.protocol import Heartbeat, Hello, lease_scoped
+from repro.recovery.crashtest import result_fingerprint
+from repro.shard.net.config import NetConfig, format_endpoint, parse_endpoint
+from repro.shard.net.framing import HEADER, MAX_FRAME, MORE, FramedChannel
+from repro.shard.net.protocol import Heartbeat, Hello, Outcome, lease_scoped
+from repro.shard.net.worker import NetWorkerPolicy
+
+#: A frame ceiling small enough that a 2-day shard outcome crosses it.
+SMALL_FRAME = 64 * 1024
 
 
 def channel_pair(**kwargs):
@@ -166,6 +176,167 @@ class TestFraming:
             reader.join(timeout=15.0)
         assert received == [big]
         a.close(), b.close()
+
+
+def raw_frames(data):
+    """Split a captured byte stream into ``(word, seq, payload)``."""
+    frames = []
+    while data:
+        word, crc, seq = HEADER.unpack_from(data)
+        end = HEADER.size + (word & ~MORE)
+        payload = data[HEADER.size:end]
+        assert zlib.crc32(payload) == crc
+        frames.append((word, seq, payload))
+        data = data[end:]
+    return frames
+
+
+def drain(sock):
+    """Every byte ``sock`` receives until its peer closes."""
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def sent_bytes(*messages):
+    """Every byte a fresh channel writes when it sends ``messages``."""
+    raw, peer = socket.socketpair()
+    chan = FramedChannel(raw)
+    box = []
+    reader = threading.Thread(target=lambda: box.append(drain(peer)))
+    reader.start()
+    for message in messages:
+        chan.send(message)
+    chan.close()
+    reader.join()
+    peer.close()
+    return box[0]
+
+
+@pytest.fixture
+def small_frames(monkeypatch):
+    monkeypatch.setattr(framing, "MAX_FRAME", SMALL_FRAME)
+
+
+class TestSplitMessages:
+    """A message above the frame ceiling travels as several frames."""
+
+    def test_message_under_the_ceiling_is_one_frame(self):
+        hb = Heartbeat(0, 1, 7, 0.0)
+        payload = pickle.dumps(hb, protocol=pickle.HIGHEST_PROTOCOL)
+        assert sent_bytes(hb) == HEADER.pack(
+            len(payload), zlib.crc32(payload), 1) + payload
+
+    def test_split_frames_stay_under_the_ceiling(self, small_frames):
+        big = bytes(range(256)) * 1000
+        frames = raw_frames(sent_bytes(big))
+        assert len(frames) == 4
+        assert [seq for _, seq, _ in frames] == [1, 2, 3, 4]
+        assert [bool(w & MORE) for w, _, _ in frames] == [True] * 3 + [False]
+        assert all(len(p) <= SMALL_FRAME for _, _, p in frames)
+        joined = b"".join(p for _, _, p in frames)
+        assert pickle.loads(joined) == big
+
+    def test_timeout_keeps_the_frames_received(self, small_frames):
+        raw, peer = socket.socketpair()
+        chan = FramedChannel(peer)
+        big = bytes(range(256)) * 1000
+        data = sent_bytes(big, Heartbeat(0, 1, 9, 0.0))
+        # the first frame only: its part is kept across the timeout
+        head = HEADER.size + SMALL_FRAME
+        raw.sendall(data[:head])
+        with pytest.raises(ChannelTimeout):
+            chan.recv(timeout=0.05)
+        feeder = threading.Thread(target=raw.sendall, args=(data[head:],))
+        feeder.start()
+        assert chan.recv(timeout=5.0) == big
+        assert chan.recv(timeout=5.0).iteration == 9
+        feeder.join()
+        raw.close(), chan.close()
+
+    def test_duplicated_split_message_delivered_once(self, small_frames):
+        plan = NetworkFaultPlan([MessageDuplicate(every=1)])
+        a, b = channel_pair(faults=plan)
+        big = bytes(range(256)) * 1000
+        sender = threading.Thread(target=a.send, args=(big,))
+        sender.start()
+        assert b.recv(timeout=5.0) == big
+        sender.join()
+        with pytest.raises(ChannelTimeout):
+            b.recv(timeout=0.05)  # every duplicated frame was dropped
+        assert plan.injected["net_duplicate"] == 1
+        a.close(), b.close()
+
+    def test_fault_plan_consulted_once_per_message(self, small_frames):
+        plan = NetworkFaultPlan([Partition(start=2, length=1,
+                                           direction="recv")])
+        a, b = channel_pair(faults=plan)
+        big = bytes(range(256)) * 1000
+        sender = threading.Thread(
+            target=lambda: [b.send(m) for m in
+                            (Heartbeat(0, 1, 1, 0.0), big,
+                             Heartbeat(0, 1, 3, 0.0))])
+        sender.start()
+        assert a.recv(timeout=5.0).iteration == 1
+        assert a.recv(timeout=5.0).iteration == 3  # big swallowed whole
+        sender.join()
+        assert plan.injected["net_partition"] == 1
+        a.close(), b.close()
+
+
+#: Its gathered shard outcomes pickle to several times SMALL_FRAME.
+OVERSIZE_CFG = ExperimentConfig(days=2, seed=2005)
+
+
+@pytest.fixture(scope="module")
+def sequential_2day():
+    return result_fingerprint(run_experiment(OVERSIZE_CFG))
+
+
+@pytest.fixture
+def outcome_frames(monkeypatch):
+    """Frames per ``Outcome`` message the parent receives."""
+    counts = []
+    original = FramedChannel.recv
+
+    def counting(channel, timeout=None):
+        before = channel._last_recv_seq
+        message = original(channel, timeout)
+        if isinstance(message, Outcome):
+            counts.append(channel._last_recv_seq - before)
+        return message
+
+    monkeypatch.setattr(FramedChannel, "recv", counting)
+    return counts
+
+
+class TestOversizeOutcomes:
+    """Shard outcomes above the frame ceiling still reach the parent."""
+
+    @pytest.fixture(autouse=True)
+    def forked(self, small_frames):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs fork so workers inherit the small ceiling")
+
+    def test_forked_workers(self, sequential_2day, outcome_frames):
+        result = run_experiment(OVERSIZE_CFG, shards=2)
+        assert result_fingerprint(result) == sequential_2day
+        assert result.campaign.total_restarts == 0
+        assert len(outcome_frames) == 2
+        assert all(n > 1 for n in outcome_frames), outcome_frames
+
+    def test_tcp_workers(self, sequential_2day, outcome_frames):
+        result = run_experiment(OVERSIZE_CFG, shards=2, net=NetConfig(
+            spawn_workers=2, worker_policy=NetWorkerPolicy(
+                connect_attempts=40, backoff_base=0.02, backoff_cap=0.2)))
+        assert result_fingerprint(result) == sequential_2day
+        assert result.campaign.total_restarts == 0
+        assert result.degraded is None
+        assert len(outcome_frames) == 2
+        assert all(n > 1 for n in outcome_frames), outcome_frames
 
 
 class TestInjectedFaults:

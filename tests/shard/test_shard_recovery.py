@@ -46,13 +46,6 @@ def csv_bytes(store, path):
     return path.read_bytes()
 
 
-def _die(task):
-    """Picklable pool entry that kills its worker process outright."""
-    import os
-
-    os._exit(1)
-
-
 def chaos_recovery(run_dir, point, victim):
     """A campaign recovery config that kills ``victim`` at ``point``."""
     return RecoveryConfig(
@@ -60,6 +53,26 @@ def chaos_recovery(run_dir, point, victim):
         crash_at=CrashSpec(derive_kill_iteration(CFG), point),
         crash_shard=victim,
     )
+
+
+def _kill_worker(monkeypatch, shard, marker=None):
+    """Make the forked worker of ``shard`` exit before it runs anything:
+    every time, or only until ``marker`` exists."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork so children inherit the patched entry")
+    import repro.shard.net.worker as worker_mod
+
+    real_execute = worker_mod.execute_shard_task
+
+    def die(task, **kwargs):
+        if task.shard.index == shard and (
+                marker is None or not marker.exists()):
+            if marker is not None:
+                marker.touch()
+            os._exit(1)
+        return real_execute(task, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "execute_shard_task", die)
 
 
 @pytest.fixture(scope="module")
@@ -119,22 +132,10 @@ class TestKilledWorkerRestart:
                                             monkeypatch):
         """A worker process that dies outright, with no Failure report
         and no outcome, surfaces as EOF; its shard is regranted."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs fork so children inherit the patched entry")
-        import repro.shard.net.worker as worker_mod
-
         _, base_csv, _ = baseline
         victim = 1
         marker = tmp_path / "killed-once"
-        real_execute = worker_mod.execute_shard_task
-
-        def die_once(task, **kwargs):
-            if task.shard.index == victim and not marker.exists():
-                marker.touch()
-                os._exit(1)
-            return real_execute(task, **kwargs)
-
-        monkeypatch.setattr(worker_mod, "execute_shard_task", die_once)
+        _kill_worker(monkeypatch, victim, marker)
         result = run_experiment(
             CFG, shards=2, supervise=CHAOS,
             recovery=RecoveryConfig(run_dir=tmp_path / "camp", fsync=False))
@@ -169,27 +170,44 @@ class TestExhaustedBudgetAndResume:
         assert manifest.state == "merged"
         assert all(s.completed for s in manifest.shards.values())
 
-    def test_unsupervised_pool_death_names_the_shard(self, monkeypatch):
-        """The plain pool path wraps worker death in ShardWorkerError."""
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("needs fork so children inherit the patched entry")
-        import repro.experiment as experiment_mod
-
-        monkeypatch.setattr(experiment_mod, "_run_shard_task", _die)
-        with pytest.raises(ShardWorkerError) as ei:
-            run_experiment(CFG, shards=2)
-        assert ei.value.shard_index in (0, 1)
-        assert "supervise" in str(ei.value)
-
 
 class TestSupervisedWithoutRecovery:
     def test_supervise_flag_matches_sequential(self, baseline, tmp_path):
-        """``supervise=True`` without recovery: deterministic re-runs."""
+        """A plain fan-out is a campaign: deterministic re-runs."""
         _, base_csv, _ = baseline
-        result = run_experiment(CFG, shards=2, supervise=True)
+        result = run_experiment(CFG, shards=2)
         assert csv_bytes(result.store, tmp_path / "sup.csv") == base_csv
         assert result.campaign.total_restarts == 0
         assert result.campaign.run_dir is None
+
+
+class TestPlainFanOutWorkerDeath:
+    """A plain ``shards>1`` run survives a dead worker the way a
+    campaign does: the shard re-runs from scratch on a new child."""
+
+    def test_dead_worker_is_regranted(self, baseline, tmp_path,
+                                      monkeypatch):
+        _, base_csv, _ = baseline
+        marker = tmp_path / "killed-once"
+        _kill_worker(monkeypatch, 1, marker)
+        result = run_experiment(CFG, shards=2)
+        assert marker.exists()
+        assert csv_bytes(result.store, tmp_path / "merged.csv") == base_csv
+        assert result.campaign.restarts == {0: 0, 1: 1}
+        assert set(result.campaign.states.values()) == {health.DONE}
+
+    def test_exhausted_budget_names_the_shard(self, monkeypatch):
+        _kill_worker(monkeypatch, 1)
+        with pytest.raises(ShardWorkerError) as ei:
+            run_experiment(CFG, shards=2, supervise=NO_REGRANTS)
+        assert ei.value.shard_index == 1
+        assert ei.value.last_heartbeat is not None
+        assert ei.value.restarts == 0
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_supervise_is_a_type_error(self, flag):
+        with pytest.raises(TypeError, match="campaign coordinator"):
+            run_experiment(CFG, shards=2, supervise=flag)
 
 
 def _manual_campaign(run_dir, shards):
@@ -299,7 +317,7 @@ class TestCampaignGuards:
                               crash_at=CrashSpec(10, "mid_iteration"),
                               crash_shard=7)
         with pytest.raises(ValueError, match="crash_shard"):
-            run_experiment(CFG, shards=2, recovery=rcfg, supervise=True)
+            run_experiment(CFG, shards=2, recovery=rcfg)
 
     def test_existing_campaign_dir_refused_without_resume(self, tmp_path):
         manifest, _ = _manual_campaign(tmp_path / "camp", 2)

@@ -1,6 +1,6 @@
 """Supervised campaigns: the campaign coordinator on forked local workers.
 
-``supervise=`` and every local multi-shard recovery campaign run on
+Every ``shards>1`` run without ``net=`` runs on
 :class:`~repro.shard.coordinator.CampaignCoordinator` with
 ``endpoint=None``: it forks one worker per shard and speaks to each over
 a socketpair.  These tests cover that worker source and the

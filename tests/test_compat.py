@@ -27,6 +27,7 @@ from repro.machines.hardware import TABLE1_LABS
 from repro.obs.observer import Observer
 from repro.recovery import RecoveryConfig, shard_dir
 from repro.resilience.policy import ResiliencePolicy
+from repro.shard.coordinator import CampaignPolicy
 from repro.shard.net.config import NetConfig
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardTask, run_shard
@@ -54,7 +55,7 @@ API_CASES = {
     "resume+machines": None,
     "net+one_shard": lambda d: (CFG, dict(net=NetConfig(), shards=1)),
     "net+supervise": lambda d: (
-        CFG, dict(net=NetConfig(), shards=2, supervise=True)),
+        CFG, dict(net=NetConfig(), shards=2, supervise=CampaignPolicy())),
     "net+fleet_factory": lambda d: (
         CFG, dict(net=NetConfig(), shards=2, fleet_factory=stock_fleet)),
     "sharded+fleet_factory": lambda d: (
@@ -82,8 +83,7 @@ CLI_CASES = {
     "resume+machines": lambda d: ["--resume", "--recover-dir", d,
                                   "--machines", "200"],
     "net+one_shard": lambda d: ["--workers", "2"],
-    "net+supervise": lambda d: ["--workers", "2", "--shards", "2",
-                                "--supervise"],
+    "net+supervise": None,  # supervise= has no CLI flag
     "net+fleet_factory": None,
     "sharded+fleet_factory": None,
     "columnar+faults": None,
