@@ -112,6 +112,17 @@ class SimMachine:
     base_disk_used_bytes:
         Bytes occupied by the OS image and class software (the paper's
         stable ~13.6 GB average component).
+
+    Attributes
+    ----------
+    boot_log, session_log:
+        Ground truth for :mod:`repro.sim.validation`: one
+        :class:`BootRecord` per shutdown and one :class:`SessionRecord`
+        per closed session, appended in time order.  Plain lists that
+        the run only appends to; a checkpoint therefore pickles the
+        machine with both empty and keeps the records appended since
+        the previous checkpoint in its delta
+        (:mod:`repro.recovery.checkpoint`).
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Versioned, atomic experiment checkpoints with columnar row deltas.
+"""Versioned, atomic experiment checkpoints with columnar deltas.
 
 A checkpoint is a snapshot of the live experiment graph -- the fleet
 (machines, agents, behaviour RNG streams), the discrete-event simulator
@@ -9,12 +9,19 @@ boundary.  The simulation is deterministic, so restoring the graph and
 running to the horizon reproduces the uninterrupted run sample for
 sample.
 
-The trace store's *rows* are not in the graph.  Each checkpoint writes
-one **delta** holding the rows the store gained since the previous
-checkpoint, so a run writes O(horizon) bytes of checkpoints instead of
-re-pickling a growing store every time.  Only the checkpoint's pickler
-knows this: it reduces the :class:`~repro.traces.store.TraceStore` to a
-row-less stub, and the in-memory store, pickled shard outcomes and the
+The pickle holds only the state the run overwrites.  What the run only
+appends goes into the **delta** each checkpoint writes, holding what was
+appended since the checkpoint it extends: the trace store's rows, each
+machine's ground-truth ``boot_log`` and ``session_log`` records, and
+the ``meta.statics`` entries added (in insertion order).  A checkpoint
+therefore costs O(fleet) rather than O(history), and a run writes
+O(horizon) bytes of deltas.  Only the checkpoint's pickler knows this:
+it reduces the :class:`~repro.traces.store.TraceStore` to a row-less
+stub, the :class:`~repro.traces.records.TraceMeta` to one without
+statics and each :class:`~repro.machines.machine.SimMachine` to one
+with empty logs, and the delta writer takes exactly the records of the
+store, meta and machines the pickler met, so no record is held by both
+or by neither.  The in-memory graph, pickled shard outcomes and the
 exported traces are untouched.  The same pickler writes each random
 stream as its bit generator's state plus its seed sequence's
 parameters, which revive it exactly.
@@ -23,22 +30,26 @@ Files (``checkpoints/``)
 ------------------------
 ``ckpt-00000123.ckpt`` is a JSON header line::
 
-    {"v": 2, "iteration": 123, "sim_now": 110700.0,
+    {"v": 3, "iteration": 123, "sim_now": 110700.0,
      "config": "<sha256 of the run config>", "rows": 10423,
      "payload_len": N, "payload_crc": "xxxxxxxx"}
 
 followed by ``N`` bytes of the pickled graph; ``rows`` is the store's
 row count.  ``delta-00000123.delta`` is a JSON header line::
 
-    {"v": 2, "iteration": 123, "start": 9711, "stop": 10423,
-     "numeric": [["machine_id", "<i4"], ...],
+    {"v": 3, "iteration": 123, "link": 115, "start": 9711,
+     "stop": 10423, "numeric": [["machine_id", "<i4"], ...],
      "strings": ["hostname", "lab", "username"],
      "payload_len": N, "payload_crc": "xxxxxxxx"}
 
-followed by rows ``[start, stop)`` as one :mod:`repro.recovery.rows`
-block, the layout journal pass records share: each numeric column's raw
-buffer, then each string column's int32 codes, then one UTF-8 JSON
-array with each string column's distinct values in first-seen order.
+followed by the ground-truth block -- one JSON line repeating ``link``
+and listing the ``boot`` and ``session`` records (each prefixed by its
+machine id, machines in id order) and the ``statics`` entries (key,
+then the fields) -- and then rows ``[start, stop)`` as one
+:mod:`repro.recovery.rows` block, the layout journal pass records
+share.  ``link`` is the iteration of the checkpoint the delta extends:
+-1 for a run's first checkpoint, the revived iteration for the first
+one after a resume.
 
 Writes are atomic and ordered: the delta is staged as ``.tmp``, fsynced
 (``fsync=True``) and renamed into place before the checkpoint that
@@ -51,9 +62,10 @@ checkpoints are.
 Loading sweeps stale ``.tmp`` files into quarantine, quarantines
 damaged deltas (``bad_delta``), then walks checkpoints newest-first:
 one with a bad header, CRC mismatch or unpicklable payload is
-quarantined as ``bad_checkpoint``, one whose rows no chain of intact
-deltas rebuilds from row 0 as ``broken_chain``, and the next older one
-is tried.
+quarantined as ``bad_checkpoint``; one whose **chain** -- its own delta,
+then each link back to -1 -- misses a delta or does not tile rows
+``[0, rows)`` as ``broken_chain``; and the next older one is tried.
+Revive appends each delta's records in chain order.
 """
 
 from __future__ import annotations
@@ -61,20 +73,22 @@ from __future__ import annotations
 import copyreg
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.config import ExperimentConfig
 from repro.errors import CheckpointError
+from repro.machines.machine import BootRecord, SessionRecord, SimMachine
 from repro.recovery.journal import Quarantine, _crc_hex, _fsync_dir
 from repro.recovery.rows import NUMERIC, STRINGS, decode_rows, encode_rows
-from repro.traces.records import TraceMeta
+from repro.traces.records import StaticInfo, TraceMeta
 from repro.traces.store import TraceStore
 
 __all__ = [
@@ -82,6 +96,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "DELTA_GLOB",
     "KEEP_CHECKPOINTS",
+    "ChainTip",
     "Checkpoint",
     "config_digest",
     "describe_checkpoints",
@@ -90,7 +105,7 @@ __all__ = [
 ]
 
 #: Checkpoint schema version (bumped on incompatible state changes).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Checkpoints kept on disk; two keep a fallback behind the newest one.
 KEEP_CHECKPOINTS = 2
@@ -113,6 +128,27 @@ def config_digest(config: ExperimentConfig) -> str:
 
 
 @dataclass
+class ChainTip:
+    """The checkpoint the next delta extends, and what its chain holds.
+
+    ``iteration`` is that checkpoint's (-1 before a run's first one);
+    ``rows``, ``statics`` and ``logs`` count the store rows, the
+    ``meta.statics`` entries and each machine's ``(boot, session)``
+    ground-truth records, by machine id, that its delta chain holds.  A
+    fresh run starts from ``ChainTip()``, a resumed one from
+    :attr:`Checkpoint.tip`; :func:`write_checkpoint` advances it.
+    ``kept`` names the checkpoint files in the retention window, oldest
+    first; ``None`` until the generation's first write lists them.
+    """
+
+    iteration: int = -1
+    rows: int = 0
+    statics: int = 0
+    logs: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    kept: Optional[List[str]] = None
+
+
+@dataclass
 class Checkpoint:
     """One loaded checkpoint: header fields plus the revived state."""
 
@@ -124,25 +160,66 @@ class Checkpoint:
     state: Any
     #: Trace store rows the deltas restored into the revived store.
     rows: int = 0
+    #: What the revived chain holds: a resumed run's deltas extend it.
+    tip: ChainTip = field(default_factory=ChainTip)
 
 
 @dataclass
 class _Delta:
-    """One verified delta: rows ``[start, stop)`` as store columns."""
+    """One verified delta: rows ``[start, stop)`` as store columns, plus
+    the ground truth appended since checkpoint ``link``."""
 
     path: Path
     iteration: int
+    link: int
     start: int
     stop: int
     columns: Dict[str, Any]
+    boot: list
+    session: list
+    statics: list
+
+
+@dataclass
+class _Appended:
+    """The append-only parts of a graph: the trace store, its meta and
+    the machines by id, as the checkpoint pickler met or revived them."""
+
+    store: Optional[TraceStore] = None
+    meta: Optional[TraceMeta] = None
+    machines: Dict[int, SimMachine] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
-# the graph: no store rows, compact random streams
+# the graph: no appended state, compact random streams
 # ----------------------------------------------------------------------
 def _rowless_store(meta: Optional[TraceMeta]) -> TraceStore:
     """What a checkpointed store unpickles to before its deltas refill it."""
     return TraceStore(meta)
+
+
+def _staticless_meta() -> TraceMeta:
+    """What a checkpointed meta unpickles to: no statics yet.  The
+    pickle restores its other fields, the deltas its statics."""
+    meta = TraceMeta.__new__(TraceMeta)
+    meta.statics = {}
+    return meta
+
+
+def _logless_machine(machine_id: int) -> SimMachine:
+    """What a checkpointed machine unpickles to: empty ground-truth
+    logs.  The pickle restores its other state, the deltas its logs."""
+    machine = SimMachine.__new__(SimMachine)
+    machine.boot_log = []
+    machine.session_log = []
+    return machine
+
+
+def _without(state: dict, *names: str) -> dict:
+    state = state.copy()
+    for name in names:
+        del state[name]
+    return state
 
 
 def _generator(bitgen_type: type, state: dict, entropy: Any,
@@ -171,56 +248,89 @@ def _reduce_generator(gen: np.random.Generator):
                         seq.spawn_key, seq.pool_size, seq.n_children_spawned)
 
 
-def _pickle_graph(state: Any) -> Tuple[bytes, Optional[TraceStore]]:
-    """Pickle ``state`` with its trace store as a row-less stub.
+def _pickle_graph(state: Any) -> Tuple[bytes, _Appended]:
+    """Pickle ``state`` without its append-only parts.
 
-    Random streams pickle through :func:`_reduce_generator`.  Returns
-    the payload and the store it met (``None`` if none).  The stub
-    lives only in this pickler's dispatch table, which refers to no
-    pickler, so the pickler and its memo are freed on return rather
-    than by a garbage-collection pass.
+    The trace store, its meta and every machine pickle as stubs without
+    rows, statics and logs; random streams pickle through
+    :func:`_reduce_generator`.  Returns the payload and what the
+    pickler met, which the delta must hold.  The stubs live only in
+    this pickler's dispatch table, which refers to no pickler, so the
+    pickler and its memo are freed on return rather than by a
+    garbage-collection pass.  The table matches exact types, and every
+    reference to a log, a statics dict or a row goes through its
+    machine, meta or store.
     """
-    stores: List[TraceStore] = []
+    met = _Appended()
 
-    def stub(store: TraceStore):
-        if stores and store is not stores[0]:
+    def store_stub(store: TraceStore):
+        if met.store is not None:
             raise CheckpointError("a checkpoint graph holds one trace store")
-        stores.append(store)
+        met.store = store
         return _rowless_store, (store.meta,)
+
+    def meta_stub(meta: TraceMeta):
+        if met.meta is not None:
+            raise CheckpointError("a checkpoint graph holds one trace meta")
+        met.meta = meta
+        return _staticless_meta, (), _without(meta.__dict__, "statics")
+
+    def machine_stub(machine: SimMachine):
+        mid = machine.spec.machine_id
+        if met.machines.setdefault(mid, machine) is not machine:
+            raise CheckpointError(
+                f"a checkpoint graph holds two machines with id {mid}")
+        return (_logless_machine, (mid,),
+                _without(machine.__dict__, "boot_log", "session_log"))
 
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = {**copyreg.dispatch_table, TraceStore: stub,
+    pickler.dispatch_table = {**copyreg.dispatch_table,
+                              TraceStore: store_stub,
+                              TraceMeta: meta_stub,
+                              SimMachine: machine_stub,
                               np.random.Generator: _reduce_generator}
     pickler.dump(state)
-    return buf.getvalue(), (stores[0] if stores else None)
+    return buf.getvalue(), met
 
 
 class _GraphUnpickler(pickle.Unpickler):
-    """Revives a checkpoint graph, building each stub store with
-    ``revive`` (a plain function, so the unpickler's memo holds no
-    reference back to the unpickler)."""
+    """Revives a checkpoint graph, building each stub with the function
+    of the same name in ``revive`` (plain functions, so the unpickler's
+    memo holds no reference back to the unpickler)."""
 
-    def __init__(self, file, revive) -> None:
+    def __init__(self, file, revive: Dict[str, Any]) -> None:
         super().__init__(file)
         self._revive = revive
 
     def find_class(self, module: str, name: str):
-        if module == __name__ and name == _rowless_store.__name__:
-            return self._revive
+        if module == __name__ and name in self._revive:
+            return self._revive[name]
         return super().find_class(module, name)
 
 
-def _unpickle_graph(payload: bytes) -> Tuple[Any, Optional[TraceStore]]:
-    """Revive a checkpoint graph; returns it and its row-less store."""
-    stores: List[TraceStore] = []
+def _unpickle_graph(payload: bytes) -> Tuple[Any, _Appended]:
+    """Revive a checkpoint graph; returns it and its stubs, not yet
+    refilled."""
+    got = _Appended()
 
-    def revive(meta: Optional[TraceMeta]) -> TraceStore:
-        stores.append(_rowless_store(meta))
-        return stores[-1]
+    def store(meta: Optional[TraceMeta]) -> TraceStore:
+        got.store = _rowless_store(meta)
+        return got.store
 
+    def meta() -> TraceMeta:
+        got.meta = _staticless_meta()
+        return got.meta
+
+    def machine(machine_id: int) -> SimMachine:
+        revived = got.machines[machine_id] = _logless_machine(machine_id)
+        return revived
+
+    revive = {_rowless_store.__name__: store,
+              _staticless_meta.__name__: meta,
+              _logless_machine.__name__: machine}
     state = _GraphUnpickler(io.BytesIO(payload), revive).load()
-    return state, (stores[0] if stores else None)
+    return state, got
 
 
 # ----------------------------------------------------------------------
@@ -293,54 +403,121 @@ def _read_framed(path: Path) -> Tuple[dict, bytes]:
 # ----------------------------------------------------------------------
 # deltas
 # ----------------------------------------------------------------------
+def _encode_delta(
+    met: _Appended, tip: ChainTip, iteration: int,
+) -> Tuple[dict, bytes, Dict[int, Tuple[int, int]]]:
+    """Header and payload of the delta holding what ``met`` gained past
+    ``tip`` (store rows, ground-truth records and statics), and each
+    machine's log lengths once it is written."""
+    store, meta = met.store, met.meta
+    rows = len(store) if store is not None else 0
+    if not 0 <= tip.rows <= rows:
+        raise CheckpointError(
+            f"delta start row {tip.rows} is outside the store's {rows} rows"
+        )
+    statics = meta.statics if meta is not None else {}
+    if tip.statics > len(statics):
+        raise CheckpointError(
+            f"the chain holds {tip.statics} statics, the meta {len(statics)}"
+        )
+    boot: List[list] = []
+    session: List[list] = []
+    logs: Dict[int, Tuple[int, int]] = {}
+    for mid in sorted(met.machines):
+        machine = met.machines[mid]
+        nb, ns = tip.logs.get(mid, (0, 0))
+        lb, ls = logs[mid] = (len(machine.boot_log),
+                              len(machine.session_log))
+        if lb < nb or ls < ns:
+            raise CheckpointError(
+                f"machine {mid}'s ground-truth logs are shorter than the "
+                "chain holds"
+            )
+        boot += [[mid, *astuple(r)] for r in machine.boot_log[nb:]]
+        session += [[mid, *astuple(r)] for r in machine.session_log[ns:]]
+    added = itertools.islice(statics.items(), tip.statics, None)
+    truth = {"link": tip.iteration, "boot": boot, "session": session,
+             "statics": [[key, *astuple(info)] for key, info in added]}
+    block = encode_rows(store if store is not None else TraceStore(),
+                        tip.rows, rows)
+    header = {"iteration": iteration, "link": tip.iteration,
+              "start": tip.rows, "stop": rows,
+              "numeric": NUMERIC, "strings": STRINGS}
+    return header, json.dumps(truth).encode("ascii") + b"\n" + block, logs
+
+
 def _read_delta(path: Path) -> _Delta:
     """Load and fully verify one delta file."""
     header, payload = _read_framed(path)
     try:
-        start, stop = int(header["start"]), int(header["stop"])
+        iteration = int(header["iteration"])
+        link, start, stop = (int(header["link"]), int(header["start"]),
+                             int(header["stop"]))
+        if not -1 <= link < iteration:
+            raise ValueError(f"bad link {link}")
         if start < 0 or stop < start:
             raise ValueError(f"bad row range [{start}, {stop})")
         if header["numeric"] != NUMERIC or header["strings"] != STRINGS:
             raise ValueError("column layout is not the trace store's")
-        columns = decode_rows(payload, stop - start)
+        line, block = payload.split(b"\n", 1)
+        truth = json.loads(line)
+        if truth["link"] != link:
+            raise ValueError(f"ground truth extends {truth['link']!r}, "
+                             f"the header {link}")
+        return _Delta(
+            path=path, iteration=iteration, link=link, start=start,
+            stop=stop, columns=decode_rows(block, stop - start),
+            boot=[(mid, BootRecord(*rest)) for mid, *rest in truth["boot"]],
+            session=[(mid, SessionRecord(*rest))
+                     for mid, *rest in truth["session"]],
+            statics=[(key, StaticInfo(*rest))
+                     for key, *rest in truth["statics"]],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path.name}: bad delta: {exc}") from exc
-    return _Delta(path=path, iteration=int(header["iteration"]),
-                  start=start, stop=stop, columns=columns)
 
 
-def _chain(deltas: Sequence[_Delta], iteration: int,
+def _chain(deltas: Dict[int, _Delta], iteration: int,
            rows: int) -> Optional[List[_Delta]]:
-    """The deltas that rebuild rows ``[0, rows)`` for a checkpoint.
+    """The deltas a checkpoint revives from, oldest first.
 
-    ``deltas`` are in iteration order.  Walking back from the newest
-    delta at or before ``iteration``, each link ends where the rows
-    still needed end; a delta that does not (one left by an earlier run
-    generation at another cadence) is skipped.  Returns the chain
-    oldest-first, or ``None`` when it does not reach row 0.
+    The chain is the checkpoint's own delta, then the delta each one's
+    link names, back to link -1.  Returns ``None`` when a link names no
+    intact delta or the chain's rows do not tile ``[0, rows)``.  A delta
+    another run generation left (at another cadence, or past a crash)
+    is on no other checkpoint's chain.
     """
     chain: List[_Delta] = []
-    need = rows
-    for delta in reversed(deltas):
-        if need == 0:
-            break
-        if delta.iteration <= iteration and delta.stop == need:
-            chain.append(delta)
-            need = delta.start
-    return chain[::-1] if need == 0 else None
+    link = iteration
+    while link != -1:
+        delta = deltas.get(link)
+        if delta is None:
+            return None
+        chain.append(delta)
+        link = delta.link  # verified to be below the delta's iteration
+    chain.reverse()
+    end = 0
+    for delta in chain:
+        if delta.start != end:
+            return None
+        end = delta.stop
+    return chain if end == rows else None
 
 
-def _scan_deltas(ckpt_dir: Path,
-                 quarantine: Optional[Quarantine]) -> Tuple[List[_Delta], dict]:
-    """Every intact delta, plus ``file name -> error`` for damaged ones.
+def _scan_deltas(
+    ckpt_dir: Path, quarantine: Optional[Quarantine],
+) -> Tuple[Dict[int, _Delta], Dict[str, str]]:
+    """Every intact delta by iteration, plus ``file name -> error`` for
+    damaged ones.
 
     With a ``quarantine`` the damaged ones are moved there (``bad_delta``).
     """
-    intact: List[_Delta] = []
+    intact: Dict[int, _Delta] = {}
     damaged: Dict[str, str] = {}
     for path in sorted(ckpt_dir.glob(DELTA_GLOB)):
         try:
-            intact.append(_read_delta(path))
+            delta = _read_delta(path)
+            intact[delta.iteration] = delta
         except (OSError, CheckpointError) as exc:
             damaged[path.name] = str(exc)
             if quarantine is not None:
@@ -356,78 +533,108 @@ def write_checkpoint(
     *,
     iteration: int,
     sim_now: float,
-    config: ExperimentConfig,
+    config: str,
     state: Any,
-    rows_from: int = 0,
+    tip: Optional[ChainTip] = None,
     fsync: bool = True,
     _tear_after: Optional[int] = None,
 ) -> Path:
     """Atomically write one checkpoint and its delta; returns its path.
 
-    The trace store in ``state`` (if any) is pickled without its rows;
-    rows ``[rows_from, len(store))`` -- those added since the previous
-    checkpoint -- go into this checkpoint's delta, which is in place
-    before the checkpoint is.  Checkpoints older than the newest
-    :data:`KEEP_CHECKPOINTS` are then deleted.
+    ``config`` is the run configuration's :func:`config_digest`.  The
+    graph in ``state`` is pickled without its append-only parts; what
+    they gained past ``tip`` (the run generation's previous checkpoint;
+    ``None`` for a run's first) goes into this checkpoint's delta, which
+    is in place before the checkpoint is.  Then ``tip`` advances to this
+    checkpoint, and the checkpoint that left the newest
+    :data:`KEEP_CHECKPOINTS` is deleted by name: the first write from a
+    tip lists the directory, which may hold an earlier generation's.
 
     ``_tear_after`` is the crash-injection hook: when set, only that many
     payload bytes of the checkpoint are staged and its rename never
     happens, emulating a process death mid-checkpoint.
     """
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    payload, store = _pickle_graph(state)
-    rows = 0
-    if store is not None:
-        rows = len(store)
-        if not 0 <= rows_from <= rows:
-            raise CheckpointError(
-                f"delta start row {rows_from} is outside the store's "
-                f"{rows} rows"
-            )
-        header = {"iteration": int(iteration), "start": rows_from,
-                  "stop": rows, "numeric": NUMERIC, "strings": STRINGS}
-        _write_framed(ckpt_dir / _DELTA_FMT.format(iteration), header,
-                      encode_rows(store, rows_from, rows), fsync=fsync)
+    iteration = int(iteration)
+    if tip is None:
+        tip = ChainTip()
+    if tip.kept is None:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+    payload, met = _pickle_graph(state)
+    header, delta, logs = _encode_delta(met, tip, iteration)
+    _write_framed(ckpt_dir / _DELTA_FMT.format(iteration), header, delta,
+                  fsync=fsync)
+    rows = header["stop"]
     header = {
-        "iteration": int(iteration),
+        "iteration": iteration,
         "sim_now": float(sim_now),
-        "config": config_digest(config),
+        "config": config,
         "rows": rows,
     }
     path = _write_framed(ckpt_dir / _CKPT_FMT.format(iteration), header,
                          payload, fsync=fsync, tear_after=_tear_after)
-    if _tear_after is None:
-        for old in sorted(ckpt_dir.glob(CHECKPOINT_GLOB))[:-KEEP_CHECKPOINTS]:
-            old.unlink()
+    if _tear_after is not None:
+        return path
+    if tip.kept is None:
+        tip.kept = sorted(p.name for p in ckpt_dir.glob(CHECKPOINT_GLOB))
+    elif path.name not in tip.kept:
+        tip.kept.append(path.name)
+    while len(tip.kept) > KEEP_CHECKPOINTS:
+        (ckpt_dir / tip.kept.pop(0)).unlink(missing_ok=True)
+    tip.iteration, tip.rows = iteration, rows
+    tip.statics = len(met.meta.statics) if met.meta is not None else 0
+    tip.logs = logs
     return path
 
 
 def _revive(path: Path, header: dict, payload: bytes,
-            chain: Sequence[_Delta]) -> Checkpoint:
+            chain: List[_Delta]) -> Checkpoint:
     try:
-        state, store = _unpickle_graph(payload)
+        state, got = _unpickle_graph(payload)
     except Exception as exc:  # unpickling failures are corruption too
         raise CheckpointError(f"{path.name}: unpicklable payload: {exc}") from exc
-    if chain and store is None:
+    rows = int(header["rows"])
+    if rows and got.store is None:
         raise CheckpointError(f"{path.name}: rows recorded but no trace store")
     for delta in chain:
-        store.extend_columns(**delta.columns)
+        if got.store is not None:
+            got.store.extend_columns(**delta.columns)
+        if delta.statics:
+            if got.meta is None:
+                raise CheckpointError(
+                    f"{path.name}: statics recorded but no trace meta")
+            got.meta.statics.update(delta.statics)
+        try:
+            for mid, record in delta.boot:
+                got.machines[mid].boot_log.append(record)
+            for mid, record in delta.session:
+                got.machines[mid].session_log.append(record)
+        except KeyError as exc:
+            raise CheckpointError(
+                f"{delta.path.name}: records of machine {exc} the graph "
+                "does not hold") from exc
+    tip = ChainTip(
+        iteration=int(header["iteration"]), rows=rows,
+        statics=len(got.meta.statics) if got.meta is not None else 0,
+        logs={mid: (len(m.boot_log), len(m.session_log))
+              for mid, m in got.machines.items()},
+    )
     return Checkpoint(
         version=int(header["v"]),
-        iteration=int(header["iteration"]),
+        iteration=tip.iteration,
         sim_now=float(header["sim_now"]),
         config=str(header["config"]),
         path=path,
         state=state,
-        rows=int(header["rows"]),
+        rows=rows,
+        tip=tip,
     )
 
 
 def load_latest_checkpoint(
     ckpt_dir: Union[str, Path], quarantine: Quarantine
 ) -> Optional[Checkpoint]:
-    """Load the newest checkpoint that revives whole, with its rows.
+    """Load the newest checkpoint that revives whole, with its deltas.
 
     Damaged deltas and checkpoints are quarantined on the way (see the
     module docstring).  Returns ``None`` when no checkpoint survives
@@ -449,7 +656,8 @@ def load_latest_checkpoint(
             if chain is None:
                 quarantine.report(
                     "broken_chain", file=path,
-                    detail=f"no intact delta chain rebuilds rows [0, {rows})",
+                    detail=f"no intact delta chain links it back to the "
+                           f"run's start and rebuilds rows [0, {rows})",
                 )
                 continue
             return _revive(path, header, payload, chain)
@@ -474,8 +682,8 @@ def describe_checkpoints(
         return [], []
     intact, damaged = _scan_deltas(ckpt_dir, None)
     deltas = [{"file": d.path.name, "bytes": d.path.stat().st_size,
-               "iteration": d.iteration, "start": d.start, "stop": d.stop,
-               "status": "ok"} for d in intact]
+               "iteration": d.iteration, "link": d.link, "start": d.start,
+               "stop": d.stop, "status": "ok"} for d in intact.values()]
     deltas += [{"file": name, "bytes": (ckpt_dir / name).stat().st_size,
                 "status": "corrupt", "detail": detail}
                for name, detail in damaged.items()]

@@ -2,9 +2,9 @@
 
 The harness kills a recovery-enabled experiment at a chosen point,
 resumes it from disk, and checks -- via an exact fingerprint over every
-sample and accounting counter -- that the stitched-together run is
-bit-for-bit the run that never crashed.  It composes two kill
-mechanisms:
+sample and accounting counter, plus the fleet's ground truth -- that the
+stitched-together run is bit-for-bit the run that never crashed.  It
+composes two kill mechanisms:
 
 - :class:`KillAtIteration`, a :class:`~repro.faults.scenarios
   .FaultScenario` that raises :class:`~repro.errors.InjectedCrash` from
@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ALL_KILL_POINTS",
     "KillAtIteration",
+    "ground_truth",
     "result_fingerprint",
     "crash_and_resume",
     "verify_crash_resume",
@@ -121,6 +122,21 @@ def result_fingerprint(result: "MonitoringResult") -> str:
     return h.hexdigest()
 
 
+def ground_truth(result: "MonitoringResult") -> Optional[tuple]:
+    """What the fingerprint leaves out: every machine's boot and session
+    logs, and the order of ``meta.statics``; ``None`` without a fleet.
+
+    Checkpoints keep the logs and the statics in their deltas, so a
+    resumed run rebuilds them from the delta chain: a record applied
+    twice or lost shows here.
+    """
+    if result.fleet is None:
+        return None
+    logs = tuple((tuple(m.boot_log), tuple(m.session_log))
+                 for m in result.fleet.machines)
+    return logs, tuple(result.meta.statics)
+
+
 def _make_recovery(run_dir: Union[str, Path], crash: Optional[CrashSpec],
                    **kwargs: object) -> RecoveryConfig:
     kwargs.setdefault("checkpoint_every", 8)
@@ -195,10 +211,11 @@ def verify_crash_resume(
 ) -> Tuple[bool, str, str]:
     """Property check: the resumed run equals the uninterrupted one.
 
-    Returns ``(identical, resumed_fingerprint, baseline_fingerprint)``.
-    The baseline runs without any recovery plumbing at all, so the check
-    also covers the layer's differential guarantee (journaling and
-    checkpointing leave the trace untouched).
+    Returns ``(identical, resumed_fingerprint, baseline_fingerprint)``;
+    ``identical`` also requires equal :func:`ground_truth` whenever
+    both results carry a fleet.  The baseline runs without any recovery
+    plumbing at all, so the check also covers the layer's differential
+    guarantee (journaling and checkpointing leave the trace untouched).
     """
     from repro.experiment import run_experiment
 
@@ -211,4 +228,8 @@ def verify_crash_resume(
         baseline = run_experiment(config, faults=plan)
     fp_resumed = result_fingerprint(resumed)
     fp_baseline = result_fingerprint(baseline)
-    return fp_resumed == fp_baseline, fp_resumed, fp_baseline
+    identical = fp_resumed == fp_baseline
+    if resumed.fleet is not None and baseline.fleet is not None:
+        identical = (identical
+                     and ground_truth(resumed) == ground_truth(baseline))
+    return identical, fp_resumed, fp_baseline

@@ -14,6 +14,7 @@ wraps :func:`decode_rows`'s ``ValueError`` in its own typed error.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Dict, List, Tuple
 
@@ -64,6 +65,14 @@ def encode_rows(store: TraceStore, start: int, stop: int) -> bytes:
     return b"".join(buffers) + json.dumps(values).encode("utf-8")
 
 
+#: Each numeric column's name and dtype, in block order.
+_NUMERIC_DTYPES = [(name, np.dtype(dtype)) for name, dtype in NUMERIC]
+
+#: The string columns' codes, read unsigned: one compare against each
+#: table's length then also rejects a negative code.
+_UCODES = np.dtype("<u4")
+
+
 def decode_rows(payload: bytes, n: int) -> Dict[str, Any]:
     """The ``n`` rows of a block as :meth:`TraceStore.extend_columns`
     keyword columns.
@@ -80,24 +89,29 @@ def decode_rows(payload: bytes, n: int) -> Dict[str, Any]:
                          f"of {ROW_BYTES} bytes")
     columns: Dict[str, Any] = {}
     offset = 0
-    for name, dtype in NUMERIC:
-        dtype = np.dtype(dtype)
+    for name, dtype in _NUMERIC_DTYPES:
         columns[name] = np.frombuffer(payload, dtype=dtype, count=n,
                                       offset=offset)
         offset += n * dtype.itemsize
-    codes = []
-    for name in STRINGS:
-        codes.append(np.frombuffer(payload, dtype=_CODES, count=n,
-                                   offset=offset))
-        offset += n * _CODES.itemsize
-    values = json.loads(payload[offset:])
-    if (not isinstance(values, list) or len(values) != len(STRINGS)
-            or not all(isinstance(vals, list)
-                       and set(map(type, vals)) <= {str}
-                       for vals in values)):
+    codes = np.frombuffer(payload, dtype=_UCODES, count=len(STRINGS) * n,
+                          offset=offset).reshape(len(STRINGS), n)
+    values = json.loads(payload[fixed:].decode("utf-8"))
+    if (type(values) is not list or len(values) != len(STRINGS)
+            or set(map(type, values)) != {list}):
         raise ValueError("string values do not match the columns")
-    for name, col, vals in zip(STRINGS, codes, values):
-        if n and (col.min() < 0 or col.max() >= len(vals)):
-            raise ValueError(f"column {name!r} has out-of-range codes")
-        columns[name] = [vals[c] for c in col.tolist()]
+    table = list(itertools.chain.from_iterable(values))
+    try:
+        "".join(table)  # a TypeError unless every value is a str
+    except TypeError:
+        raise ValueError("string values do not match the columns") from None
+    sizes = [len(vals) for vals in values]
+    if n:
+        for name, top, size in zip(STRINGS, codes.max(axis=1).tolist(),
+                                   sizes):
+            if top >= size:
+                raise ValueError(f"column {name!r} has out-of-range codes")
+    # One lookup expands every column: codes offset into the joined table.
+    starts = np.array([*itertools.accumulate(sizes[:-1], initial=0)])
+    expanded = np.array(table, dtype=object)[codes + starts[:, None]]
+    columns.update(zip(STRINGS, expanded.tolist()))
     return columns

@@ -37,6 +37,8 @@ from repro.errors import InjectedCrash, RecoveryError, ResumeDivergence
 from repro.recovery.checkpoint import (
     CHECKPOINT_GLOB,
     DELTA_GLOB,
+    ChainTip,
+    config_digest,
     write_checkpoint,
 )
 from repro.recovery.journal import JournalWriter, Quarantine, _crc_hex
@@ -223,7 +225,7 @@ class RecoveryRuntime:
         *,
         quarantine: Optional[Quarantine] = None,
         expected_digests: Optional[Dict[int, Tuple[str, int]]] = None,
-        resumed_from: Optional[int] = None,
+        resumed: Optional[ChainTip] = None,
         cold_restart: bool = False,
         start_segment: int = 1,
     ):
@@ -240,9 +242,13 @@ class RecoveryRuntime:
         self.expected_digests = dict(expected_digests or {})
         self.info = RecoveryInfo(
             run_dir=Path(config.run_dir),
-            resumed_from_iteration=resumed_from,
+            resumed_from_iteration=(resumed.iteration if resumed is not None
+                                    else None),
             cold_restart=cold_restart,
         )
+        #: The checkpoint the next delta extends: the revived one after
+        #: a resume, none for a fresh run or a cold restart.
+        self._tip = resumed if resumed is not None else ChainTip()
         self.crash = config.crash_at
         self.crash_fired = False
         # live experiment graph, attached by bind()
@@ -252,9 +258,8 @@ class RecoveryRuntime:
         self._faults: Optional["FaultPlan"] = None
         self._observer: Optional["Observer"] = None
         self._exp_config: Optional["ExperimentConfig"] = None
-        #: Store rows already in a checkpoint delta / in a pass record
-        #: (both set by bind()).
-        self._rows_checkpointed = 0
+        self._config_digest = ""
+        #: Store rows already in a pass record (set by bind()).
         self._rows_journaled = 0
         self._obs_instruments = None
 
@@ -273,9 +278,10 @@ class RecoveryRuntime:
         self._fleet = fleet
         self._coordinator = coordinator
         self._store = store
-        self._rows_checkpointed = self._rows_journaled = len(store)
+        self._rows_journaled = len(store)
         self._faults = faults
         self._exp_config = config
+        self._config_digest = config_digest(config)
         obs = observer if observer is not None and observer.enabled else None
         self._observer = observer
         if obs is not None:
@@ -399,7 +405,6 @@ class RecoveryRuntime:
             self._write_checkpoint(k, state, tear)
         if tear is not None:
             self._die(torn=False)
-        self._rows_checkpointed = len(self._store)
         self.info.checkpoints_written += 1
         if self._obs_instruments is not None:
             self._obs_instruments["checkpoints"].inc()
@@ -410,9 +415,9 @@ class RecoveryRuntime:
             self.config.checkpoint_dir,
             iteration=k,
             sim_now=self._fleet.sim.now,
-            config=self._exp_config,
+            config=self._config_digest,
             state=state,
-            rows_from=self._rows_checkpointed,
+            tip=self._tip,
             fsync=self.config.fsync,
             _tear_after=tear,
         )

@@ -5,7 +5,7 @@ point the harness knows, it crashes a short monitored run at a
 **seed-derived** iteration (so the covered spot drifts as CI changes the
 seed, instead of fossilising one code path), resumes it from disk and
 diffs the stitched-together result against an uninterrupted baseline
-run, fingerprint for fingerprint.
+run, fingerprint for fingerprint and ground-truth log for log.
 
 Exit code 0 means every kill point resumed bit-identically.  On failure
 the run directories (journals, checkpoints and the quarantine ledger)
@@ -87,7 +87,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         verdict = "PASS" if identical else "FAIL"
         print(f"{verdict} {point:16s} resumed={fp_resumed[:16]}... "
-              f"baseline={fp_baseline[:16]}... ({time.time() - t0:.1f}s)")
+              f"baseline={fp_baseline[:16]}... ({time.time() - t0:.1f}s)"
+              + ("" if identical or fp_resumed != fp_baseline
+                 else " ground truth differs"))
         if identical:
             shutil.rmtree(run_dir, ignore_errors=True)
         else:

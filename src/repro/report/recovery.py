@@ -180,12 +180,13 @@ def render_recovery_report(run_dir: Union[str, Path]) -> str:
     parts += ["", "checkpoints", "-----------",
               ckpts.render() if status["checkpoints"] else "(none)"]
 
-    deltas = Table(["delta", "iteration", "rows", "size (B)", "status"])
+    deltas = Table(["delta", "iteration", "link", "rows", "size (B)",
+                    "status"])
     for row in status["deltas"]:
         rows = (f"{row['start']}-{row['stop']}" if "start" in row
                 else None)
-        deltas.add_row([row["file"], row.get("iteration"), rows,
-                        row["bytes"], row["status"]])
+        deltas.add_row([row["file"], row.get("iteration"), row.get("link"),
+                        rows, row["bytes"], row["status"]])
     parts += ["", "deltas", "------",
               deltas.render() if status["deltas"] else "(none)"]
 

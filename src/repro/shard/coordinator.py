@@ -604,8 +604,11 @@ class CampaignCoordinator:
         self.registry.failure(conn.worker_id)
         self._release(conn)
         self._note_progress(msg.shard, lease.last_iteration)
+        # Without a run directory a regrant re-runs the task from
+        # scratch, deterministically into the same exception.
         self._fail_lease(lease, self._clock(),
-                         f"worker failed: {msg.message}")
+                         f"worker failed: {msg.message}",
+                         final=self.run_dir is None)
 
     def _release(self, conn: _Conn) -> None:
         """The worker on ``conn`` settled its lease and is idle again."""
@@ -639,13 +642,16 @@ class CampaignCoordinator:
                 f"connection to {conn.worker_id} lost ({reason})",
             )
 
-    def _fail_lease(self, lease: Lease, now: float, reason: str) -> None:
+    def _fail_lease(self, lease: Lease, now: float, reason: str, *,
+                    final: bool = False) -> None:
+        """Revoke ``lease``; regrant it while budget remains, unless the
+        failure is ``final``, else lose the shard or raise."""
         shard = lease.shard_index
         holder = lease.worker
         silence = now - lease.last_heartbeat
         lease.revoke(now)
         self._set_state(shard, health.DEAD)
-        if lease.assignments < 1 + self.policy.max_regrants:
+        if not final and lease.assignments < 1 + self.policy.max_regrants:
             # Budget remains: the shard becomes grantable again after
             # its backoff step; the regrant resumes from its checkpoints.
             self._write_manifest(force=True)
@@ -671,10 +677,13 @@ class CampaignCoordinator:
                     restarts=lease.regrants,
                 )
             return
+        why = ("a regrant would re-run it from scratch into the same "
+               "failure" if final else
+               f"its regrant budget of {self.policy.max_regrants} is "
+               "exhausted")
         raise ShardWorkerError(
             f"shard {shard} lease (held by {holder}) failed ({reason}) "
-            f"and its regrant budget of {self.policy.max_regrants} is "
-            f"exhausted; last completed iteration {lease.last_iteration}"
+            f"and {why}; last completed iteration {lease.last_iteration}"
             + resumable,
             shard_index=shard,
             last_heartbeat=silence,

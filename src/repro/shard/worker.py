@@ -343,7 +343,7 @@ def resume_shard(
         rcfg,
         quarantine=quarantine,
         expected_digests=expected,
-        resumed_from=ckpt.iteration,
+        resumed=ckpt.tip,
         start_segment=scan.next_segment,
     )
     # The checkpointed state is the graph: config, fleet, coordinator,

@@ -316,7 +316,7 @@ class FleetSimulator:
             observer.bind_clock(self.sim)
         self.calendar = AcademicCalendar(
             [lab.name for lab in labs],
-            self.streams.stream("calendar"),
+            self.streams.once("calendar"),
             class_density=config.behavior.class_density,
             saturday_density=config.behavior.saturday_density,
             cpu_heavy_labs=config.behavior.cpu_heavy_labs,
@@ -351,7 +351,7 @@ class FleetSimulator:
         mean_attraction = float(np.mean(list(attraction.values())))
         self.lab_demand: Dict[str, float] = {
             lab.name: behavior.lab_demand_multiplier(
-                self.streams.stream(f"lab_demand/{lab.name}")
+                self.streams.once(f"lab_demand/{lab.name}")
             )
             * attraction[lab.name]
             / mean_attraction
@@ -363,7 +363,7 @@ class FleetSimulator:
             disk = SmartDisk.with_history(
                 spec.disk_serial,
                 spec.disk_bytes,
-                self.streams.stream(f"smart/{spec.hostname}"),
+                self.streams.once(f"smart/{spec.hostname}"),
                 age_years_range=config.smart.age_years_range,
                 uptime_per_cycle_mean_h=config.smart.uptime_per_cycle_mean_h,
                 uptime_per_cycle_std_h=config.smart.uptime_per_cycle_std_h,

@@ -54,6 +54,15 @@ class RandomStreams:
     True
     >>> float(g1.random()) != float(g2.random())
     True
+
+    :meth:`stream` keeps every generator it makes, so each one travels
+    with the factory into checkpoints.  Draws made once, at build time,
+    take :meth:`once` instead: the same numbers from a generator the
+    factory does not keep.
+
+    >>> once = rs.once("machine/9")
+    >>> float(once.random()) == float(rs.stream("machine/9").random())
+    True
     """
 
     def __init__(self, seed: int = 0):
@@ -75,13 +84,22 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
-            child = np.random.SeedSequence(
-                entropy=self._root.entropy,
-                spawn_key=(*self._root.spawn_key, stable_hash32(name)),
-            )
-            gen = np.random.Generator(np.random.PCG64(child))
-            self._streams[name] = gen
+            gen = self._streams[name] = self.once(name)
         return gen
+
+    def once(self, name: str) -> np.random.Generator:
+        """A new generator for stream ``name`` that this factory does not keep.
+
+        It draws what :meth:`stream` would draw first.  Build-time draws
+        nothing reads again (the fleet's calendar, each lab's demand and
+        each disk's SMART history) use it, so the generators are freed
+        after the build instead of riding along in every checkpoint.
+        """
+        child = np.random.SeedSequence(
+            entropy=self._root.entropy,
+            spawn_key=(*self._root.spawn_key, stable_hash32(name)),
+        )
+        return np.random.Generator(np.random.PCG64(child))
 
     def fork(self, name: str) -> "RandomStreams":
         """Return a child factory whose streams are namespaced under ``name``.

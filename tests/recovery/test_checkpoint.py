@@ -1,7 +1,9 @@
 """Unit tests for versioned, atomic experiment checkpoints."""
 
+import dataclasses
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,17 @@ from repro.errors import CheckpointError
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     KEEP_CHECKPOINTS,
+    ChainTip,
     config_digest,
     describe_checkpoints,
     load_latest_checkpoint,
     write_checkpoint,
 )
+from repro.machines.hardware import build_fleet
+from repro.machines.machine import SimMachine
+from repro.machines.smart import SmartDisk
 from repro.recovery.journal import Quarantine
+from repro.sim.kernel import RosterColumns
 from repro.traces.records import Sample, TraceMeta
 from repro.traces.store import TraceStore
 
@@ -26,7 +33,7 @@ CFG = ExperimentConfig(days=1, seed=9)
 def write(ckpt_dir, iteration, payload=None, **kwargs):
     return write_checkpoint(
         ckpt_dir, iteration=iteration, sim_now=900.0 * iteration,
-        config=CFG, state=payload or {"iteration": iteration},
+        config=config_digest(CFG), state=payload or {"iteration": iteration},
         fsync=False, **kwargs,
     )
 
@@ -58,12 +65,11 @@ def rows(store):
 
 def write_ladder(ckpt_dir, cuts):
     """Checkpoint a growing store at iterations 7, 15, ... with ``cuts``
-    rows each; returns the final store."""
-    store, start = None, 0
+    rows each, as one run generation; returns the final store."""
+    store, tip = None, ChainTip()
     for k, n in zip(range(7, 8 * len(cuts), 8), cuts):
         store = store_with(n)
-        write(ckpt_dir, k, {"store": store, "k": k}, rows_from=start)
-        start = n
+        write(ckpt_dir, k, {"store": store, "k": k}, tip=tip)
     return store
 
 
@@ -110,7 +116,7 @@ class TestDeltas:
         path = write(tmp_path / "ckpt", 7, {"store": store, "again": store})
         assert path.stat().st_size < 2048
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["v"] == CHECKPOINT_VERSION == 2
+        assert header["v"] == CHECKPOINT_VERSION == 3
         assert header["rows"] == 500
         delta = json.loads(
             (tmp_path / "ckpt" / "delta-00000007.delta").read_bytes()
@@ -156,6 +162,21 @@ class TestDeltas:
         ]
         assert KEEP_CHECKPOINTS == 2
 
+    def test_one_listing_per_run_generation(self, tmp_path, monkeypatch):
+        """The checkpoint that leaves the window is pruned by name: the
+        directory keeps every delta, so listing it per checkpoint would
+        cost O(run length) each time."""
+        listings = []
+        glob = Path.glob
+
+        def counting(self, pattern):
+            listings.append(pattern)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting)
+        write_ladder(tmp_path / "ckpt", [3, 6, 9, 12, 15])
+        assert listings == ["ckpt-*.ckpt"]
+
     def test_bad_delta_falls_back_to_older_checkpoint(self, tmp_path):
         write_ladder(tmp_path / "ckpt", [4, 9, 13])
         newest = tmp_path / "ckpt" / "delta-00000023.delta"
@@ -175,8 +196,9 @@ class TestDeltas:
         write_ladder(ckpt_dir, [4, 9, 13])  # checkpoints at 7, 15, 23
         # A resumed generation at another cadence checkpoints at 19 and
         # 27 from the rows at 15; the old delta-23 stays behind.
-        write(ckpt_dir, 19, {"store": store_with(11)}, rows_from=9)
-        write(ckpt_dir, 27, {"store": store_with(16)}, rows_from=11)
+        tip = ChainTip(iteration=15, rows=9)
+        write(ckpt_dir, 19, {"store": store_with(11)}, tip=tip)
+        write(ckpt_dir, 27, {"store": store_with(16)}, tip=tip)
         ckpt = load_latest_checkpoint(ckpt_dir, Quarantine(tmp_path))
         assert ckpt.iteration == 27
         assert rows(ckpt.state["store"]) == rows(store_with(16))
@@ -184,7 +206,7 @@ class TestDeltas:
     def test_rows_from_past_the_store_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="start row"):
             write(tmp_path / "ckpt", 7, {"store": store_with(3)},
-                  rows_from=4)
+                  tip=ChainTip(rows=4))
 
     def test_every_flipped_delta_byte_is_detected(self, tmp_path):
         """Header fields are cross-checked (file name, row range, column
@@ -210,6 +232,119 @@ class TestDeltas:
         ]
         assert [r["status"] for r in deltas] == ["corrupt", "ok", "ok"]
         assert deltas[1]["start"] == 4 and deltas[1]["stop"] == 9
+
+
+def machines(n):
+    return [SimMachine(spec, SmartDisk(spec.disk_serial, spec.disk_bytes))
+            for spec in build_fleet()[:n]]
+
+
+def live(fleet, t):
+    """One session and one boot record per machine, starting at ``t``."""
+    for m in fleet:
+        m.boot(t)
+        m.login(t + 1.0, f"u{int(t)}")
+        m.logout(t + 2.5)
+        m.shutdown(t + 3.25)
+
+
+def logs(fleet):
+    return [(m.boot_log, m.session_log) for m in fleet]
+
+
+def statics(meta):
+    """``meta.statics`` in insertion order, by ``repr`` (NBench is NaN)."""
+    return [(key, repr(info)) for key, info in meta.statics.items()]
+
+
+def payload_only(path):
+    """The graph a checkpoint's pickle holds, revived without its deltas."""
+    return pickle.loads(path.read_bytes().split(b"\n", 1)[1])
+
+
+class TestGroundTruth:
+    """Logs and statics ride in the deltas and come back in chain order."""
+
+    def test_logs_and_statics_round_trip(self, tmp_path):
+        fleet, store, tip = machines(3), store_with(0), ChainTip()
+        roster = RosterColumns([m.spec for m in fleet])
+        for k, t in ((7, 0.0), (15, 100.0), (23, 200.0)):
+            live(fleet[:k // 8 + 1], t)  # a machine joins per checkpoint
+            i = 2 - k // 8  # statics arrive out of id order
+            store.meta.statics[fleet[i].spec.machine_id] = \
+                roster.static_info(i)
+            path = write(tmp_path / "ckpt", k,
+                         {"fleet": fleet, "store": store}, tip=tip)
+        ckpt = load_latest_checkpoint(tmp_path / "ckpt", Quarantine(tmp_path))
+        assert logs(ckpt.state["fleet"]) == logs(fleet)
+        assert statics(ckpt.state["store"].meta) == statics(store.meta)
+        assert list(store.meta.statics) == [2, 1, 0]
+        # a resumed generation extends exactly what the writer reached
+        assert ckpt.tip == dataclasses.replace(tip, kept=None)
+        # the pickle itself holds none of it
+        bare = payload_only(path)
+        assert [lg for m in bare["fleet"] for lg in logs([m])[0]] == [[]] * 6
+        assert bare["store"].meta.statics == {}
+
+    def test_stale_zero_row_delta_of_other_cadence_not_chained(self,
+                                                               tmp_path):
+        ckpt_dir = tmp_path / "ckpt"
+        fleet, tip = machines(1), ChainTip()
+        live(fleet, 0.0)
+        write(ckpt_dir, 7, {"fleet": fleet, "store": store_with(4)}, tip=tip)
+        live(fleet, 100.0)
+        write(ckpt_dir, 15, {"fleet": fleet, "store": store_with(9)},
+              tip=tip)
+        # Generation 1 dies inside checkpoint 23: its zero-row delta,
+        # holding the records of [100, 200], is in place, the checkpoint
+        # is not.
+        live(fleet, 200.0)
+        write(ckpt_dir, 23, {"fleet": fleet, "store": store_with(9)},
+              tip=tip, _tear_after=16)
+        ckpt = load_latest_checkpoint(ckpt_dir, Quarantine(tmp_path))
+        assert ckpt.iteration == 15
+        # Generation 2 checkpoints every 5 iterations, with other truth.
+        state, tip = ckpt.state, ckpt.tip
+        live(state["fleet"], 300.0)
+        write(ckpt_dir, 19, state, tip=tip)
+        write(ckpt_dir, 24, state, tip=tip)
+        ckpt = load_latest_checkpoint(ckpt_dir, Quarantine(tmp_path))
+        assert ckpt.iteration == 24 and ckpt.rows == 9
+        [machine] = ckpt.state["fleet"]
+        assert [r.boot_time for r in machine.boot_log] == [0.0, 100.0, 300.0]
+        assert [r.start for r in machine.session_log] == [1.0, 101.0, 301.0]
+        _, deltas = describe_checkpoints(ckpt_dir)
+        assert [(d["iteration"], d["link"]) for d in deltas] == [
+            (7, -1), (15, 7), (19, 15), (23, 15), (24, 19)]
+
+    def test_zero_row_checkpoint_restores_its_records(self, tmp_path):
+        fleet, tip = machines(2), ChainTip()
+        for k, t in ((7, 0.0), (15, 100.0)):
+            live(fleet, t)
+            write(tmp_path / "ckpt", k,
+                  {"fleet": fleet, "store": store_with(0)}, tip=tip)
+        ckpt = load_latest_checkpoint(tmp_path / "ckpt", Quarantine(tmp_path))
+        assert ckpt.iteration == 15 and ckpt.rows == 0
+        assert logs(ckpt.state["fleet"]) == logs(fleet)
+        assert len(fleet[0].boot_log) == 2
+
+    def test_missing_link_breaks_the_chain(self, tmp_path):
+        fleet, tip = machines(1), ChainTip()
+        for k, t in ((7, 0.0), (15, 100.0)):
+            live(fleet, t)
+            write(tmp_path / "ckpt", k, {"fleet": fleet}, tip=tip)
+        (tmp_path / "ckpt" / "delta-00000007.delta").unlink()
+        checkpoints, _ = describe_checkpoints(tmp_path / "ckpt")
+        assert [r["status"] for r in checkpoints] == ["broken_chain"] * 2
+        assert load_latest_checkpoint(tmp_path / "ckpt",
+                                      Quarantine(tmp_path)) is None
+
+    def test_machines_sharing_an_id_rejected(self, tmp_path):
+        [a] = machines(1)
+        twin = SimMachine(a.spec, SmartDisk(a.spec.disk_serial,
+                                            a.spec.disk_bytes))
+        with pytest.raises(CheckpointError, match="two machines"):
+            write(tmp_path / "ckpt", 7, {"fleet": [a, twin]})
 
 
 class TestCorruptionHandling:

@@ -124,6 +124,8 @@ class TestStatusReportDeltas:
         assert status["deltas"][0]["start"] == 0
         for prev, nxt in zip(status["deltas"], status["deltas"][1:]):
             assert nxt["start"] == prev["stop"]
+            assert nxt["link"] == prev["iteration"]
+        assert status["deltas"][0]["link"] == -1
         assert [(c["iteration"], c["status"])
                 for c in status["checkpoints"]] == [(31, "ok"), (39, "ok")]
         assert status["checkpoints"][1]["rows"] == status["deltas"][-1]["stop"]

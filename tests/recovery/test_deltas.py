@@ -8,6 +8,9 @@ uninterrupted one and that the damage is quarantined and explained --
 the pattern of ``test_quarantine.py``.
 """
 
+import json
+import zlib
+
 import pytest
 
 from repro.config import ExperimentConfig
@@ -19,7 +22,8 @@ from repro.recovery import (
     fresh_runtime,
     run_dir_in_use,
 )
-from repro.recovery.crashtest import result_fingerprint
+from repro.recovery.checkpoint import describe_checkpoints
+from repro.recovery.crashtest import ground_truth, result_fingerprint
 from repro.recovery.runtime import CrashSpec
 
 CFG = ExperimentConfig(days=1, seed=13)
@@ -125,20 +129,106 @@ def test_delta_past_newest_checkpoint_is_ignored_then_overwritten(tmp_path,
         clean[1] / "checkpoints" / orphan.name).read_bytes()
 
 
-def test_checkpoint_bytes_grow_linearly(tmp_path):
-    """Doubling the horizon no more than ~doubles the checkpoint bytes
-    (re-pickling the whole store at every checkpoint, and keeping every
-    checkpoint, made them grow ~4x)."""
-    sizes = {}
-    for days in (2, 4):
-        run_dir = tmp_path / f"d{days}"
+@pytest.fixture(scope="module")
+def horizons(tmp_path_factory):
+    """``days -> checkpoints/`` of crash-safe seed-2005 runs."""
+    dirs = {}
+    for days in (1, 2, 4):
+        run_dir = tmp_path_factory.mktemp(f"d{days}") / "run"
         run_experiment(ExperimentConfig(days=days, seed=2005),
                        recovery=RecoveryConfig(run_dir, fsync=False),
                        collect_nbench=False)
-        ckpts = run_dir / "checkpoints"
-        assert len(names(ckpts, "ckpt-*.ckpt")) == KEEP_CHECKPOINTS == 2
-        sizes[days] = sum(p.stat().st_size for p in ckpts.iterdir())
+        dirs[days] = run_dir / "checkpoints"
+        assert len(names(dirs[days], "ckpt-*.ckpt")) == KEEP_CHECKPOINTS == 2
+    return dirs
+
+
+def test_resume_across_cadences_and_generations(tmp_path, clean):
+    """Three run generations at cadences 8, 5 and 8, each of the first
+    two killed inside a checkpoint: every delta links to the checkpoint
+    it extends, so the deltas left past each crash are on no chain."""
+    run_dir = tmp_path / "run"
+    crash_run(run_dir, point="mid_checkpoint")  # dies in checkpoint 63
+    with pytest.raises(InjectedCrash):  # from 55; dies in checkpoint 84
+        run_experiment(CFG, resume_from=RecoveryConfig(
+            run_dir, fsync=False, checkpoint_every=5,
+            crash_at=CrashSpec(iteration=80, point="mid_checkpoint")))
+    result = run_experiment(CFG, resume_from=RecoveryConfig(
+        run_dir, fsync=False, checkpoint_every=8))
+    assert result.recovery.resumed_from_iteration == 79
+    assert result_fingerprint(result) == clean[0]
+    assert ground_truth(result) == ground_truth(run_experiment(CFG))
+    ckpts = run_dir / "checkpoints"
+    assert names(ckpts, "ckpt-*.ckpt") == [
+        "ckpt-00000087.ckpt", "ckpt-00000095.ckpt"]
+    links = {d["iteration"]: d["link"]
+             for d in describe_checkpoints(ckpts)[1]}
+    assert links[59] == 55 and links[87] == 79
+    assert links[63] == 55 and links[84] == 79  # the stale ones
+
+
+def test_checkpoint_bytes_grow_linearly(horizons):
+    """Doubling the horizon no more than ~doubles the checkpoint bytes
+    (re-pickling the whole store at every checkpoint, and keeping every
+    checkpoint, made them grow ~4x)."""
+    sizes = {days: sum(p.stat().st_size for p in ckpts.iterdir())
+             for days, ckpts in horizons.items()}
     assert sizes[4] < 2.5 * sizes[2], sizes
+
+
+def test_checkpoints_stop_growing(horizons):
+    """A checkpoint pickles only state the run overwrites: the newest
+    one after 4 days is within 10% of the newest after 1 (pickling the
+    ground-truth logs and statics made it 39% larger)."""
+    newest = {days: sorted(ckpts.glob("ckpt-*.ckpt"))[-1].stat().st_size
+              for days, ckpts in horizons.items()}
+    assert abs(newest[4] - newest[1]) < 0.1 * newest[1], newest
+
+
+def as_version_2(ckpt_dir):
+    """Rewrite a checkpoint directory in version 2's framing: deltas
+    without a link or a ground-truth block."""
+    for path in ckpt_dir.iterdir():
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if path.suffix == ".delta":
+            del header["link"]
+            payload = payload.split(b"\n", 1)[1]
+        header.update(v=2, payload_len=len(payload),
+                      payload_crc=format(zlib.crc32(payload), "08x"))
+        path.write_bytes(json.dumps(header, sort_keys=True).encode()
+                         + b"\n" + payload)
+
+
+def test_version_2_directory_cold_restarts(tmp_path, clean):
+    rcfg = crash_run(tmp_path / "run", point="pre_checkpoint")
+    as_version_2(rcfg.checkpoint_dir)
+    result = run_experiment(CFG, resume_from=tmp_path / "run")
+    assert result_fingerprint(result) == clean[0]
+    assert result.recovery.cold_restart
+    entries = result.recovery.quarantine_entries
+    assert [e["reason"] for e in entries] == (
+        ["bad_delta"] * len(range(7, KILL, 8))
+        + ["bad_checkpoint"] * len(RETAINED))
+    assert all("unsupported checkpoint version 2" in e["detail"]
+               for e in entries)
+
+
+def test_config_digest_once_per_run(tmp_path, monkeypatch):
+    import repro.recovery.runtime as runtime
+
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return digest(config)
+
+    digest = runtime.config_digest
+    monkeypatch.setattr(runtime, "config_digest", counting)
+    result = run_experiment(CFG, recovery=RecoveryConfig(tmp_path / "run",
+                                                         fsync=False))
+    assert result.recovery.checkpoints_written > 1
+    assert calls == [CFG]
 
 
 class TestUsedRunDir:

@@ -23,7 +23,9 @@ from repro.recovery.crashtest import (
     ALL_KILL_POINTS,
     KillAtIteration,
     crash_and_resume,
+    ground_truth,
     result_fingerprint,
+    verify_crash_resume,
 )
 from repro.recovery.smoke import derive_kill_iteration
 
@@ -194,3 +196,45 @@ def test_killed_scenario_disarms_on_pickle():
     assert not revived.armed
     # a disarmed scenario never fires
     assert revived.coordinator_down(0.0, 7, None) is False
+
+
+#: A 2-day crash-safe run, killed where the CI smoke kills it.
+TRUTH_CONFIG = ExperimentConfig(days=2, seed=2005)
+
+
+@pytest.fixture(scope="module")
+def truth_baseline():
+    return run_experiment(TRUTH_CONFIG)
+
+
+@pytest.mark.parametrize("kill_point", ALL_KILL_POINTS)
+def test_resume_restores_ground_truth(kill_point, truth_baseline, tmp_path):
+    """Checkpoints keep the logs and statics in their deltas: the resumed
+    run rebuilds every record once, in order."""
+    resumed = crash_and_resume(TRUTH_CONFIG, kill_point,
+                               derive_kill_iteration(TRUTH_CONFIG),
+                               tmp_path / "run")
+    assert resumed.recovery.resumed_from_iteration is not None
+    want = truth_baseline.fleet.machines
+    assert len(resumed.fleet.machines) == len(want)
+    for got, machine in zip(resumed.fleet.machines, want):
+        assert got.boot_log == machine.boot_log
+        assert got.session_log == machine.session_log
+    assert list(resumed.meta.statics) == list(truth_baseline.meta.statics)
+    assert ground_truth(resumed) == ground_truth(truth_baseline)
+
+
+def test_verify_crash_resume_compares_ground_truth(truth_baseline,
+                                                   tmp_path):
+    log = truth_baseline.fleet.machines[0].session_log
+    record = log.pop()
+    try:
+        identical, fp_resumed, fp_baseline = verify_crash_resume(
+            TRUTH_CONFIG, "post_checkpoint",
+            derive_kill_iteration(TRUTH_CONFIG), tmp_path / "run",
+            baseline=truth_baseline,
+        )
+    finally:
+        log.append(record)
+    assert fp_resumed == fp_baseline
+    assert not identical

@@ -13,6 +13,10 @@ import time
 import pytest
 
 from repro.config import ExperimentConfig
+from repro.errors import ShardWorkerError
+from repro.experiment import run_experiment
+from repro.faults import FaultPlan
+from repro.faults.scenarios import StdoutCorruption
 from repro.machines.hardware import TABLE1_LABS
 from repro.obs import health
 from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
@@ -102,3 +106,44 @@ class TestSupervisorClockSeam:
         outcomes = coordinator.run()
         assert len(outcomes) == 1
         assert coordinator.report().restarts == {0: 0}
+
+
+class ShardOneCorruption(StdoutCorruption):
+    """Garbles only shard 1's labs (of a two-shard plan)."""
+
+    def corrupt_stdout(self, t, machine, stdout, rng):
+        if machine.spec.lab not in ("L02", "L04", "L06", "L08", "L11"):
+            return None
+        return super().corrupt_stdout(t, machine, stdout, rng)
+
+
+class TestTaskFailure:
+    """A task that raises in a campaign without a run directory is not
+    regranted: the re-run would start from scratch and raise again."""
+
+    CFG = ExperimentConfig(days=1, seed=7)
+
+    def test_raising_task_runs_once(self):
+        faults = FaultPlan([ShardOneCorruption(0.05)], seed=3)
+        with pytest.raises(ShardWorkerError, match="ProbeError") as err:
+            run_experiment(self.CFG, shards=2, faults=faults,
+                           strict_postcollect=True, supervise=QUICK)
+        assert err.value.shard_index == 1
+        assert err.value.restarts == 0
+        assert "from scratch" in str(err.value)
+
+    def test_every_shard_raising_fails_at_the_first(self):
+        faults = FaultPlan([StdoutCorruption(0.05)], seed=3)
+        with pytest.raises(ShardWorkerError, match="ProbeError") as err:
+            run_experiment(self.CFG, shards=2, faults=faults,
+                           strict_postcollect=True, supervise=QUICK)
+        assert err.value.restarts == 0
+
+    def test_raising_task_is_lost_under_allow_partial(self):
+        faults = FaultPlan([ShardOneCorruption(0.05)], seed=3)
+        policy = CampaignPolicy(backoff_base=0.01, allow_partial=True)
+        result = run_experiment(self.CFG, shards=2, faults=faults,
+                                strict_postcollect=True, supervise=policy)
+        assert result.campaign.states == {0: health.DONE, 1: health.LOST}
+        assert result.campaign.restarts == {0: 0, 1: 0}
+        assert result.degraded.lost_shards == (1,)
