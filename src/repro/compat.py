@@ -110,7 +110,6 @@ RULES: Tuple[Rule, ...] = (
               "resilience= or config.ddc.resilience; --resilience"),
     _columnar("observer", "observer attached", "observer=; --obs-out"),
     _columnar("retries", "retries enabled", "config.ddc.retry_limit > 0"),
-    _columnar("fleet_factory", "custom fleet factory", "fleet_factory="),
 )
 
 

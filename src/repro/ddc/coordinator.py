@@ -316,11 +316,8 @@ class DdcCoordinator:
             # After the next iteration is on the heap, so a checkpoint
             # taken here revives into a run that keeps iterating.
             self.recovery.on_iteration_end(k, start, ran=ran)
-        # getattr: a coordinator revived from a pre-heartbeat checkpoint
-        # has no such attribute in its pickled __dict__.
-        heartbeat = getattr(self, "heartbeat", None)
-        if heartbeat is not None:
-            heartbeat(k, start, ran)
+        if self.heartbeat is not None:
+            self.heartbeat(k, start, ran)
 
     def _lab(self, lab: str) -> _LabInstruments:
         """Per-lab instruments, created on first encounter."""

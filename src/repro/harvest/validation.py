@@ -68,9 +68,11 @@ def validate_equivalence(
     batch: TaskBatch = make_batch(n_tasks, rng, mean_work_hours=mean_work_hours)
     perf = np.array([m.spec.perf_index for m in fleet.machines], dtype=float)
     weights = perf / perf.mean()
+    # The polls run on the behaviour loop, interleaved with the agents'
+    # events; a closing sweep still acts first at its instant.
     scheduler = HarvestScheduler(
         fleet.machines,
-        fleet.sim,
+        fleet._backend.env,  # noqa: SLF001 - the fleet's behaviour engine
         batch,
         policy,
         weights=weights,

@@ -1,12 +1,14 @@
 """Free-running driver: the simulation graph on a wall-clock leash.
 
-:class:`LiveDriver` assembles the exact graph ``run_shard`` builds for a
-recovery-enabled run -- :class:`~repro.sim.fleet.FleetSimulator`,
-:class:`~repro.ddc.coordinator.DdcCoordinator`,
-:class:`~repro.recovery.runtime.RecoveryRuntime` -- and advances it on a
-background thread in ``sample_period`` chunks.  With a finite ``rate``
-the driver sleeps between chunks so that simulated time tracks
-``rate x`` wall time; ``rate=None`` runs unpaced (``--rate max``).
+:class:`LiveDriver` builds the graph ``repro run --recover-dir`` runs,
+through the same :func:`~repro.shard.worker.build_graph` --
+:class:`~repro.sim.fleet.FleetSimulator`,
+:class:`~repro.ddc.coordinator.DdcCoordinator` on the kernel the
+config picks, :class:`~repro.recovery.runtime.RecoveryRuntime` -- and
+advances it on a background thread in ``sample_period`` chunks.  With
+a finite ``rate`` the driver sleeps between chunks so that simulated
+time tracks ``rate x`` wall time; ``rate=None`` runs unpaced
+(``--rate max``).
 
 Every iteration's pass record -- the rows its pass added -- is
 journaled and flushed by the recovery runtime before the chunk returns,
@@ -27,16 +29,12 @@ from pathlib import Path
 from typing import Optional
 
 from repro.config import ExperimentConfig
-from repro.ddc.coordinator import DdcCoordinator
-from repro.ddc.postcollect import SamplePostCollector
-from repro.ddc.w32probe import W32Probe
 from repro.errors import LiveError
 from repro.live.config import LiveConfig
 from repro.machines.hardware import TABLE1_LABS, scaled_labs
 from repro.recovery.runtime import RecoveryConfig, RecoveryInfo, RecoveryRuntime
-from repro.sim.fleet import FleetSimulator
-from repro.traces.records import TraceMeta
-from repro.traces.store import TraceStore
+from repro.shard.plan import ShardPlan
+from repro.shard.worker import ShardTask, build_graph
 
 __all__ = ["LiveDriver"]
 
@@ -57,7 +55,7 @@ class LiveDriver:
     def __init__(self, config: LiveConfig):
         self.config = config
         self.experiment = ExperimentConfig(days=config.days, seed=config.seed)
-        labs = (
+        labs = tuple(
             TABLE1_LABS
             if config.machines is None
             else scaled_labs(config.machines)
@@ -70,30 +68,15 @@ class LiveDriver:
         )
         self.journal_dir: Path = recovery.journal_dir
         cfg = self.experiment
-        self.fleet = FleetSimulator(cfg, labs=labs)
-        meta = TraceMeta(
-            n_machines=len(self.fleet.machines),
-            sample_period=cfg.ddc.sample_period,
-            horizon=cfg.horizon,
-        )
-        self.store = TraceStore(meta)
-        post = SamplePostCollector(self.store)
-        self.coordinator = DdcCoordinator(
-            self.fleet.machines,
-            self.fleet.sim,
-            cfg.ddc,
-            W32Probe(),
-            post,
-            self.fleet.streams.stream("ddc"),
-            horizon=cfg.horizon,
-        )
         self.runtime = RecoveryRuntime(recovery)
-        self.runtime.bind(
-            fleet=self.fleet,
-            coordinator=self.coordinator,
-            store=self.store,
-            config=cfg,
+        graph = build_graph(
+            ShardTask(config=cfg, shard=ShardPlan.build(labs, 1).specs[0],
+                      labs=labs),
+            runtime=self.runtime,
         )
+        self.fleet = graph["fleet"]
+        self.coordinator = graph["coordinator"]
+        self.store = graph["store"]
         self.horizon: float = cfg.horizon
         self.sample_period: float = cfg.ddc.sample_period
         self.state: str = "idle"

@@ -105,7 +105,7 @@ __all__ = [
 ]
 
 #: Checkpoint schema version (bumped on incompatible state changes).
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Checkpoints kept on disk; two keep a fallback behind the newest one.
 KEEP_CHECKPOINTS = 2

@@ -36,7 +36,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compat import columnar_reason, switches
 from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
 from repro.errors import CheckpointError, TraceFormatError
@@ -64,6 +63,7 @@ from repro.traces.store import TraceStore
 __all__ = [
     "ShardTask",
     "ShardOutcome",
+    "build_graph",
     "run_shard",
     "resume_shard",
     "gather_shard",
@@ -160,6 +160,30 @@ def run_shard(
     out, PAUSE/RESUME/STOP in), installed as the coordinator's
     iteration-boundary hook.
     """
+    graph = build_graph(task, observer=observer,
+                        fleet_factory=fleet_factory, runtime=runtime)
+    return _run_to_horizon(task, runtime=runtime, control=control, **graph)
+
+
+def build_graph(
+    task: ShardTask,
+    *,
+    observer: Optional[Observer] = None,
+    fleet_factory=None,
+    runtime: Optional[RecoveryRuntime] = None,
+) -> dict:
+    """Build one shard's experiment graph, ready to start.
+
+    Builds the fleet (``fleet_factory(config, labs)`` when given), the
+    store, the post-collector and the coordinator, binds ``runtime``
+    to them and picks the probing pass per ``task.config.kernel``.
+    Returns the graph as the keyword arguments
+    :meth:`~repro.recovery.runtime.RecoveryRuntime.bind` takes and a
+    checkpoint's state holds: ``config``, ``fleet``, ``coordinator``,
+    ``store``, ``faults`` and ``observer``.  :func:`run_shard` runs it
+    to the horizon; :class:`~repro.live.driver.LiveDriver` drives it in
+    chunks.
+    """
     cfg = task.config
     shard = task.shard
     owned = None if shard.all_labs else frozenset(shard.labs)
@@ -199,10 +223,8 @@ def run_shard(
                      store=store, faults=task.faults, observer=observer)
         if runtime is not None:
             runtime.bind(**graph)
-        _resolve_kernel(cfg, coordinator, fleet,
-                        custom_fleet=fleet_factory is not None,
-                        observer=observer)
-    return _run_to_horizon(task, runtime=runtime, control=control, **graph)
+        _resolve_kernel(cfg, coordinator, fleet, observer=observer)
+    return graph
 
 
 def _run_to_horizon(
@@ -379,37 +401,30 @@ def _resolve_kernel(
     coordinator: DdcCoordinator,
     fleet: FleetSimulator,
     *,
-    custom_fleet: bool,
     observer: Optional[Observer] = None,
 ) -> None:
     """Pick the probing-pass kernel per ``cfg.kernel`` (docs/columnar.md).
 
     ``"auto"`` enables the columnar pass exactly when the coordinator
-    reports itself eligible and the fleet is the stock one; ``"object"``
-    never enables it; ``"columnar"`` raises when the run is ineligible
-    instead of silently falling back.  A bound recovery runtime does not
-    block the columnar pass: it journals the rows either pass admits at
-    the end of each iteration; the checkpoints
-    it takes then carry the columnar mirror and the tick backend, so a
-    resumed run continues on the same kernel.
-
-    Enabling the columnar pass also moves the *behavioural* loop onto
-    the exact tick backend; the coordinator reads the fleet's
-    write-through mirror via ``fleet.ensure_columns()``.
-    A full-replay shard's coordinator is eligible: the pass draws the
+    reports itself eligible; ``"object"`` never enables it;
+    ``"columnar"`` raises when the run is ineligible instead of
+    silently falling back.  The kernel chooses only the probing pass:
+    every fleet's agents run on its tick backend, and the columnar pass
+    reads the fleet's write-through mirror via
+    ``fleet.ensure_columns()``.  A bound recovery runtime does not block
+    the columnar pass: it journals the rows either pass admits at the
+    end of each iteration, and the checkpoints it takes carry the
+    mirror, so a resumed run continues on the same kernel.  A
+    full-replay shard's coordinator is eligible: the pass draws the
     full roster and materialises only the owned slice.  A plan without
     recovery that is eligible never gets here: its workers gather
     (:func:`gather_shard`) and the parent runs the pass.
     """
     if cfg.kernel == "object":
         return
-    # A user-built fleet may carry machine stand-ins that don't support
-    # the write-through mirror; it keeps the object path.
-    reason = (columnar_reason(switches(fleet_factory=custom_fleet))
-              or coordinator.columnar_ineligibility())
+    reason = coordinator.columnar_ineligibility()
     if reason is None:
         coordinator.enable_columnar(fleet.ensure_columns())
-        fleet.enable_tick_backend()
     elif cfg.kernel == "columnar":
         raise ValueError(
             f"kernel='columnar' requested but the run is ineligible: "
@@ -423,8 +438,8 @@ def gather_shard(task: ShardTask, *, control=None) -> ShardOutcome:
     """Simulate one shard's own machines and record their pass inputs.
 
     The worker half of a gathered plan (:mod:`repro.shard.gather`): the
-    fleet builds only the owned labs' machines and agents, on the exact
-    tick backend, and a :class:`~repro.shard.gather.PassRecorder`
+    fleet builds only the owned labs' machines and agents, and a
+    :class:`~repro.shard.gather.PassRecorder`
     records the owned powered rows at every iteration instant.  No
     ``"ddc"`` or ``"nbench"`` draw happens here; the parent makes them
     all in :func:`collect_gathered`.  ``control`` is a campaign
@@ -438,7 +453,6 @@ def gather_shard(task: ShardTask, *, control=None) -> ShardOutcome:
     recorder = PassRecorder(fleet.ensure_columns(), fleet.sim,
                             cfg.ddc.sample_period, cfg.horizon,
                             control=control)
-    fleet.enable_tick_backend()
     if control is not None:
         control.bind(fleet.sim)
     fleet.start()

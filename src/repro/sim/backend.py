@@ -1,50 +1,45 @@
-"""Tick backend: how the per-machine event loop is driven in batches.
+"""Tick backend: the fleet's one behaviour loop.
 
-Phase 1 of the columnar kernel vectorised the DDC probing pass; the
-behavioural event loop -- boots, logins, workload redraws, sweeps --
-stayed one engine event per machine transition on the shared heap.  This
-module is phase 2: the behavioural events move off the probing engine's
-heap onto a private micro-engine that is advanced in 15-minute batches,
-one outer ``btick`` event per DDC sampling period.
+Every :class:`~repro.sim.fleet.FleetSimulator` runs its agents -- boots,
+logins, workload redraws, shutdowns -- on a private engine,
+:attr:`TickBackend.env`, which the outer (probing) engine advances in
+batches: one ``btick`` event per DDC sampling period.  Agents schedule
+on the inner :class:`~repro.sim.engine.Simulator` with the engine's
+usual contract (same callbacks, per-machine RNG streams, event times
+and FIFO tie-break), and the inner clock sits at each event's time
+while its callback runs.
 
-:class:`TickBackend` is deliberately draw-for-draw exact:
+Two rules order behaviour against the outer engine's events:
 
-- Agents schedule on the inner :class:`~repro.sim.engine.Simulator`
-  unchanged -- same callbacks, same per-machine RNG streams, same
-  event times.  The inner clock is advanced to each event's scheduled
-  time before its callback runs, so every accumulator fold sees the
-  same ``now`` as the flat single-heap run.
-- ``btick`` at ``t = k * tick`` fires *before* the DDC iteration at the
-  same instant (it is scheduled earlier, by ``FleetSimulator.start``
-  running before ``DdcCoordinator.start``, and the chain preserves that
-  seq ordering inductively), so every behavioural event with
-  ``time <= t`` has folded into the columnar mirror before the pass
-  reads it -- exactly the state a flat run presents at that instant.
-- Within one machine, events keep their relative (time, scheduling
-  order) -- the inner engine's FIFO tie-break mirrors the outer one.
-  *Across* machines the interleaving at equal timestamps can differ
-  from the flat run, which is unobservable: agents touch only their own
-  machine and draw only from their own stream.
+1. At a tick instant ``t``, every behavioural event due at or before
+   ``t`` fires before the probing pass at ``t``.  The ``btick`` at
+   ``t`` precedes the DDC iteration at ``t``: the first one is
+   scheduled first (``FleetSimulator.start`` runs before
+   ``DdcCoordinator.start``), and each chain schedules its next event
+   in the same order.  This is the physical order: the pass probes one
+   machine after another from ``t``, each at ``cursor + latency > t``,
+   so every probe sees what happened at ``t`` -- a student who walked
+   away at 04:00 is gone.
+2. A closing sweep at ``t`` fires before the behavioural events due at
+   ``t``.  The sweep advances the inner engine half-open
+   (:meth:`TickBackend.advance_before`) and the ``btick`` at ``t``
+   folds the events at ``t`` after it: the sweeps are scheduled at
+   fleet start, ahead of every ``btick`` but the first.
 
-The one deviation: a behavioural event due at *exactly* a tick
-boundary fires inside the boundary's batch, before that instant's DDC
-pass, even when it was scheduled after the pass's iteration event and
-so fires after the pass on the flat heap.  Most behavioural event times
-are continuous draws (boots at ``start + U``, session ends at
-``start + lognormal``) and rarely tie a boundary, but a session end
-clamped to the 04:00 or Saturday 21:00 closing time lands on one by
-construction, so these ties are systematic: the probe then reads the
-post-event state and one sample differs from the object pass.  The
-midnight planning events keep their ordering against the pass.  This
-is the "Known defect" paragraph of ``docs/columnar.md`` ("Phase 2").
-
-``docs/columnar.md`` ("Phase 2") carries the full equivalence argument;
-``tests/test_columnar_equivalence.py`` pins it byte-for-byte.
+Across machines the interleaving at equal timestamps is unobservable:
+agents touch only their own machine and draw only from their own
+stream.  ``docs/columnar.md`` ("The tick backend") carries the
+argument; ``tests/test_columnar_equivalence.py`` pins both rules.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.observer import Observer
 
 __all__ = ["TickBackend"]
 
@@ -59,14 +54,17 @@ class TickBackend:
         seconds is chained onto it.
     tick:
         Batch period in seconds -- the DDC sampling period, so each
-        probing pass observes a fully advanced mirror.
+        probing pass observes a fully advanced fleet.
     horizon:
-        End of the run; the chain stops there (firing a final batch at
-        the horizon itself so per-stream RNG cursors match the flat
-        run's exactly).
+        End of the run; the chain stops there, firing a final batch at
+        the horizon itself.
+    observer:
+        Optional :class:`repro.obs.Observer`, handed to the private
+        engine so its events count in ``sim.events_fired``.
     """
 
-    def __init__(self, sim: Simulator, tick: float, horizon: float):
+    def __init__(self, sim: Simulator, tick: float, horizon: float,
+                 observer: Optional["Observer"] = None):
         if tick <= 0:
             raise ValueError(f"tick period must be positive, got {tick!r}")
         self.sim = sim
@@ -74,19 +72,16 @@ class TickBackend:
         self.horizon = float(horizon)
         #: The agents' scheduling environment: a private engine with the
         #: same ``schedule``/``now`` contract as the outer one.
-        self.env = Simulator(start=sim.now)
-        self._started = False
+        self.env = Simulator(start=sim.now, observer=observer)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Chain the first batch event onto the outer engine (idempotent).
+        """Chain the first batch event onto the outer engine.
 
         Must run before the coordinator schedules its first iteration so
-        the batch at each shared instant keeps the lower sequence number.
+        the batch at each shared instant keeps the lower sequence number
+        (rule 1).
         """
-        if self._started:
-            return
-        self._started = True
         self.sim.schedule(self.sim.now, self._btick, name="btick")
 
     def advance_to(self, t: float) -> None:
@@ -96,13 +91,8 @@ class TickBackend:
     def advance_before(self, t: float) -> None:
         """Fire events with ``time < t``, leaving ``t`` itself queued.
 
-        The closing-staff sweep needs this half-open advance: on the
-        flat heap the sweep (scheduled at fleet start, hence with the
-        lowest sequence number at its instant) fires *before* any
-        behavioural event sharing its timestamp -- a session end clamped
-        to closing time, say.  The boundary events then fold in the
-        ``btick`` that follows the sweep at the same instant, before the
-        probing pass reads the mirror, exactly as they do flat.
+        The closing-staff sweep's half-open advance (rule 2): events due
+        at the sweep's instant fold in the ``btick`` that follows it.
         """
         self.env.run_before(t)
 
@@ -112,9 +102,3 @@ class TickBackend:
         nxt = min(now + self.tick, self.horizon)
         if nxt > now:
             self.sim.schedule(nxt, self._btick, name="btick")
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Entries still queued on the private engine (tests/debugging)."""
-        return len(self.env)

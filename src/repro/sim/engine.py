@@ -326,10 +326,9 @@ class Simulator:
         The half-open companion to :meth:`run_until`: entries scheduled
         at exactly ``end`` stay queued (a later ``run_until(end)`` fires
         them), while the clock still lands on ``end`` so callers observe
-        the target instant.  The tick behavioural backend uses this to
-        preserve same-instant ordering around the staff sweeps, which on
-        the flat heap fire before any behavioural event sharing their
-        timestamp (sweeps are scheduled first, at fleet start).
+        the target instant.  The tick backend uses this so that a
+        closing-staff sweep acts before any behavioural event sharing
+        its timestamp (rule 2 of :mod:`repro.sim.backend`).
         """
         if end < self._now:
             raise ScheduleError(

@@ -10,9 +10,12 @@
   (:mod:`repro.sim.workload`),
 - schedules the daily planning and the closing staff sweeps.
 
-The DDC coordinator (:mod:`repro.ddc.coordinator`) runs *inside the same
-simulator*, probing machines as they live -- the same architecture as the
-real experiment, where monitoring shared the wall clock with the users.
+The agents run on the fleet's behaviour loop, a private engine that the
+probing engine advances once per sampling period
+(:mod:`repro.sim.backend`).  The DDC coordinator
+(:mod:`repro.ddc.coordinator`) runs on the probing engine, probing
+machines as they live -- the same architecture as the real experiment,
+where monitoring shared the wall clock with the users.
 
 Event budget: one machine-day costs O(uses + redraws) events; a full
 77-day x 169-machine run fires about 220 thousand events and completes
@@ -32,6 +35,7 @@ from repro.config import ExperimentConfig
 from repro.machines.hardware import TABLE1_LABS, LabSpec, MachineSpec, build_fleet
 from repro.machines.machine import SimMachine
 from repro.machines.smart import SmartDisk
+from repro.sim.backend import TickBackend
 from repro.sim.behavior import BehaviorModel, PlannedUse
 from repro.sim.calendar import DAY, HOUR, AcademicCalendar
 from repro.sim.engine import Simulator
@@ -276,11 +280,11 @@ class FleetSimulator:
     labs:
         Lab catalog; defaults to the paper's Table 1.
     observer:
-        Optional :class:`repro.obs.Observer`.  It is handed to the
-        engine (event/heap accounting), bound to the simulation clock
-        for spans, and given to every agent (per-lab session-start and
-        power-transition counters).  Absent or disabled observers cost
-        nothing.
+        Optional :class:`repro.obs.Observer`.  It is handed to both
+        engines (event/heap accounting), bound to the probing engine's
+        clock for spans, and given to every agent (per-lab session-start
+        and power-transition counters).  Absent or disabled observers
+        cost nothing.
     owned_labs:
         Build machines and agents only for these labs (a gathered shard
         worker, :mod:`repro.shard.gather`); ``None`` builds the whole
@@ -314,6 +318,11 @@ class FleetSimulator:
         self.sim = Simulator(observer=observer)
         if observer is not None and observer.enabled:
             observer.bind_clock(self.sim)
+        #: The behaviour loop: every agent schedules on
+        #: ``self._backend.env``, which ``self.sim`` advances in
+        #: ``sample_period`` batches.
+        self._backend = TickBackend(self.sim, config.ddc.sample_period,
+                                    config.horizon, observer=observer)
         self.calendar = AcademicCalendar(
             [lab.name for lab in labs],
             self.streams.once("calendar"),
@@ -373,7 +382,7 @@ class FleetSimulator:
             self.machines.append(machine)
             agent = MachineAgent(
                 machine,
-                self.sim,
+                self._backend.env,
                 self.calendar,
                 behavior,
                 power,
@@ -388,7 +397,6 @@ class FleetSimulator:
             m.spec.hostname: m for m in self.machines
         }
         self._cols = None
-        self._backend = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -397,7 +405,7 @@ class FleetSimulator:
         return self._by_hostname[hostname]
 
     # ------------------------------------------------------------------
-    # columnar mirror and tick backend (docs/columnar.md, "Phase 2")
+    # columnar mirror (docs/columnar.md, "Phase 2")
     # ------------------------------------------------------------------
     def ensure_columns(self):
         """The fleet's :class:`~repro.sim.kernel.FleetColumns` mirror,
@@ -409,25 +417,6 @@ class FleetSimulator:
             self._cols = FleetColumns(self.machines)
         return self._cols
 
-    def enable_tick_backend(self) -> None:
-        """Move behavioural events onto the exact per-tick backend.
-
-        Must run before :meth:`start`; idempotent.
-        """
-        if self._backend is not None:
-            return
-        if self._started:
-            raise RuntimeError(
-                "enable_tick_backend must be called before the fleet starts"
-            )
-        from repro.sim.backend import TickBackend
-
-        self._backend = TickBackend(
-            self.sim, self.config.ddc.sample_period, self.config.horizon
-        )
-        for agent in self.agents:
-            agent.sim = self._backend.env
-
     def start(self) -> None:
         """Schedule all agents and staff sweeps (idempotent)."""
         if self._started:
@@ -436,8 +425,7 @@ class FleetSimulator:
         for agent in self.agents:
             agent.start()
             agent.warm_start()
-        if self._backend is not None:
-            self._backend.start()
+        self._backend.start()
         self._schedule_sweeps()
 
     def _schedule_sweeps(self) -> None:
@@ -457,20 +445,23 @@ class FleetSimulator:
                     self.sim.schedule(t, self._sweep, name="sweep")
 
     def _sweep(self) -> None:
-        now = self.sim.now
-        if self._backend is not None:
-            # Half-open advance: on the flat heap the sweep (scheduled
-            # at fleet start, lowest seq at its instant) fires before
-            # any behavioural event sharing its timestamp; those
-            # boundary events fold in the btick right after this sweep.
-            self._backend.advance_before(now)
+        # Rule 2 of repro.sim.backend: the sweep acts before the
+        # behavioural events due at its own instant, which fold in the
+        # btick that follows it.
+        self._backend.advance_before(self.sim.now)
         for agent in self.agents:
             agent.sweep()
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run the fleet to ``until`` (default: the configured horizon)."""
+        """Run the fleet to ``until`` (default: the configured horizon).
+
+        The behaviour loop is advanced to ``until`` too, so a time off
+        the tick grid still shows that time's state.
+        """
+        end = self.config.horizon if until is None else until
         self.start()
-        self.sim.run_until(self.config.horizon if until is None else until)
+        self.sim.run_until(end)
+        self._backend.advance_to(end)
 
     # ------------------------------------------------------------------
     # live snapshots (used by tests and examples)

@@ -6,10 +6,13 @@ import time
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.errors import LiveError
+from repro.experiment import run_experiment
 from repro.live.config import LiveConfig
 from repro.live.driver import LiveDriver
 from repro.live.replay import batch_snapshot, replay_snapshot
+from repro.recovery import RecoveryConfig
 from repro.sim.engine import Simulator
 
 
@@ -88,3 +91,29 @@ class TestDriverLifecycle:
         ))
         driver.stop()  # no thread yet: must not raise
         assert driver.state == "idle"
+
+
+class TestSameGraphAsBatch:
+    def test_live_journal_equals_the_batch_runs(self, tmp_path):
+        # Seed 900101 ties a forgotten logout with the 04:00 pass of
+        # day 1, so the segments agree only when the live graph is the
+        # one ``repro run --recover-dir`` builds.
+        driver = LiveDriver(LiveConfig(
+            run_dir=tmp_path / "live", days=2, seed=900101, rate=None,
+            port=0, checkpoint_every=8,
+        ))
+        driver.start()
+        assert driver.join(300.0), "driver did not finish"
+        assert driver.error is None and driver.state == "terminal"
+        assert driver.coordinator._cols is not None
+        assert all(a.sim is driver.fleet._backend.env
+                   for a in driver.fleet.agents)
+        run_experiment(ExperimentConfig(days=2, seed=900101),
+                       recovery=RecoveryConfig(tmp_path / "batch",
+                                               checkpoint_every=8,
+                                               fsync=False))
+        live = sorted((tmp_path / "live" / "journal").glob("segment-*"))
+        batch = sorted((tmp_path / "batch" / "journal").glob("segment-*"))
+        assert live and [p.name for p in live] == [p.name for p in batch]
+        for mine, theirs in zip(live, batch):
+            assert mine.read_bytes() == theirs.read_bytes(), mine.name

@@ -95,6 +95,16 @@ class TestInstrumentation:
         assert snap.events_seen == snap.counter_total("sim.events_fired")
         assert snap.events and {"time", "seq", "name"} <= set(snap.events[0])
 
+    def test_engine_counters_include_the_behaviour_loop(self, observed_run,
+                                                        snap):
+        # Both engines count: the probing engine's iterations, btick
+        # and sweep events, and every agent event of the behaviour loop.
+        fleet = observed_run.fleet
+        behaviour = fleet._backend.env.events_fired
+        assert behaviour > fleet.sim.events_fired > 0
+        assert (snap.counter_total("sim.events_fired")
+                == fleet.sim.events_fired + behaviour)
+
     def test_iteration_spans_run_on_sim_clock(self, observed_run, snap):
         durations = snap.span_durations("ddc.iteration")
         assert len(durations) == observed_run.meta.iterations_run

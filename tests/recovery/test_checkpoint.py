@@ -116,7 +116,7 @@ class TestDeltas:
         path = write(tmp_path / "ckpt", 7, {"store": store, "again": store})
         assert path.stat().st_size < 2048
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["v"] == CHECKPOINT_VERSION == 3
+        assert header["v"] == CHECKPOINT_VERSION == 4
         assert header["rows"] == 500
         delta = json.loads(
             (tmp_path / "ckpt" / "delta-00000007.delta").read_bytes()

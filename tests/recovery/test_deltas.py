@@ -185,33 +185,46 @@ def test_checkpoints_stop_growing(horizons):
     assert abs(newest[4] - newest[1]) < 0.1 * newest[1], newest
 
 
-def as_version_2(ckpt_dir):
-    """Rewrite a checkpoint directory in version 2's framing: deltas
-    without a link or a ground-truth block."""
+def as_version(ckpt_dir, version):
+    """Rewrite a checkpoint directory's headers as ``version``; version
+    2's deltas also lose their link and their ground-truth block."""
     for path in ckpt_dir.iterdir():
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        if path.suffix == ".delta":
+        if path.suffix == ".delta" and version == 2:
             del header["link"]
             payload = payload.split(b"\n", 1)[1]
-        header.update(v=2, payload_len=len(payload),
+        header.update(v=version, payload_len=len(payload),
                       payload_crc=format(zlib.crc32(payload), "08x"))
         path.write_bytes(json.dumps(header, sort_keys=True).encode()
                          + b"\n" + payload)
 
 
-def test_version_2_directory_cold_restarts(tmp_path, clean):
-    rcfg = crash_run(tmp_path / "run", point="pre_checkpoint")
-    as_version_2(rcfg.checkpoint_dir)
-    result = run_experiment(CFG, resume_from=tmp_path / "run")
+def cold_restarts_from(version, run_dir, clean):
+    """A crashed run whose checkpoint directory is rewritten as
+    ``version`` quarantines every file and cold-restarts to the clean
+    run's bytes."""
+    rcfg = crash_run(run_dir, point="pre_checkpoint")
+    as_version(rcfg.checkpoint_dir, version)
+    result = run_experiment(CFG, resume_from=run_dir)
     assert result_fingerprint(result) == clean[0]
     assert result.recovery.cold_restart
     entries = result.recovery.quarantine_entries
     assert [e["reason"] for e in entries] == (
         ["bad_delta"] * len(range(7, KILL, 8))
         + ["bad_checkpoint"] * len(RETAINED))
-    assert all("unsupported checkpoint version 2" in e["detail"]
+    assert all(f"unsupported checkpoint version {version}" in e["detail"]
                for e in entries)
+
+
+def test_version_2_directory_cold_restarts(tmp_path, clean):
+    cold_restarts_from(2, tmp_path / "run", clean)
+
+
+def test_version_3_directory_cold_restarts(tmp_path, clean):
+    # Version 3 graphs could hold a fleet whose agents ran on the
+    # probing engine; resuming one would mix two event orders.
+    cold_restarts_from(3, tmp_path / "run", clean)
 
 
 def test_config_digest_once_per_run(tmp_path, monkeypatch):

@@ -45,8 +45,7 @@ from repro.shard.worker import ShardTask, gather_shard, run_shard
 from repro.sim.calendar import DAY, HOUR, AcademicCalendar
 
 #: Seeds of the tier-1 sweep; 900101 is a seed where a behavioural event
-#: ties a closing instant (the tick backend's known tie, reproduced by
-#: both sides).
+#: ties a closing-time pass (a forgotten logout at 04:00 of day 1).
 SWEEP_SEEDS = (2005, 200501, 900101)
 #: A week from Monday 00:00: it crosses the Friday-night 04:00 closing
 #: and the Saturday 21:00 closing.

@@ -8,10 +8,17 @@ For every rule in :data:`repro.compat.RULES`:
   where a CLI spelling exists;
 - for each columnar blocker, a coordinator built with that hook
   reports the same reason from ``columnar_ineligibility()``.
+
+A custom fleet is no blocker: ``fleet_factory`` returns a
+:class:`~repro.sim.fleet.FleetSimulator`, whose machines feed the
+columnar pass like the stock fleet's.
 """
 
 import pytest
 
+from repro.baselines.corporate import corporate_config, corporate_fleet
+from repro.baselines.servers import server_config, server_fleet
+from repro.baselines.unixlab import unixlab_config, unixlab_fleet
 from repro.cli import main
 from repro.compat import (
     RULES,
@@ -26,11 +33,10 @@ from repro.faults.scenarios import paper_like_plan
 from repro.machines.hardware import TABLE1_LABS
 from repro.obs.observer import Observer
 from repro.recovery import RecoveryConfig, shard_dir
+from repro.recovery.crashtest import result_fingerprint
 from repro.resilience.policy import ResiliencePolicy
 from repro.shard.coordinator import CampaignPolicy
 from repro.shard.net.config import NetConfig
-from repro.shard.plan import ShardPlan
-from repro.shard.worker import ShardTask, run_shard
 
 CFG = ExperimentConfig(days=1, seed=1)
 COLUMNAR = CFG.replace(kernel="columnar")
@@ -67,8 +73,6 @@ API_CASES = {
     "columnar+observer": lambda d: (COLUMNAR, dict(observer=Observer())),
     "columnar+retries": lambda d: (
         COLUMNAR.replace(ddc=DdcParams(retry_limit=1)), {}),
-    "columnar+fleet_factory": lambda d: (
-        COLUMNAR, dict(fleet_factory=stock_fleet)),
 }
 
 #: ``run_dir -> repro run flags`` breaking each rule; ``None`` where the
@@ -92,12 +96,14 @@ CLI_CASES = {
     "columnar+observer": lambda d: ["--kernel", "columnar",
                                     "--obs-out", d / "snap.jsonl"],
     "columnar+retries": None,
-    "columnar+fleet_factory": None,
 }
 
-#: Columnar blockers the coordinator cannot see: the fleet is built
-#: around it, so kernel resolution checks it (see the last test).
-COORDINATOR_BLIND = {"columnar+fleet_factory"}
+#: ``name -> (config function, fleet factory)`` of the in-tree baselines.
+BASELINES = {
+    "corporate": (corporate_config, corporate_fleet),
+    "servers": (server_config, server_fleet),
+    "unixlab": (unixlab_config, unixlab_fleet),
+}
 
 
 def name(rule):
@@ -143,8 +149,7 @@ def test_cli_exits_2_with_the_same_message(rule, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@rules_where(lambda r: r.reason is not None
-             and name(r) not in COORDINATOR_BLIND)
+@rules_where(lambda r: r.reason is not None)
 def test_columnar_ineligibility_gives_the_same_reason(rule, tmp_path):
     # The same switches under kernel="auto" build the run the table
     # rejects for kernel="columnar"; its coordinator names the blocker.
@@ -156,12 +161,16 @@ def test_columnar_ineligibility_gives_the_same_reason(rule, tmp_path):
     assert result.coordinator.columnar_ineligibility() == rule.reason
 
 
-def test_custom_fleet_blocks_the_kernel_with_the_tables_reason():
-    (rule,) = [r for r in RULES if name(r) in COORDINATOR_BLIND]
-    task = ShardTask(config=COLUMNAR, shard=ShardPlan.build(LABS, 1).specs[0],
-                     labs=tuple(LABS), collect_nbench=False)
-    with pytest.raises(ValueError, match=rule.reason):
-        run_shard(task, fleet_factory=stock_fleet)
+@pytest.mark.parametrize("baseline", sorted(BASELINES))
+def test_baseline_fleets_take_the_columnar_pass(baseline):
+    make_config, factory = BASELINES[baseline]
+    config = make_config(seed=7, days=2)
+    default = run_experiment(config, fleet_factory=factory)
+    obj = run_experiment(config.replace(kernel="object"),
+                         fleet_factory=factory)
+    assert default.coordinator._cols is not None
+    assert obj.coordinator._cols is None
+    assert result_fingerprint(default) == result_fingerprint(obj)
 
 
 @pytest.mark.parametrize("shards", [1, 2])

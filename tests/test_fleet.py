@@ -109,6 +109,85 @@ class TestGroundTruth:
         )
 
 
+class TestBehaviourLoop:
+    """Every agent runs on the fleet's tick backend, and two rules order
+    its events against the probing engine's (:mod:`repro.sim.backend`)."""
+
+    #: Day 1 (a Tuesday) 04:00: a closing sweep and iteration 112.
+    CLOSE = DAY + 4 * HOUR
+
+    @staticmethod
+    def chain_passes(fs, visit):
+        """Chain one stand-in probing pass per sampling period onto the
+        probing engine, each scheduling the next, as DdcCoordinator's
+        iterations do; ``visit(t)`` runs at each."""
+        period = fs.config.ddc.sample_period
+
+        def run_pass(k):
+            visit(fs.sim.now)
+            fs.sim.schedule((k + 1) * period, run_pass, k + 1)
+
+        fs.sim.schedule(0.0, run_pass, 0)
+
+    @staticmethod
+    def watch_sweep(agent, visit):
+        sweep = agent.sweep
+
+        def watched():
+            visit()
+            sweep()
+
+        agent.sweep = watched
+
+    def test_sweep_then_behaviour_then_pass_at_a_closing_instant(self):
+        fs = FleetSimulator(ExperimentConfig(days=2, seed=1))
+        order = []
+        fs.start()
+        self.watch_sweep(fs.agents[0], lambda: order.append("sweep"))
+        fs._backend.env.schedule(self.CLOSE, order.append, "behaviour")
+        self.chain_passes(
+            fs, lambda t: t == self.CLOSE and order.append("pass"))
+        fs.run(self.CLOSE)
+        assert order == ["sweep", "behaviour", "pass"]
+
+    def test_witness_a_forgotten_logout_at_closing_time(self):
+        # Seed 900101, machine 129 (L09-M02): session al1290002 opened at
+        # 03:52 and its use ends with a forgotten logout clamped to
+        # 04:00.  Rule 2: the 04:00 sweep still finds the student at
+        # work.  Rule 1: the 04:00 pass, whose probe reads the machine
+        # after 04:00, finds the session forgotten and the machine back
+        # at its background load.
+        fs = FleetSimulator(ExperimentConfig(days=2, seed=900101))
+        machine = fs.machine_by_hostname("L09-M02")
+        (agent,) = [a for a in fs.agents if a.machine is machine]
+        seen = {}
+
+        def state():
+            s = machine.session
+            return s.username, s.start, s.forgotten, machine.cpu_busy
+
+        fs.start()
+        self.watch_sweep(agent, lambda: seen.setdefault("sweep", state()))
+        self.chain_passes(fs, lambda t: t == self.CLOSE
+                          and seen.setdefault("pass", state()))
+        fs.run(self.CLOSE)
+        user, start, forgotten, busy = seen["sweep"]
+        assert user == "al1290002" and not forgotten
+        assert self.CLOSE - 8 * 60 <= start < self.CLOSE
+        assert busy > agent.personality.background_busy
+        assert seen["pass"] == (user, start, True,
+                                agent.personality.background_busy)
+
+    def test_run_off_the_tick_grid_shows_that_instant(self):
+        # 36 h + 123 s lies between two ticks: run() advances the
+        # behaviour loop to it, so the sessions that ended since the
+        # last tick show (the figures are the single-heap fleet's).
+        fs = FleetSimulator(ExperimentConfig(days=2, seed=31))
+        fs.run(36 * HOUR + 123.0)
+        assert (fs.powered_count(), fs.occupied_count()) == (95, 48)
+        assert sum(len(m.session_log) for m in fs.machines) == 429
+
+
 class TestDeterminism:
     def test_same_seed_same_truth(self):
         def run(seed):

@@ -1,8 +1,9 @@
 """Targeted edge-case tests for MachineAgent state transitions.
 
-These drive one agent directly through the races the generation
-counters exist for: ghost takeover, sweeps colliding with logins,
-short cycles interrupted by students, stale activity re-draws.
+These drive one agent directly, on its own engine (the fleet's
+behaviour loop), through the races the generation counters exist for:
+ghost takeover, sweeps colliding with logins, short cycles interrupted
+by students, stale activity re-draws.
 """
 
 import pytest
@@ -27,7 +28,7 @@ def _use(start, duration, forget=False, heavy=False):
 class TestGhostTakeover:
     def test_next_user_logs_ghost_out(self, fleet):
         agent = fleet.agents[0]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, HOUR, forget=True))
         sim.run_until(100.0 + HOUR + 120.0)
@@ -43,7 +44,7 @@ class TestGhostTakeover:
 
     def test_occupied_machine_rejects_second_user(self, fleet):
         agent = fleet.agents[1]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR))
         sim.run_until(400.0)
@@ -58,7 +59,7 @@ class TestGhostTakeover:
 class TestSweep:
     def test_sweep_spares_active_user(self, fleet):
         agent = fleet.agents[2]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 4 * HOUR))
         sim.run_until(200.0)
@@ -69,7 +70,7 @@ class TestSweep:
 
     def test_sweep_can_kill_idle_machine(self, fleet):
         agent = fleet.agents[3]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 600.0))
         sim.run_until(100.0 + 600.0 + 200.0)
@@ -93,7 +94,7 @@ class TestSweep:
 class TestShortCycles:
     def test_short_cycle_skipped_when_machine_busy(self, fleet):
         agent = fleet.agents[5]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR))
         sim.run_until(300.0)
@@ -104,7 +105,7 @@ class TestShortCycles:
 
     def test_short_cycle_aborts_shutdown_if_user_arrives(self, fleet):
         agent = fleet.agents[6]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._short_cycle, 600.0)
         sim.run_until(150.0)
@@ -117,7 +118,7 @@ class TestShortCycles:
 
     def test_short_cycle_completes_when_untouched(self, fleet):
         agent = fleet.agents[7]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._short_cycle, 300.0)
         sim.run_until(500.0)
@@ -129,7 +130,7 @@ class TestShortCycles:
 class TestActivityRedraw:
     def test_stale_redraw_is_ignored_after_logout(self, fleet):
         agent = fleet.agents[8]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 600.0))
         sim.run_until(100.0 + 90.0 + 700.0)
@@ -143,7 +144,7 @@ class TestActivityRedraw:
 
     def test_heavy_use_drives_high_busy(self, fleet):
         agent = fleet.agents[9]
-        sim = fleet.sim
+        sim = agent.sim
         m = agent.machine
         sim.schedule(100.0, agent._begin_use, _use(100.0, 2 * HOUR, heavy=True))
         sim.run_until(100.0 + 95.0)

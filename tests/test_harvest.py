@@ -195,3 +195,32 @@ class TestValidation:
     def test_tasks_complete(self, outcome):
         assert outcome.tasks_completed > 0
         assert outcome.tasks_completed <= outcome.tasks_total
+
+    def test_polls_run_on_the_behaviour_loop(self, monkeypatch):
+        # The polls interleave with the agents' events on the fleet's
+        # behaviour engine, and a closing sweep acts first at its
+        # instant: the figures pin that order.
+        import repro.harvest.validation as validation
+
+        built = {}
+
+        class Fleet(validation.FleetSimulator):
+            def start(self):
+                built["fleet"] = self
+                super().start()
+
+        class Scheduler(HarvestScheduler):
+            def start(self):
+                built["scheduler"] = self
+                super().start()
+
+        monkeypatch.setattr(validation, "FleetSimulator", Fleet)
+        monkeypatch.setattr(validation, "HarvestScheduler", Scheduler)
+        outcome = validate_equivalence(ExperimentConfig(days=3, seed=3),
+                                       n_tasks=100)
+        assert built["scheduler"].sim is built["fleet"]._backend.env
+        stats = outcome.stats
+        assert stats.harvested_norm_seconds == 9490215.935665393
+        assert stats.lost_to_eviction == 279606.27773518953
+        assert (stats.evictions, stats.assignments, stats.polls) == (
+            595, 695, 865)
