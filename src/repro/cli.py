@@ -364,7 +364,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result.observer.snapshot().write_jsonl(args.obs_out)
         print(f"observability snapshot -> {args.obs_out}")
     elif args.obs_out and result.obs_snapshot is not None:
-        # Sharded runs return the merged per-worker snapshot instead.
+        # Sharded runs return the workers' snapshots merged with the
+        # probing pass's instead.
         result.obs_snapshot.write_jsonl(args.obs_out)
         print(f"observability snapshot -> {args.obs_out}")
     info = result.recovery
@@ -490,16 +491,21 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_recovery(args: argparse.Namespace) -> int:
     import json
 
+    from repro.errors import RecoveryError
     from repro.report.recovery import recovery_status, render_recovery_report
 
     if not pathlib.Path(args.run_dir).is_dir():
         print(f"error: no such run directory {args.run_dir!r}",
               file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(recovery_status(args.run_dir), indent=2))
-    else:
-        print(render_recovery_report(args.run_dir))
+    try:
+        report = (json.dumps(recovery_status(args.run_dir), indent=2)
+                  if args.json else render_recovery_report(args.run_dir))
+    except RecoveryError as exc:
+        # e.g. a campaign manifest of another version
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

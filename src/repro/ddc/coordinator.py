@@ -37,7 +37,7 @@ from repro.ddc.postcollect import (
     PostCollector,
     SamplePostCollector,
 )
-from repro.ddc.probe import Probe, ProbeResult
+from repro.ddc.probe import Probe
 from repro.ddc.remote import Credentials, RemoteExecutor, RemoteOutcome
 from repro.errors import AccessDenied, MachineUnreachable
 from repro.faults.plan import FaultPlan
@@ -47,44 +47,10 @@ from repro.sim.engine import Simulator
 from repro.traces.records import TraceMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machines.winapi import Win32Api
     from repro.obs.observer import Observer
     from repro.recovery.runtime import RecoveryRuntime
 
 __all__ = ["DdcCoordinator"]
-
-
-class _LabSet(frozenset):
-    """A shard's owned lab names; pickles sorted, not in hash order.
-
-    A plain frozenset pickles in iteration order, which follows
-    ``PYTHONHASHSEED``; this one keeps checkpoint bytes independent of
-    the hash seed.  The executor shares the coordinator's instance.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return _LabSet, (sorted(self),)
-
-
-class _StandInProbe(Probe):
-    """What a shard coordinator runs on a foreign machine.
-
-    Returns the real probe's fixed ``shadow_cost_seconds`` without
-    reading the machine.  The executor still performs every draw and
-    control-plane call of a real attempt, so the shared latency stream
-    and the pass clock advance exactly as in the owning shard, which
-    alone materialises the report.
-    """
-
-    name = "stand-in.exe"
-
-    def __init__(self, cost: float):
-        self._result = ProbeResult(stdout="", cpu_seconds=cost)
-
-    def run(self, api: "Win32Api", now: float) -> ProbeResult:
-        return self._result
 
 
 class _LabInstruments:
@@ -147,15 +113,15 @@ class DdcCoordinator:
         same differential guarantee as ``faults``.
     owned_labs:
         Labs this coordinator *collects for* (``None`` -- the default --
-        means all: the classic sequential run).  A shard coordinator
+        means all).  Only the pass of a degraded campaign's merge sets
+        it, to its surviving shards' labs
+        (:func:`repro.shard.merge.merge_degraded`): the coordinator
         still walks the **whole** roster every iteration so that the
-        shared latency stream, the fault hooks and the resilience
-        control plane evolve exactly as in the sequential run, but a
-        foreign machine's attempts run unaccounted (``count=False`` in
-        :meth:`_execute_with_retry`), with a stand-in probe wherever
-        that is draw-exact: no sample is stored and no counter
-        incremented.  Merged shard accounting therefore sums to the
-        sequential run's.
+        latency stream, the fault hooks and the resilience control
+        plane evolve exactly as in the complete run, but a foreign
+        machine's attempts run unaccounted (``count=False`` in
+        :meth:`_execute_with_retry`): no sample is stored and no
+        counter incremented.
     """
 
     def __init__(
@@ -182,18 +148,9 @@ class DdcCoordinator:
         self.rng = rng
         self.horizon = float(horizon)
         self.faults = faults if faults is not None and not faults.empty else None
-        self.owned_labs = (_LabSet(owned_labs) if owned_labs is not None
+        self.owned_labs = (frozenset(owned_labs) if owned_labs is not None
                            else None)
         self._shadow_cost = probe.shadow_cost_seconds
-        #: The probe a foreign machine runs.  Skipping the real probe is
-        #: only sound for a draw-free fixed-cost probe with no fault plan
-        #: (fault hooks see the machine and draw from the plan's streams
-        #: in roster order); otherwise the real probe runs, unaccounted.
-        self._foreign_probe: Probe = (
-            _StandInProbe(self._shadow_cost)
-            if self.faults is None and self._shadow_cost is not None
-            else probe
-        )
         self._obs = observer if observer is not None and observer.enabled else None
         self._lab_instruments: Dict[str, _LabInstruments] = {}
         if self._obs is not None:
@@ -228,7 +185,8 @@ class DdcCoordinator:
                 sample_period=params.sample_period,
                 observer=observer,
             )
-        # accounting (owned machines only; all machines when unsharded)
+        # accounting (owned machines only; all machines without
+        # owned_labs)
         self.iterations_scheduled = 0
         self.iterations_run = 0
         self.attempts = 0
@@ -240,10 +198,8 @@ class DdcCoordinator:
         self.retries_recovered = 0
         self.retries_skipped = 0
         # Resilience slots, counted per admit verdict / hedge dispatch of
-        # *owned* machines.  Equal to the control plane's full-fleet
-        # totals when owned_labs is None, and summing to them across a
-        # shard plan otherwise (the control plane itself is replicated
-        # identically in every shard).
+        # *owned* machines: the control plane's full-fleet totals when
+        # owned_labs is None.
         self._shed = 0
         self._breaker_skipped = 0
         self._hedges = 0
@@ -257,19 +213,13 @@ class DdcCoordinator:
         #: Recovery hook installed by :class:`repro.recovery.runtime
         #: .RecoveryRuntime` (journal cadence, checkpoints, crash points).
         self.recovery: Optional["RecoveryRuntime"] = None
-        #: Supervision hook: ``callable(iteration, t, ran)`` invoked at
-        #: the very end of every scheduled iteration, after the recovery
-        #: hook -- so a heartbeat reports only durable progress.  A
-        #: campaign's shard worker installs its control endpoint here.
-        self.heartbeat = None
 
     def __getstate__(self) -> dict:
-        # The recovery runtime owns open journal handles, the heartbeat
-        # hook owns multiprocessing queues; both are rebuilt around the
-        # revived graph by the resume path, so checkpoints exclude them.
+        # The recovery runtime owns open journal handles; the resume
+        # path rebuilds it around the revived graph, so checkpoints
+        # exclude it.
         state = self.__dict__.copy()
         state["recovery"] = None
-        state["heartbeat"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -316,8 +266,6 @@ class DdcCoordinator:
             # After the next iteration is on the heap, so a checkpoint
             # taken here revives into a run that keeps iterating.
             self.recovery.on_iteration_end(k, start, ran=ran)
-        if self.heartbeat is not None:
-            self.heartbeat(k, start, ran)
 
     def _lab(self, lab: str) -> _LabInstruments:
         """Per-lab instruments, created on first encounter."""
@@ -347,15 +295,14 @@ class DdcCoordinator:
         """One attempt plus bounded retries; returns (outcome, elapsed).
 
         The resilience control plane, when attached, rides every
-        executor call (retries included).  ``count=False`` replicates a
-        foreign machine's attempts with :attr:`_foreign_probe` -- same
-        draws, same control-plane evidence, same elapsed time -- without
-        touching the retry counters: the owning shard accounts them.
+        executor call (retries included).  ``count=False`` runs a
+        foreign machine's attempts -- same draws, same control-plane
+        evidence, same elapsed time -- without touching the retry
+        counters (see ``owned_labs``).
         """
-        probe = self.probe if count else self._foreign_probe
         rc = self.resilience
         outcome = self.executor.execute(
-            machine, probe, start, self.credentials, rc
+            machine, self.probe, start, self.credentials, rc
         )
         elapsed = outcome.elapsed
         if outcome.ok or self.params.retry_limit == 0:
@@ -377,7 +324,7 @@ class DdcCoordinator:
                     li.retries.inc()
             elapsed += backoff
             outcome = self.executor.execute(
-                machine, probe, start + elapsed, self.credentials, rc
+                machine, self.probe, start + elapsed, self.credentials, rc
             )
             elapsed += outcome.elapsed
             backoff *= 2.0
@@ -501,12 +448,10 @@ class DdcCoordinator:
         once per iteration, in
         :meth:`~repro.recovery.runtime.RecoveryRuntime.on_iteration_end`,
         and both passes admit the same rows, so they write the same
-        journal bytes.  A *sharded* coordinator
-        (``owned_labs`` set) is eligible: the pass still draws and times
-        the full roster -- replicating the sequential cursor chain and
-        RNG cursor exactly -- and restricts materialisation (samples,
-        statics, counters) to the owned mask, the vectorised twin of the
-        per-object foreign path.
+        journal bytes.  A coordinator with ``owned_labs`` set is
+        eligible: the pass still draws and times the full roster and
+        restricts materialisation (samples, statics, counters) to the
+        owned mask, the vectorised twin of the per-object foreign path.
 
         The hooks a run request can switch on are read from the
         :mod:`repro.compat` table, so this verdict and the up-front
@@ -558,10 +503,10 @@ class DdcCoordinator:
             for i, mid in enumerate(columns.machine_id.tolist()):
                 if mid in meta.statics:
                     self._registered[i] = True
-        # Shard ownership as a roster mask: draws and the cursor chain
-        # stay full-roster (the shared "ddc" stream must advance exactly
-        # as in the sequential run); accounting and the store restrict
-        # to the owned slice.
+        # Ownership as a roster mask: draws and the cursor chain stay
+        # full-roster (the "ddc" stream must advance exactly as in the
+        # complete run); accounting and the store restrict to the owned
+        # slice.
         if self.owned_labs is None:
             self._owned_mask = np.ones(columns.n, dtype=bool)
         else:
@@ -609,9 +554,8 @@ class DdcCoordinator:
         # the sequential `cursor += elapsed` exactly with a prefix sum
         cum = np.cumsum(np.concatenate(((start,), elapsed)))
         # Accounting and materialisation restrict to the owned slice --
-        # the draws and the cursor chain above stay full-roster so a
-        # sharded pass replicates the sequential "ddc" stream exactly
-        # (the vectorised twin of the per-object shadow path).
+        # the draws and the cursor chain above stay full-roster, the
+        # vectorised twin of the per-object foreign path.
         keep = self._owned_mask[on]
         k_on = int(np.count_nonzero(keep))
         self.attempts += self._n_owned

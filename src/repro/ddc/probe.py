@@ -58,9 +58,9 @@ class Probe(abc.ABC):
 
     #: Fixed CPU cost of one execution, declared only by probes whose
     #: :meth:`run` consumes no randomness and always reports this exact
-    #: ``cpu_seconds``.  The shard runtime uses it to advance a foreign
-    #: machine's probing cursor without materialising the probe output;
-    #: ``None`` (the default) means the probe must really run.
+    #: ``cpu_seconds``.  The columnar pass charges it to each powered
+    #: machine's probing cursor without running the probe; ``None``
+    #: (the default) means the probe must really run.
     shadow_cost_seconds = None
 
     @abc.abstractmethod

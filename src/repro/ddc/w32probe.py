@@ -60,9 +60,9 @@ class W32Probe(Probe):
 
     name = "w32probe.exe"
 
-    #: Draw-free and fixed-cost, so foreign-shard cursors can advance
-    #: past this probe without materialising its report (must equal the
-    #: ``cpu_seconds`` :meth:`run` reports).
+    #: Draw-free and fixed-cost: the columnar pass's probe cost, which
+    #: it charges each powered machine without materialising the report
+    #: (must equal the ``cpu_seconds`` :meth:`run` reports).
     shadow_cost_seconds = 0.01
 
     def run(self, api: Win32Api, now: float) -> ProbeResult:

@@ -85,16 +85,17 @@ class MonitoringResult:
     observer:
         The observer the run was instrumented with (``None`` when
         uninstrumented); export it with ``observer.snapshot()``.  A
-        sharded run instruments each worker separately and returns the
-        merged :attr:`obs_snapshot` instead.
+        sharded run instruments each worker and its own probing pass
+        separately and returns the merged :attr:`obs_snapshot` instead.
     recovery:
         Summary of what the crash-safe persistence layer did (``None``
         for a run without recovery plumbing): checkpoints written,
         journal segments sealed, replay verification counts and any
         quarantine ledger entries.
     obs_snapshot:
-        Merged per-shard observability snapshot (sharded, instrumented
-        runs only; single-shard runs snapshot their live ``observer``).
+        The workers' observability snapshots merged with the probing
+        pass's (sharded, instrumented runs only; single-shard runs
+        snapshot their live ``observer``).
     campaign:
         :class:`~repro.shard.coordinator.CampaignReport` of a sharded
         run (every ``shards>1`` run is a campaign): per-shard health
@@ -225,11 +226,11 @@ def run_experiment(
         which leases the shards to worker processes it forks (or to TCP
         workers with ``net``) under heartbeats, liveness deadlines and
         bounded regrant -- a dead worker's shard re-runs -- and merges a
-        trace byte-identical to the sequential one.  Without
-        ``recovery``, a run that takes the columnar pass has its workers
-        simulate only their own labs, and this process runs the one
-        probing pass and NBench (``docs/sharding.md``); otherwise every
-        worker replays the full fleet.  With ``recovery`` each shard
+        trace byte-identical to the sequential one.  Each worker
+        simulates only its own labs, and this process runs the one
+        probing pass -- with the fault plan, resilience policy, retries
+        and the observer's DDC metrics -- and NBench
+        (``docs/sharding.md``).  With ``recovery`` each shard
         journals and checkpoints into its own ``<run_dir>/shard-<k>/``
         namespace under a shared campaign manifest, a regranted shard
         resumes from its *own* checkpoint while healthy shards keep
@@ -248,11 +249,10 @@ def run_experiment(
         (spawned locally with ``net.spawn_workers``, or externally via
         ``repro worker``).  Liveness, bounded regrant, steering,
         manifest mirroring and resume-from-checkpoint over reconnect
-        work exactly as for forked workers, and without ``recovery``
-        they gather on the columnar pass as forked workers do;
-        ``net.policy`` defaults to completing degraded when a shard is
-        lost (a gathered campaign re-simulates the lost labs here for
-        its one pass and keeps the survivors' rows).  With ``recovery``
+        work exactly as for forked workers, and they gather as forked
+        workers do; ``net.policy`` defaults to completing degraded when
+        a shard is lost (the campaign re-simulates the lost labs here
+        for its one pass and keeps the survivors' rows).  With ``recovery``
         the run is a full campaign directory.  Mutually exclusive with
         ``supervise`` (tune it with ``net.policy``), ``fleet_factory``
         and ``resume_from``; requires ``shards >= 2``.  See
@@ -326,13 +326,7 @@ def run_experiment(
             runtime=runtime))
     plan = ShardPlan.build(labs, n_shards)
     instrument = observer is not None and observer.enabled
-    # Without recovery, a plan that takes the columnar pass gathers on
-    # every worker source: workers simulate only their own labs and this
-    # process runs the pass (repro.shard.gather).
-    gather = (recovery is None and cfg.kernel != "object"
-              and compat.columnar_reason(on) is None)
-    tasks = [dataclasses.replace(single, shard=spec, instrument=instrument,
-                                 gather=gather)
+    tasks = [dataclasses.replace(single, shard=spec, instrument=instrument)
              for spec in plan.specs]
     manifest = None
     if recovery is not None:

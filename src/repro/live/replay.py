@@ -17,8 +17,9 @@ Two snapshot builders over the *same* journal:
 
 The replay guarantee -- pinned by ``tests/live/test_rollups.py`` and
 the CI live-smoke job -- is that the two dicts are **equal**.  Both
-refuse a journal of another format version with
-:class:`~repro.errors.LiveError` before reading any record.
+refuse a journal of another format version, and a gathered campaign
+shard's journal -- its ``gather`` records hold pass inputs, not trace
+rows -- with :class:`~repro.errors.LiveError` before reading any row.
 
 Journal-derived metadata
 ------------------------
@@ -67,6 +68,19 @@ def _require_version(journal_dir: Union[str, Path]) -> None:
         require_version(journal_dir)
     except JournalError as exc:
         raise LiveError(str(exc)) from exc
+    # A journal holds one record kind after its head: reading the first
+    # tells a shard's input journal from a run's pass journal.
+    for body in iter_bodies(journal_dir):
+        kind = body.get("kind")
+        if kind == "gather":
+            raise LiveError(
+                f"{journal_dir} holds {kind!r} records: a campaign "
+                "shard's recorded pass inputs, not the trace rows of "
+                "'iter' pass records, so there is nothing to replay; "
+                "replay the journal of a run collected with shards=1"
+            )
+        if kind != "head":
+            return
 
 
 def read_journal(

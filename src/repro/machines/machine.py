@@ -190,6 +190,34 @@ class SimMachine:
         cols.session_start_r3[i] = float(f"{s.start:.3f}") if s is not None else 0.0
         cols.usernames[i] = s.username if s is not None else ""
 
+    def load_columns(self, rows: Optional[dict], i: int = 0) -> None:
+        """The inverse of :meth:`attach_columns`, for the row-backed
+        roster a gathered plan's parent probes on the object pass: set
+        what a probe reads from row ``i`` of ``rows`` (pass inputs as
+        :meth:`~repro.sim.kernel.FleetColumns.gather` returns them, as
+        lists), or power off when ``rows`` is ``None``.  The session
+        keeps only its ``%.3f`` start, which W32Probe prints anyway."""
+        if rows is None:
+            self._powered = False
+            return
+        self._powered = True
+        self._boot_time = rows["boot_time"][i]
+        self._c = _Counters(**{name: rows[name][i]
+                               for name in _Counters.__dataclass_fields__})
+        self._mem_load = rows["mem_load"][i]
+        self._swap_load = rows["swap_load"][i]
+        self._base_disk_used = rows["disk_used"][i]
+        self._temp_disk_used = 0
+        disk = self.disk
+        disk._power_cycles = rows["cycles"][i]
+        disk._power_on_seconds = rows["poh_base_s"][i]
+        disk._powered_since = rows["on_since"][i]
+        self._session = (
+            InteractiveSession(rows["username"][i],
+                               rows["session_start_r3"][i])
+            if rows["has_session"][i] else None
+        )
+
     # ------------------------------------------------------------------
     # power lifecycle
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import SnapshotFormatError
 
@@ -99,33 +99,20 @@ class ObsSnapshot:
     # shard merge
     # ------------------------------------------------------------------
     @classmethod
-    def merge(
-        cls,
-        snapshots: "Sequence[ObsSnapshot]",
-        *,
-        sum_metrics: FrozenSet[str] = frozenset(),
-        max_gauges: FrozenSet[str] = frozenset(),
-    ) -> "ObsSnapshot":
-        """Combine per-shard snapshots into one.
+    def merge(cls, snapshots: "Sequence[ObsSnapshot]") -> "ObsSnapshot":
+        """Combine the snapshots of one run's processes into one.
 
-        The caller classifies metrics by name (the snapshot layer knows
-        nothing about which subsystems replicate across shards):
-
-        - ``sum_metrics`` -- counters and histograms owned piecewise by
-          the shards (each shard observed a disjoint slice of the fleet);
-          counter values, histogram bucket counts and totals are summed
-          per ``(name, labels)`` row.
-        - ``max_gauges`` -- per-shard wall-clock gauges (phase timings);
-          the merged value is the maximum, i.e. the parallel critical
-          path.
-        - everything else is **replicated**: every shard computed the
-          identical value (full-fleet simulation, shared seed), so the
-          first shard's row is taken verbatim.  Spans, events and the
-          drop accounting follow the same rule.
+        A sharded run's workers each observe their own machines' engine
+        and agents, and the parent observes the one probing pass, so no
+        two snapshots hold the same observation: counter values and
+        histogram bucket counts and totals sum per ``(name, labels)``
+        row; gauges (heap high-water marks, wall-clock phase timings)
+        take the maximum; spans and sampled events concatenate in
+        ``snapshots`` order -- the workers in shard order, then the
+        parent -- and the drop accounting sums.
         """
         if not snapshots:
             raise SnapshotFormatError("cannot merge zero snapshots")
-        first = snapshots[0]
         merged: Dict[tuple, dict] = {}
         for snap in snapshots:
             for row in snap.metrics:
@@ -135,31 +122,29 @@ class ObsSnapshot:
                 if have is None:
                     merged[key] = {k: (list(v) if isinstance(v, list) else v)
                                    for k, v in row.items()}
-                elif row["name"] in sum_metrics:
-                    if row["kind"] == "histogram":
-                        have["counts"] = [a + b for a, b in
-                                          zip(have["counts"], row["counts"])]
-                        have["count"] += row["count"]
-                        have["total"] += row["total"]
-                        for agg, fn in (("min", min), ("max", max)):
-                            if row[agg] is not None:
-                                have[agg] = (row[agg] if have[agg] is None
-                                             else fn(have[agg], row[agg]))
-                    else:
-                        have["value"] += row["value"]
-                elif (row["kind"] == "gauge"
-                      and row["name"] in max_gauges):
+                elif row["kind"] == "histogram":
+                    have["counts"] = [a + b for a, b in
+                                      zip(have["counts"], row["counts"])]
+                    have["count"] += row["count"]
+                    have["total"] += row["total"]
+                    for agg, fn in (("min", min), ("max", max)):
+                        if row[agg] is not None:
+                            have[agg] = (row[agg] if have[agg] is None
+                                         else fn(have[agg], row[agg]))
+                elif row["kind"] == "counter":
+                    have["value"] += row["value"]
+                else:
                     have["value"] = max(have["value"], row["value"])
         rows = sorted(merged.values(),
                       key=lambda r: (r["name"], sorted(r["labels"].items())))
         return cls(
             metrics=rows,
-            spans=list(first.spans),
-            events=list(first.events),
-            spans_dropped=first.spans_dropped,
-            events_dropped=first.events_dropped,
-            events_seen=first.events_seen,
-            event_sample_every=first.event_sample_every,
+            spans=[span for snap in snapshots for span in snap.spans],
+            events=[event for snap in snapshots for event in snap.events],
+            spans_dropped=sum(snap.spans_dropped for snap in snapshots),
+            events_dropped=sum(snap.events_dropped for snap in snapshots),
+            events_seen=sum(snap.events_seen for snap in snapshots),
+            event_sample_every=snapshots[0].event_sample_every,
         )
 
     # ------------------------------------------------------------------

@@ -20,8 +20,16 @@ of the compact, key-sorted JSON encoding of ``body``.  Body kinds:
     The pass record closing one iteration: iteration index, simulation
     time, whether the pass ran, the number ``n`` of rows the pass added,
     and -- when ``n > 0`` -- ``rows``, the base64 of those rows as one
-    :mod:`repro.recovery.rows` block (the checkpoint deltas' layout).
-    ``digest`` is the CRC32 of that block (of no bytes when ``n == 0``).
+    :mod:`repro.recovery.rows` block in the trace layout (the checkpoint
+    deltas' layout).  ``digest`` is the CRC32 of that block (of no bytes
+    when ``n == 0``).
+``gather``
+    The input record closing one instant of a gathered shard
+    (:mod:`repro.shard.gather`): the same fields, but ``n`` counts the
+    shard's powered machines at the instant and ``rows`` holds their
+    pass inputs in the :data:`~repro.recovery.rows.INPUTS` layout.  A
+    shard's journal holds these instead of ``iter`` records; the parent
+    runs the pass over them, so they carry no trace row.
 ``seal``
     Segment footer: record count and a whole-segment digest.  A sealed
     segment is immutable; only the newest segment may lack a seal.
@@ -56,10 +64,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import JournalError
-from repro.recovery.rows import decode_rows
+from repro.recovery.rows import INPUTS, TRACE
 
 __all__ = [
     "JOURNAL_VERSION",
+    "RECORD_LAYOUTS",
     "JournalWriter",
     "JournalRecord",
     "JournalTailReader",
@@ -78,6 +87,9 @@ __all__ = [
 
 #: Journal schema version (bumped on incompatible format changes).
 JOURNAL_VERSION = 2
+
+#: The row layout of each record kind that carries rows.
+RECORD_LAYOUTS = {"iter": TRACE, "gather": INPUTS}
 
 _SEGMENT_FMT = "segment-{:06d}.jsonl"
 
@@ -156,10 +168,12 @@ def decode_line(line: str) -> dict:
 
 
 def decode_pass(body: dict) -> Optional[Dict[str, Any]]:
-    """The rows of an ``iter`` pass record, as store columns.
+    """The rows of an ``iter`` or ``gather`` record, as columns.
 
-    Returns ``None`` when the pass added no rows, else the keyword
-    columns of :meth:`~repro.traces.store.TraceStore.extend_columns`.
+    Returns ``None`` when the record carries no rows, else its columns
+    in the kind's :data:`RECORD_LAYOUTS` layout: for a pass record, the
+    keyword columns of :meth:`~repro.traces.store.TraceStore
+    .extend_columns`.
 
     Raises
     ------
@@ -183,21 +197,21 @@ def decode_pass(body: dict) -> Optional[Dict[str, Any]]:
     except ValueError as exc:  # binascii.Error
         raise JournalError(f"pass record rows are not base64: {exc}") from exc
     try:
-        return decode_rows(payload, n)
+        return RECORD_LAYOUTS.get(body.get("kind"), TRACE).decode(payload, n)
     except ValueError as exc:
         raise JournalError(f"bad pass record rows: {exc}") from exc
 
 
 def decode_record(line: str) -> Tuple[dict, Optional[Dict[str, Any]]]:
-    """:func:`decode_line`, plus the rows of a pass record.
+    """:func:`decode_line`, plus the rows of a record that carries them.
 
-    Returns the body and, for a pass record that added rows, its
-    :func:`decode_pass` columns.  Every reader verifies lines through
-    here, so a pass record whose rows do not decode is damage exactly
-    like a CRC failure.
+    Returns the body and, for an ``iter`` or ``gather`` record with
+    rows, its :func:`decode_pass` columns.  Every reader verifies lines
+    through here, so a record whose rows do not decode is damage
+    exactly like a CRC failure.
     """
     body = decode_line(line)
-    if body.get("kind") == "iter":
+    if body.get("kind") in RECORD_LAYOUTS:
         return body, decode_pass(body)
     return body, None
 
@@ -335,18 +349,19 @@ class JournalWriter:
     # ------------------------------------------------------------------
     def iteration_end(self, iteration: int, t: float, n_samples: int,
                       digest: str, *, ran: bool = True,
-                      rows: bytes = b"") -> None:
-        """Journal iteration ``iteration``'s pass record; rotate if due.
+                      rows: bytes = b"", kind: str = "iter") -> None:
+        """Journal iteration ``iteration``'s record; rotate if due.
 
         ``rows`` is the :mod:`repro.recovery.rows` block of the
-        ``n_samples`` rows the pass added and ``digest`` its CRC32.
+        ``n_samples`` rows the pass added (of the instant's pass inputs
+        for ``kind="gather"``) and ``digest`` its CRC32.
         ``ran`` records whether the coordinator actually executed the
         probing pass (``False`` for iterations lost to the availability
         draw or an injected outage).  Live replay needs the distinction
         to reproduce the batch denominators -- a lost iteration and a
         run-but-empty iteration both journal ``n == 0``.
         """
-        body = {"kind": "iter", "k": iteration, "t": t, "n": n_samples,
+        body = {"kind": kind, "k": iteration, "t": t, "n": n_samples,
                 "digest": digest, "ran": bool(ran)}
         if n_samples:
             body["rows"] = base64.b64encode(rows).decode("ascii")
@@ -431,7 +446,8 @@ class JournalScan:
     """Result of :func:`scan_journal` over a whole journal directory."""
 
     segments: List[SegmentScan] = field(default_factory=list)
-    #: Per-iteration ``(digest, n_samples)`` from surviving pass records.
+    #: Per-iteration ``(digest, n)`` from surviving ``iter`` and
+    #: ``gather`` records.
     iteration_digests: Dict[int, Tuple[str, int]] = field(default_factory=dict)
     #: Highest segment index seen on disk (0 when the journal is empty).
     last_segment: int = 0
@@ -576,7 +592,7 @@ def scan_journal(journal_dir: Union[str, Path],
         if seg.torn_tail:
             result.torn_tails += 1
         for rec in seg.records:
-            if rec.body.get("kind") == "iter":
+            if rec.body.get("kind") in RECORD_LAYOUTS:
                 b = rec.body
                 result.iteration_digests[int(b["k"])] = (
                     str(b["digest"]), int(b["n"])

@@ -58,8 +58,12 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 CAMPAIGN_STATE_NAME = "campaign.pkl"
 
-#: Manifest schema version (bumped on incompatible changes).
-MANIFEST_VERSION = 1
+#: Manifest schema version (bumped on incompatible changes).  Version 2
+#: campaigns gather: each shard journals its recorded pass inputs and
+#: checkpoints its own labs' fleet.  A version-1 directory's shards
+#: replayed the full fleet and checkpointed coordinator and store, so
+#: resuming one is refused.
+MANIFEST_VERSION = 2
 
 
 @dataclass

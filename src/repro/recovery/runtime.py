@@ -8,13 +8,20 @@ iteration, after the next iteration has been put on the heap -- so a
 checkpoint taken there revives into a run that keeps iterating.  There
 the runtime journals the rows the trace store gained during the pass as
 one pass record (:mod:`repro.recovery.journal`) and flushes it, then
-takes the checkpoint if one is due; the coordinator's heartbeat runs
-after that.  Both probing kernels admit identical rows to the store, so
-they write identical journal bytes with no per-sample hook.
+takes the checkpoint if one is due.  Both probing kernels admit
+identical rows to the store, so they write identical journal bytes with
+no per-sample hook.
+
+A gathered shard worker (:mod:`repro.shard.gather`) has no pass and no
+store: its :class:`~repro.shard.gather.PassRecorder` calls the same hook
+at every recorded instant, and the runtime journals that instant's
+recorded pass inputs as one ``gather`` record instead.  A campaign
+worker's heartbeat runs after the hook either way, so it reports only
+durable progress.
 
 The runtime itself is never pickled into checkpoints (the coordinator
-drops its reference in ``__getstate__``); a resumed run constructs a
-fresh runtime around the revived graph.
+and the recorder drop their references in ``__getstate__``); a resumed
+run constructs a fresh runtime around the revived graph.
 
 Crash injection
 ---------------
@@ -45,10 +52,8 @@ from repro.recovery.journal import JournalWriter, Quarantine, _crc_hex
 from repro.recovery.rows import encode_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import ExperimentConfig
-    from repro.ddc.coordinator import DdcCoordinator
-    from repro.faults.plan import FaultPlan
     from repro.obs.observer import Observer
+    from repro.shard.gather import PassRecorder
     from repro.sim.fleet import FleetSimulator
     from repro.traces.store import TraceStore
 
@@ -252,40 +257,35 @@ class RecoveryRuntime:
         self.crash = config.crash_at
         self.crash_fired = False
         # live experiment graph, attached by bind()
+        self._graph: Dict[str, object] = {}
         self._fleet: Optional["FleetSimulator"] = None
-        self._coordinator: Optional["DdcCoordinator"] = None
         self._store: Optional["TraceStore"] = None
-        self._faults: Optional["FaultPlan"] = None
+        self._recorder: Optional["PassRecorder"] = None
         self._observer: Optional["Observer"] = None
-        self._exp_config: Optional["ExperimentConfig"] = None
         self._config_digest = ""
         #: Store rows already in a pass record (set by bind()).
         self._rows_journaled = 0
         self._obs_instruments = None
 
     # ------------------------------------------------------------------
-    def bind(
-        self,
-        *,
-        fleet: "FleetSimulator",
-        coordinator: "DdcCoordinator",
-        store: "TraceStore",
-        config: "ExperimentConfig",
-        faults: Optional["FaultPlan"] = None,
-        observer: Optional["Observer"] = None,
-    ) -> None:
-        """Attach the live graph and install the collection hooks."""
-        self._fleet = fleet
-        self._coordinator = coordinator
-        self._store = store
-        self._rows_journaled = len(store)
-        self._faults = faults
-        self._exp_config = config
-        self._config_digest = config_digest(config)
-        obs = observer if observer is not None and observer.enabled else None
+    def bind(self, **graph) -> None:
+        """Attach the live graph and install the collection hook.
+
+        ``graph`` is what a checkpoint holds: ``config``, ``fleet`` and
+        ``observer``, plus either a probing run's ``coordinator``,
+        ``store`` and ``faults`` or a gathered shard's ``recorder``.
+        """
+        self._graph = graph
+        self._fleet = graph["fleet"]
+        self._store = graph.get("store")
+        self._recorder = graph.get("recorder")
+        if self._store is not None:
+            self._rows_journaled = len(self._store)
+        self._config_digest = config_digest(graph["config"])
+        observer = graph["observer"]
         self._observer = observer
-        if obs is not None:
-            m = obs.metrics
+        if observer is not None and observer.enabled:
+            m = observer.metrics
             self._obs_instruments = {
                 "samples": m.counter("recovery.samples_journaled"),
                 "checkpoints": m.counter("recovery.checkpoints_written"),
@@ -293,7 +293,7 @@ class RecoveryRuntime:
                 "verified": m.counter("recovery.replay_verified"),
                 "diverged": m.counter("recovery.replay_divergences"),
             }
-        coordinator.recovery = self
+        (self._recorder or graph["coordinator"]).recovery = self
 
     # ------------------------------------------------------------------
     # hooks
@@ -306,16 +306,23 @@ class RecoveryRuntime:
         """
 
     def on_iteration_end(self, k: int, t: float, *, ran: bool = True) -> None:
-        """Close iteration ``k``: pass record, verify, maybe checkpoint.
+        """Close iteration ``k``: journal record, verify, maybe checkpoint.
 
-        The rows the store gained since the previous pass record are
-        journaled as one record and flushed before the checkpoint (and
-        the coordinator's heartbeat) that covers them.  ``ran`` is
-        forwarded into the record so journal-only consumers (live
-        replay) can reproduce the coordinator's ``iterations_run`` count.
+        The rows the store gained since the previous pass record -- or,
+        bound to a gathered shard's recorder, the pass inputs it
+        recorded at instant ``k`` -- are journaled as one record and
+        flushed before the checkpoint (and the worker's heartbeat) that
+        covers them.  ``ran`` is forwarded into the record so
+        journal-only consumers (live replay) can reproduce the
+        coordinator's ``iterations_run`` count.
         """
-        start, stop = self._rows_journaled, len(self._store)
-        n = stop - start
+        recorder = self._recorder
+        if recorder is None:
+            start, stop = self._rows_journaled, len(self._store)
+            n = stop - start
+            rows = encode_rows(self._store, start, stop) if n else b""
+        else:
+            n, rows = recorder.encode(k)
         crashing = (self.crash is not None and not self.crash_fired
                     and self.crash.iteration == k)
         # At-or-after the spec iteration: the named one may have been a
@@ -324,22 +331,25 @@ class RecoveryRuntime:
                 and self.crash.point == "mid_iteration"
                 and k >= self.crash.iteration):
             self._die(torn=True)
-        rows = encode_rows(self._store, start, stop) if n else b""
+        kind = "iter" if recorder is None else "gather"
         digest = _crc_hex(rows)
         self._verify_replay(k, digest, n)
         if crashing and self.crash.point == "mid_seal":
-            # Journal the pass record, then die half-way through a
-            # forced segment seal: the footer line is torn.
-            self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows)
+            # Journal the record, then die half-way through a forced
+            # segment seal: the footer line is torn.
+            self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows,
+                                       kind=kind)
             self.info.records_journaled += 1
             self.journal.tear('{"crc":"00000000","body":{"kind":"seal"')
             self._die(torn=False)
-        self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows)
-        self._rows_journaled = stop
-        self.info.samples_journaled += n
+        self.journal.iteration_end(k, t, n, digest, ran=ran, rows=rows,
+                                   kind=kind)
         self.info.records_journaled += 1
-        if self._obs_instruments is not None and n:
-            self._obs_instruments["samples"].inc(n)
+        if recorder is None:
+            self._rows_journaled = stop
+            self.info.samples_journaled += n
+            if self._obs_instruments is not None and n:
+                self._obs_instruments["samples"].inc(n)
         if self.journal.segments_sealed > self.info.segments_sealed:
             newly = self.journal.segments_sealed - self.info.segments_sealed
             self.info.segments_sealed = self.journal.segments_sealed
@@ -381,16 +391,9 @@ class RecoveryRuntime:
             )
 
     def _checkpoint(self, k: int) -> None:
-        if self._coordinator is None or self._fleet is None:
+        if self._fleet is None:
             raise RecoveryError("runtime not bound; cannot checkpoint")
-        state = {
-            "config": self._exp_config,
-            "fleet": self._fleet,
-            "coordinator": self._coordinator,
-            "store": self._store,
-            "faults": self._faults,
-            "observer": self._observer,
-        }
+        state = dict(self._graph)
         tear = None
         # Fires at the first checkpoint at-or-after the spec iteration,
         # so the point is reachable from non-boundary iterations too.

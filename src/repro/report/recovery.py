@@ -7,8 +7,11 @@ segment chain and the quarantine ledger.  A checkpoint is listed as
 point is the one a resume would load.  A directory holding a campaign
 manifest (a sharded campaign, see ``docs/shard_recovery.md``) is
 reported as a campaign: the manifest's per-shard status table plus one
-nested per-shard status each.  Everything here is **read-only** --
-unlike the resume path (:func:`repro.recovery.journal.scan_journal`),
+nested per-shard status each.  A shard's journal holds ``gather``
+records (its recorded pass inputs, :mod:`repro.shard.gather`): each
+counts as an iteration and its rows as ``inputs``, not ``samples``.
+Everything here is **read-only** -- unlike the resume path
+(:func:`repro.recovery.journal.scan_journal`),
 a status report never moves damaged artefacts into quarantine; it only
 describes them, so inspecting a crashed run does not alter the
 evidence the resume will act on.
@@ -40,7 +43,7 @@ def _segment_rows(journal_dir: Path) -> List[dict]:
         lines = raw.split("\n")
         torn = bool(lines[-1].strip())  # bytes after the final newline
         lines = [ln for ln in lines[:-1] if ln.strip()]
-        records = samples = iters = 0
+        records = samples = inputs = iters = 0
         sealed = False
         damaged = 0
         version = None
@@ -55,11 +58,16 @@ def _segment_rows(journal_dir: Path) -> List[dict]:
             if kind == "iter":
                 iters += 1
                 samples += body["n"]
+            elif kind == "gather":
+                # a campaign shard's instant: its pass inputs, no sample
+                iters += 1
+                inputs += body["n"]
             elif kind == "seal":
                 sealed = True
             elif kind == "head":
                 version = body.get("version")
-        row.update(records=records, samples=samples, iterations=iters,
+        row.update(records=records, samples=samples, inputs=inputs,
+                   iterations=iters,
                    sealed=sealed, torn_tail=torn, damaged_lines=damaged,
                    version=version)
         if version not in (None, JOURNAL_VERSION):
@@ -120,6 +128,7 @@ def recovery_status(run_dir: Union[str, Path]) -> dict:
         "latest_checkpoint": latest,
         "segments": segments,
         "samples_journaled": sum(s["samples"] for s in segments),
+        "inputs_journaled": sum(s["inputs"] for s in segments),
         "quarantine": ledger,
         # resume refuses a journal of another format version outright
         "resumable": (latest is not None or bool(segments)) and not any(
@@ -190,10 +199,11 @@ def render_recovery_report(run_dir: Union[str, Path]) -> str:
     parts += ["", "deltas", "------",
               deltas.render() if status["deltas"] else "(none)"]
 
-    segs = Table(["segment", "records", "samples", "iterations", "status"])
+    segs = Table(["segment", "records", "samples", "inputs", "iterations",
+                  "status"])
     for row in status["segments"]:
         segs.add_row([row["file"], row["records"], row["samples"],
-                      row["iterations"], row["status"]])
+                      row["inputs"], row["iterations"], row["status"]])
     parts += ["", "journal", "-------",
               segs.render() if status["segments"] else "(none)"]
 
@@ -218,9 +228,12 @@ def render_recovery_report(run_dir: Union[str, Path]) -> str:
                      "refuses it -- finish the run with the code that "
                      "started it")
     elif latest is not None:
+        journaled = (f"{status['inputs_journaled']} pass-input rows"
+                     if status["inputs_journaled"] else
+                     f"{status['samples_journaled']} samples")
         parts.append(
             f"resumable from iteration {latest['iteration']} "
-            f"({status['samples_journaled']} samples journaled)"
+            f"({journaled} journaled)"
         )
     elif status["resumable"]:
         parts.append("no valid checkpoint; resume would cold-restart "

@@ -5,13 +5,11 @@ outcomes merge into a trace byte-identical to the sequential run:
 
 - :mod:`repro.shard.plan` partitions the lab catalog into
   machine-balanced, lab-aligned shards;
-- :mod:`repro.shard.worker` runs one shard: without recovery on the
-  columnar pass, only the shard's own labs, recording their pass inputs
-  for the parent's one pass (:mod:`repro.shard.gather`); otherwise a
-  full fleet replica whose DDC coordinator materialises probes only for
-  the shard's own labs;
-- :mod:`repro.shard.merge` recombines the per-shard outcomes, metas and
-  observability snapshots deterministically;
+- :mod:`repro.shard.worker` runs one shard: only the shard's own labs,
+  recording (and, under ``recovery=``, journaling) their pass inputs
+  for the parent's one probing pass (:mod:`repro.shard.gather`);
+- :mod:`repro.shard.merge` runs that pass over the shards' outcomes and
+  combines their observability snapshots deterministically;
 - :mod:`repro.shard.coordinator` is the campaign control plane that
   runs every ``shards>1`` run: one coordinator leases shards to workers
   it forks itself or to TCP workers (``net=``, :mod:`repro.shard.net`),

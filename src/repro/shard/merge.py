@@ -1,27 +1,21 @@
 """Deterministic recombination of shard outcomes.
 
-The merge has three jobs, each with a loud failure mode instead of a
-silently different trace:
+Every shard of a plan gathers (:mod:`repro.shard.gather`): its worker
+ships the pass inputs it recorded, not a trace.  The merge has two jobs,
+each with a loud failure mode instead of a silently different trace:
 
-- **samples** -- :meth:`repro.traces.store.TraceStore.merge` re-sorts
-  the disjoint per-shard stores by ``(iteration, machine_id)``, which is
-  exactly the sequential roster order, and refuses overlapping machines
-  or disagreeing metas.  Gathered shards (:mod:`repro.shard.gather`;
-  every fan-out without recovery that takes the columnar pass) have no
-  stores: their recorded pass inputs go through the one columnar pass
-  (:func:`repro.shard.worker.collect_gathered`), which emits the rows in
-  roster order.  When a gathered campaign lost shards for good, that
+- **samples** -- the shards' recorded rows go through the one probing
+  pass (:func:`repro.shard.worker.collect_gathered`), which emits the
+  rows in roster order and runs the fault plan, the resilience control
+  plane and retries once.  When a campaign lost shards for good, that
   pass still needs their machines' powered states, so
   :func:`merge_degraded` re-simulates the lost labs here and keeps only
   the survivors' rows;
-- **fault ledger** -- every shard replays the *full* fault plan (hooks
-  see the whole fleet), so the per-shard injection ledgers must be
-  identical; any disagreement means the shards diverged and is raised;
-- **observability** -- :meth:`repro.obs.snapshot.ObsSnapshot.merge`
-  combines per-shard snapshots under the policy below: owned-gated DDC
-  metrics sum, wall-clock phase gauges take the parallel critical path
-  (max), and everything replicated (engine, fleet, resilience,
-  iteration-level DDC counters) is taken from the first shard.
+- **observability** -- an instrumented plan's pass runs on an observer
+  of this process, and :meth:`repro.obs.snapshot.ObsSnapshot.merge`
+  combines the workers' snapshots, in shard order, with it: counters
+  and histograms sum, gauges take the maximum.  The DDC metrics come
+  from the parent alone; the engine and agent metrics from the workers.
 
 The merged meta must satisfy the resilience accounting identity
 ``iterations_run * n_machines == attempts + shed + breaker_skipped``;
@@ -35,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TraceFormatError
 from repro.faults.plan import FaultPlan
+from repro.obs.observer import Observer
 from repro.obs.snapshot import ObsSnapshot
 from repro.shard.plan import ShardSpec
 from repro.shard.worker import (
@@ -45,26 +40,7 @@ from repro.shard.worker import (
 )
 from repro.traces.store import TraceStore
 
-__all__ = ["SUM_METRICS", "MAX_GAUGES", "merge_outcomes",
-           "DegradedMergeInfo", "merge_degraded"]
-
-#: Metrics each shard observed for a disjoint slice of the fleet (gated
-#: on lab ownership in the coordinator and executor): summed on merge.
-SUM_METRICS = frozenset({
-    "ddc.timeouts",
-    "ddc.access_denied",
-    "ddc.samples",
-    "ddc.parse_failures",
-    "ddc.retries",
-    "ddc.retries_recovered",
-    "ddc.retries_skipped",
-    "ddc.lab_pass_seconds",
-    "ddc.exec_latency_seconds",
-})
-
-#: Per-shard wall-clock gauges; the merged value is the slowest shard,
-#: i.e. the parallel critical path.
-MAX_GAUGES = frozenset({"experiment.phase_seconds"})
+__all__ = ["merge_outcomes", "DegradedMergeInfo", "merge_degraded"]
 
 
 def merge_outcomes(
@@ -72,108 +48,92 @@ def merge_outcomes(
     *,
     lost: Sequence[ShardSpec] = (),
 ) -> Tuple[TraceStore, Optional[FaultPlan], Optional[ObsSnapshot]]:
-    """Merge shard outcomes into ``(store, faults, snapshot)``.
+    """Run the one pass over shard outcomes: ``(store, faults, snapshot)``.
 
-    ``lost`` names the shards of the plan that ``outcomes`` lacks
-    because a campaign lost them for good (:func:`merge_degraded`);
-    gathered outcomes re-simulate them for the pass.
+    ``faults`` is the plan the pass ran with, its injection ledger
+    filled.  ``lost`` names the shards of the plan that ``outcomes``
+    lacks because a campaign lost them for good (:func:`merge_degraded`);
+    they are re-simulated for the pass.  The pass consumes the
+    outcomes' recorded rows.
 
     Raises
     ------
     TraceFormatError
-        On zero outcomes, disagreeing metas or fault ledgers,
-        overlapping machine ownership, mixed instrumentation or
-        mechanisms, or a merged meta violating the accounting identity.
+        On zero outcomes, an outcome without recorded rows, shards that
+        shipped different settings or fault ledgers, overlapping or
+        missing machines, mixed instrumentation, or a merged meta
+        violating the accounting identity.
     """
     if not outcomes:
         raise TraceFormatError("cannot merge zero shard outcomes")
     ordered = sorted(outcomes, key=lambda o: o.shard_index)
-    gathered = sum(o.gathered is not None for o in ordered)
-    if gathered == len(ordered):
-        store = _collect_gathered(ordered, lost)
-    elif gathered:
+    empty = [o.shard_index for o in ordered if o.gathered is None]
+    if empty:
         raise TraceFormatError(
-            "some shards gathered pass inputs and some collected traces; "
-            "a plan's shards must all take one mechanism"
+            f"shards {empty} returned no pass inputs: every shard of a "
+            "plan gathers, the one fan-out mechanism"
         )
-    else:
-        store = TraceStore.merge([o.store for o in ordered])
+    shipped = [(o.gathered.labs, o.gathered.collect_nbench,
+                o.gathered.strict_postcollect, o.gathered.faults and
+                (o.gathered.faults.seed, dict(o.gathered.faults.injected)))
+               for o in ordered]
+    if any(settings != shipped[0] for settings in shipped):
+        raise TraceFormatError(
+            "shards shipped different pass settings (lab catalog, NBench, "
+            "post-collect strictness, or fault plan and its ledger); the "
+            "one pass runs one task's, with one ledger"
+        )
+    snapshots = [o.snapshot for o in ordered if o.snapshot is not None]
+    if snapshots and len(snapshots) != len(ordered):
+        raise TraceFormatError(
+            "some shards returned observability snapshots and some did "
+            "not; instrumentation must be uniform across the plan"
+        )
+    observer = Observer() if snapshots else None
+    store = _collect_gathered(ordered, lost, observer)
     meta = store.meta
-    if meta is not None:
-        covered = meta.attempts + meta.shed + meta.breaker_skipped
-        expected = meta.iterations_run * meta.n_machines
-        if covered != expected:
-            raise TraceFormatError(
-                f"merged accounting identity broken: iterations_run * "
-                f"n_machines = {expected} but attempts + shed + "
-                f"breaker_skipped = {covered}; a shard lost or "
-                f"double-counted machine slots"
-            )
-    faults = _merge_faults(ordered)
-    snapshot = _merge_snapshots(ordered)
-    return store, faults, snapshot
+    covered = meta.attempts + meta.shed + meta.breaker_skipped
+    expected = meta.iterations_run * meta.n_machines
+    if covered != expected:
+        raise TraceFormatError(
+            f"merged accounting identity broken: iterations_run * "
+            f"n_machines = {expected} but attempts + shed + "
+            f"breaker_skipped = {covered}; a shard lost or "
+            f"double-counted machine slots"
+        )
+    snapshot = (None if observer is None
+                else ObsSnapshot.merge([*snapshots, observer.snapshot()]))
+    return store, ordered[0].gathered.faults, snapshot
 
 
 def _collect_gathered(ordered: Sequence[ShardOutcome],
-                      lost: Sequence[ShardSpec]) -> TraceStore:
+                      lost: Sequence[ShardSpec],
+                      observer: Optional[Observer]) -> TraceStore:
     """The one pass over gathered shards, with the survivors' rows only
     when the plan lost shards.
 
     The pass needs every machine's powered state, so each lost shard's
-    labs are simulated again here, as a full-replay worker simulates
-    every foreign lab; the pass and NBench then keep the labs the
-    survivors own.
+    labs are simulated again here; the pass and NBench then keep the
+    labs the survivors own.
     """
     if not lost:
-        return collect_gathered(ordered)
+        return collect_gathered(ordered, observer=observer)
     first = ordered[0]
-    labs = first.gathered.labs
+    rows = first.gathered
     stand_ins = [
-        gather_shard(ShardTask(config=first.config, shard=spec, labs=labs,
-                               collect_nbench=first.gathered.collect_nbench,
-                               gather=True))
+        gather_shard(ShardTask(config=first.config, shard=spec,
+                               labs=rows.labs,
+                               collect_nbench=rows.collect_nbench,
+                               strict_postcollect=rows.strict_postcollect,
+                               faults=rows.faults))
         for spec in lost
     ]
     lost_labs = {name for spec in lost for name in spec.labs}
     return collect_gathered(
         sorted([*ordered, *stand_ins], key=lambda o: o.shard_index),
-        owned_labs=frozenset(lab.name for lab in labs) - lost_labs,
+        owned_labs=frozenset(lab.name for lab in rows.labs) - lost_labs,
+        observer=observer,
     )
-
-
-def _merge_faults(ordered: Sequence[ShardOutcome]) -> Optional[FaultPlan]:
-    """First shard's plan, after checking every ledger agrees."""
-    first = ordered[0].faults
-    reference = None if first is None else dict(first.injected)
-    for outcome in ordered[1:]:
-        ledger = (None if outcome.faults is None
-                  else dict(outcome.faults.injected))
-        if ledger != reference:
-            raise TraceFormatError(
-                f"shard {outcome.shard_index} disagrees on the fault "
-                f"injection ledger ({ledger!r} != shard "
-                f"{ordered[0].shard_index}'s {reference!r}); the plans "
-                "did not replay identically"
-            )
-    return first
-
-
-def _merge_snapshots(
-    ordered: Sequence[ShardOutcome],
-) -> Optional[ObsSnapshot]:
-    """Merged snapshot, requiring all-or-none instrumentation."""
-    snapshots: List[ObsSnapshot] = [
-        o.snapshot for o in ordered if o.snapshot is not None
-    ]
-    if not snapshots:
-        return None
-    if len(snapshots) != len(ordered):
-        raise TraceFormatError(
-            "some shards returned observability snapshots and some did "
-            "not; instrumentation must be uniform across the plan"
-        )
-    return ObsSnapshot.merge(snapshots, sum_metrics=SUM_METRICS,
-                             max_gauges=MAX_GAUGES)
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +177,11 @@ def merge_degraded(
     index) with ``None`` holes where a shard was permanently lost; the
     surviving outcomes merge under exactly the strict rules of
     :func:`merge_outcomes` -- the accounting identity still holds over
-    the survivors because the merged meta's ``n_machines`` sums only
-    *their* rosters.  Gathered survivors cannot pass over their own
-    rows alone: the lost shards' labs are re-simulated in this process
-    and the one pass keeps the survivors' rows, byte-identical to what
-    full-replay survivors would have merged.  The returned
+    the survivors because the merged meta's ``n_machines`` counts only
+    *their* machines.  Survivors cannot pass over their own rows alone:
+    the lost shards' labs are re-simulated in this process and the one
+    pass keeps the sequential run's rows and counters of the survivors'
+    machines.  The returned
     :class:`DegradedMergeInfo` makes the exclusion explicit; it is never
     inferred from a shorter trace.
 

@@ -10,7 +10,7 @@ campaign).  The loop survives every failure the control plane is
 designed around:
 
 - **channel loss mid-run** -- a failed heartbeat or command read raises
-  through the simulation loop, so :func:`~repro.shard.worker.run_shard`
+  through the simulation loop, so :func:`~repro.shard.worker.gather_shard`
   hard-stops the shard's recovery runtime exactly as a process crash
   would (handles dropped, journal torn, no seal); the worker then
   reconnects with bounded backoff (a local child, which has no way
@@ -110,9 +110,10 @@ class NetWorkerPolicy:
 class NetWorkerControl:
     """Steering endpoint of one leased run.
 
-    Installed as the DDC coordinator's iteration-boundary hook, so it
-    runs at the end of every scheduled iteration -- after the recovery
-    hook, meaning a heartbeat only ever reports *durable* progress.
+    Installed as the worker's :class:`~repro.shard.gather.PassRecorder`
+    control hook, so it runs at every recorded instant -- after the
+    recovery hook, meaning a heartbeat only ever reports *durable*
+    progress.
     Heartbeats go out as framed messages, steering commands are polled
     off the same channel, PAUSE idles here (still heartbeating), STOP
     rides the engine's cooperative stop.  Channel failures and
@@ -248,7 +249,7 @@ def _session(channel: FramedChannel, worker_id: str,
         try:
             outcome = execute_shard_task(message.task, control=control)
         except (_ChannelLost, NetworkError) as exc:
-            # run_shard already hard-stopped the recovery runtime (the
+            # The shard already hard-stopped its recovery runtime (the
             # torn-journal crash discipline); reconnect and resume.
             raise _ChannelLost(str(exc)) from exc
         except _LeaseRevoked:

@@ -1,31 +1,26 @@
-"""One shard's run, by either of two mechanisms.
+"""One shard's run: the worker gathers, the parent probes.
 
-**Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in
-the parent).  Every fan-out without ``recovery=`` that takes the
-columnar pass -- on forked or on TCP campaign workers -- splits the
-behaviour: each worker simulates only its owned machines and records
-their pass inputs at every iteration instant (:mod:`repro.shard.gather`),
-heartbeating and honouring steering at each record; the parent runs
-the one columnar pass over the gathered rows and benchmarks the roster
-once.
+**Sequential** (:func:`run_shard`).  ``shards=1`` is a single shard
+owning every lab, run in-process by :func:`repro.experiment
+.run_experiment`: build the fleet, probe it to the horizon, finalise
+the meta and benchmark the roster.  :func:`resume_shard` on that shard
+is the sequential ``resume_from=`` path.
 
-**Full replay** (:func:`run_shard`).  The worker rebuilds the *entire*
-experiment from the shared root seed -- full fleet, full calendar, full
-DDC pass structure -- so that every random stream advances exactly as
-in the sequential run, and *materialises* results only for the labs it
-owns: probes really execute, samples are stored and counters tick for
-owned machines, while foreign machines run through the same pass
-unaccounted (with a stand-in probe where skipping the real one is
-draw-exact).  The merged per-shard artefacts are therefore
-byte-identical to the sequential run's.  Recovery campaigns (which
-journal and checkpoint per shard) and every run on the object pass take
-this path.
+**Gathered** (:func:`gather_shard`, then :func:`collect_gathered` in the
+parent).  Every ``shards>1`` run -- on forked or on TCP campaign
+workers, with or without ``recovery=``, on either probing pass -- splits
+the behaviour: each worker simulates only its owned machines and
+records their pass inputs at every iteration instant
+(:mod:`repro.shard.gather`), heartbeating and honouring steering at
+each record.  A crash-safe worker journals each instant's inputs and
+checkpoints its owned fleet, so a regranted shard resumes from its own
+checkpoint (:func:`resume_gathered`).  The parent runs the one probing
+pass over the gathered rows -- columnar, or the object pass over a
+row-backed roster when the fault plan, the resilience control plane, an
+observer, retries or ``kernel="object"`` call for it -- and benchmarks
+the roster once.
 
-``docs/sharding.md`` lays out both arguments.  :func:`run_shard` is
-also the *sequential* runtime: ``shards=1`` is a single shard owning
-every lab, run in-process by :func:`repro.experiment.run_experiment`
--- and :func:`resume_shard` on that shard is the sequential
-``resume_from=`` path.
+``docs/sharding.md`` lays out the argument.
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import compat
 from repro.config import ExperimentConfig, paper_config
 from repro.ddc.coordinator import DdcCoordinator
 from repro.errors import CheckpointError, TraceFormatError
@@ -44,6 +40,8 @@ from repro.ddc.postcollect import SamplePostCollector
 from repro.ddc.w32probe import W32Probe
 from repro.faults.plan import FAULT_CATEGORIES, FaultPlan
 from repro.machines.hardware import LabSpec, MachineSpec, build_fleet
+from repro.machines.machine import SimMachine
+from repro.machines.smart import SmartDisk
 from repro.obs.observer import Observer, maybe_phase
 from repro.obs.snapshot import ObsSnapshot
 from repro.recovery.runtime import (
@@ -67,6 +65,7 @@ __all__ = [
     "run_shard",
     "resume_shard",
     "gather_shard",
+    "resume_gathered",
     "collect_gathered",
     "execute_shard_task",
     "attach_nbench_indexes",
@@ -103,21 +102,17 @@ class ShardTask:
     #: Continue from :attr:`recovery`'s run directory instead of
     #: starting fresh (the lease regrant / campaign-resume path).
     resume: bool = False
-    #: Simulate only the owned labs and record their pass inputs
-    #: (:func:`gather_shard`) instead of replaying the full fleet; set
-    #: for every fan-out without recovery eligible for the columnar pass.
-    gather: bool = False
 
 
 @dataclass
 class ShardOutcome:
     """What one shard produced.
 
-    The first four fields survive pickling back from a worker process;
+    The first five fields survive pickling back from a worker process;
     ``fleet`` / ``coordinator`` / ``observer`` are live objects populated
-    only when the shard ran in-process (``shards=1``).  A gathered
-    shard has no store of its own: it returns :attr:`gathered`, which
-    the parent's pass turns into the trace.
+    only when the shard ran in-process.  A gathered shard has no store
+    of its own: it returns :attr:`gathered`, which the parent's pass
+    turns into the trace.
     """
 
     shard_index: int
@@ -129,7 +124,7 @@ class ShardOutcome:
     coordinator: Optional[DdcCoordinator] = None
     observer: Optional[Observer] = None
     #: The worker honoured a STOP steering command before the horizon;
-    #: the store is partial and must not be merged.
+    #: nothing was gathered and the outcome must not be merged.
     stopped: bool = False
     #: Last iteration the shard completed (-1 when it never finished
     #: one); meaningful mainly for stopped outcomes.
@@ -147,22 +142,24 @@ def run_shard(
     observer: Optional[Observer] = None,
     fleet_factory=None,
     runtime: Optional[RecoveryRuntime] = None,
-    control=None,
 ) -> ShardOutcome:
-    """Run one shard to its horizon and return its artefacts.
+    """Run the sequential all-labs shard to its horizon.
 
-    This is the experiment runtime itself: build the (full) fleet, probe
-    it to the horizon, finalise the meta and benchmark the roster --
-    with every materialising step gated on the shard's lab ownership.
+    This is the experiment runtime itself: build the fleet, probe it to
+    the horizon, finalise the meta and benchmark the roster.
     ``observer``, ``fleet_factory`` and ``runtime`` are the in-process
-    extras ``run_experiment`` threads through for ``shards=1``;
-    ``control`` is a campaign worker's steering endpoint (heartbeats
-    out, PAUSE/RESUME/STOP in), installed as the coordinator's
-    iteration-boundary hook.
+    extras ``run_experiment`` threads through.  A shard of a plan never
+    runs here: its worker gathers (:func:`gather_shard`).
     """
+    if not task.shard.all_labs:
+        raise ValueError(
+            f"run_shard runs the all-labs shard only; shard "
+            f"{task.shard.index} of {task.shard.n_shards} gathers "
+            "(gather_shard)"
+        )
     graph = build_graph(task, observer=observer,
                         fleet_factory=fleet_factory, runtime=runtime)
-    return _run_to_horizon(task, runtime=runtime, control=control, **graph)
+    return _run_to_horizon(task, runtime=runtime, **graph)
 
 
 def build_graph(
@@ -172,7 +169,7 @@ def build_graph(
     fleet_factory=None,
     runtime: Optional[RecoveryRuntime] = None,
 ) -> dict:
-    """Build one shard's experiment graph, ready to start.
+    """Build the sequential experiment graph, ready to start.
 
     Builds the fleet (``fleet_factory(config, labs)`` when given), the
     store, the post-collector and the coordinator, binds ``runtime``
@@ -185,8 +182,6 @@ def build_graph(
     chunks.
     """
     cfg = task.config
-    shard = task.shard
-    owned = None if shard.all_labs else frozenset(shard.labs)
     obs = observer if observer is not None and observer.enabled else None
     with maybe_phase(obs, "build"):
         if fleet_factory is None:
@@ -198,10 +193,7 @@ def build_graph(
                 # (and the coordinator) still run on its clock.
                 obs.bind_clock(fleet.sim)
         meta = TraceMeta(
-            # A shard's trace covers only the machines it owns; merged
-            # metas then sum back to the full roster.
-            n_machines=(len(fleet.machines) if owned is None
-                        else shard.n_machines),
+            n_machines=len(fleet.machines),
             sample_period=cfg.ddc.sample_period,
             horizon=cfg.horizon,
         )
@@ -217,7 +209,6 @@ def build_graph(
             horizon=cfg.horizon,
             faults=task.faults,
             observer=observer,
-            owned_labs=owned,
         )
         graph = dict(config=cfg, fleet=fleet, coordinator=coordinator,
                      store=store, faults=task.faults, observer=observer)
@@ -237,22 +228,15 @@ def _run_to_horizon(
     faults: Optional[FaultPlan],
     observer: Optional[Observer],
     runtime: Optional[RecoveryRuntime],
-    control,
 ) -> ShardOutcome:
     """Simulate a fresh or revived graph to the horizon and finish it.
 
-    Shared by fresh and resumed shard runs: ``start`` is idempotent, so
-    a graph revived from a checkpoint simply continues.  The graph
-    arguments are the ones :meth:`~repro.recovery.runtime.RecoveryRuntime
-    .bind` takes and a checkpoint's state holds.  A worker that
-    honoured STOP returns early with a partial store -- meta
-    unfinalised, no NBench pass -- but still seals its journal, so the
-    campaign stays resumable from exactly where it paused.
+    Shared by fresh and resumed sequential runs: ``start`` is
+    idempotent, so a graph revived from a checkpoint simply continues.
+    The graph arguments are the ones :meth:`~repro.recovery.runtime
+    .RecoveryRuntime.bind` takes and a checkpoint's state holds.
     """
     obs = observer if observer is not None and observer.enabled else None
-    if control is not None:
-        control.bind(fleet.sim)
-        coordinator.heartbeat = control.on_iteration
     with maybe_phase(obs, "simulate"):
         fleet.start()
         coordinator.start()
@@ -263,38 +247,32 @@ def _run_to_horizon(
                 # Emulates the process dying: handles drop, no seal.
                 runtime.hard_stop()
             raise
-    shard = task.shard
-    owned = None if shard.all_labs else frozenset(shard.labs)
-    last = control.last_iteration if control is not None else -1
-    if control is not None and control.stopped:
-        info = runtime.finish() if runtime is not None else None
-        return ShardOutcome(shard_index=shard.index, store=store,
-                            faults=faults, recovery=info, fleet=fleet,
-                            coordinator=coordinator, observer=observer,
-                            stopped=True, last_iteration=last,
-                            config=config)
     meta = store.meta
     assert meta is not None
     coordinator.finalize_meta(meta)
-    # A resumed shard whose checkpoint already sat at the horizon ran
-    # zero new iterations, so the control hook never fired; the meta
-    # still knows how far the shard durably got.
-    last = max(last, meta.iterations_run - 1)
     if task.collect_nbench:
         with maybe_phase(obs, "collect"):
             attach_nbench_indexes([m.spec for m in fleet.machines],
-                                  fleet.streams.stream("nbench"), meta,
-                                  owned_labs=owned)
-    if obs is not None and faults is not None and not faults.empty:
-        for category in FAULT_CATEGORIES:
-            obs.metrics.counter("faults.injected", category=category).inc(
-                faults.injected.get(category, 0)
-            )
+                                  fleet.streams.stream("nbench"), meta)
+    _count_faults(obs, faults)
     info = runtime.finish() if runtime is not None else None
-    return ShardOutcome(shard_index=shard.index, store=store, faults=faults,
-                        recovery=info, fleet=fleet, coordinator=coordinator,
-                        observer=observer, last_iteration=last,
+    return ShardOutcome(shard_index=task.shard.index, store=store,
+                        faults=faults, recovery=info, fleet=fleet,
+                        coordinator=coordinator, observer=observer,
+                        last_iteration=meta.iterations_run - 1,
                         config=config)
+
+
+def _count_faults(obs: Optional[Observer],
+                  faults: Optional[FaultPlan]) -> None:
+    """Copy a plan's injection ledger into ``faults.injected`` counters,
+    so an exported snapshot is self-contained."""
+    if obs is None or faults is None or faults.empty:
+        return
+    for category in FAULT_CATEGORIES:
+        obs.metrics.counter("faults.injected", category=category).inc(
+            faults.injected.get(category, 0)
+        )
 
 
 def resume_shard(
@@ -302,20 +280,42 @@ def resume_shard(
     *,
     observer: Optional[Observer] = None,
     fleet_factory=None,
-    control=None,
 ) -> ShardOutcome:
-    """Continue a shard from its own recovery directory.
+    """Continue the sequential run from its recovery directory.
 
-    Load the shard's latest valid checkpoint, CRC-scan and retro-seal
-    its journal, revive the pickled graph (or cold-restart when no
-    checkpoint survived) and run to the horizon with every regenerated
-    iteration verified against the journaled digests.  This is the one
-    resume path: restarted workers, campaign resume and a sequential
-    ``resume_from=`` (the single all-labs shard) all land here.
+    Revive the latest valid checkpoint's graph (or cold-restart when no
+    checkpoint survived, :func:`_resume_prologue`) and run to the
+    horizon with every regenerated iteration verified against the
+    journaled digests.  A warm resume adopts the checkpointed config,
+    fault plan and observer; a cold restart builds a fresh graph from
+    the task, with ``observer`` and ``fleet_factory`` as
+    :func:`run_shard` takes them.
+    """
+    ckpt, runtime, _ = _resume_prologue(task)
+    if ckpt is None:
+        if task.config is None:
+            task = dataclasses.replace(task, config=paper_config())
+        return run_shard(task, observer=observer, fleet_factory=fleet_factory,
+                         runtime=runtime)
+    # The checkpointed state is the graph: config, fleet, coordinator,
+    # store, fault plan and observer.
+    runtime.bind(**ckpt.state)
+    return _run_to_horizon(task, runtime=runtime, **ckpt.state)
 
-    A warm resume adopts the checkpointed config, fault plan and
-    observer; a cold restart builds a fresh graph from the task, with
-    ``observer`` and ``fleet_factory`` as :func:`run_shard` takes them.
+
+def _resume_prologue(task: ShardTask, *, gathered: bool = False):
+    """What every resume does first; returns ``(checkpoint, runtime,
+    recorded)``.
+
+    Refuses a journal of another format version before anything moves,
+    loads the latest valid checkpoint, CRC-scans and retro-seals the
+    journal (quarantining damage) and refuses a checkpoint taken under
+    another config than ``task.config``.  A ``gathered`` shard also
+    reads back the pass inputs its journal recorded up to the
+    checkpoint (``recorded``).  The runtime verifies every journaled
+    iteration past the checkpoint; without one -- none survived, or a
+    gathered shard's journal misses a record below it -- the checkpoint
+    is ``None`` and the runtime a cold restart's, verifying them all.
     """
     from repro.recovery.checkpoint import config_digest, load_latest_checkpoint
     from repro.recovery.journal import (
@@ -328,51 +328,49 @@ def resume_shard(
     rcfg = task.recovery
     if rcfg is None:
         raise CheckpointError(
-            "resume_shard needs task.recovery: a shard can only resume "
+            "resuming a shard needs task.recovery: a shard can only resume "
             "from its own recovery directory"
         )
-    # A journal of another format version is refused before anything
-    # is quarantined, swept or retro-sealed.
     require_version(rcfg.journal_dir)
     quarantine = Quarantine(rcfg.run_dir)
     ckpt = load_latest_checkpoint(rcfg.checkpoint_dir, quarantine)
     scan = scan_journal(rcfg.journal_dir, quarantine)
     retro_seal(scan)
-    if ckpt is None:
-        # Crash before the shard's first checkpoint survived: regenerate
-        # from iteration 0, verifying against the journal tail.
-        runtime = RecoveryRuntime(
-            rcfg,
-            quarantine=quarantine,
-            expected_digests=scan.iteration_digests,
-            cold_restart=True,
-            start_segment=scan.next_segment,
-        )
-        if task.config is None:
-            task = dataclasses.replace(task, config=paper_config())
-        return run_shard(task, observer=observer, fleet_factory=fleet_factory,
-                         runtime=runtime, control=control)
-    if task.config is not None and config_digest(task.config) != ckpt.config:
+    if (ckpt is not None and task.config is not None
+            and config_digest(task.config) != ckpt.config):
         raise CheckpointError(
             f"shard {task.shard.index}: resume was given a config whose "
             f"digest {config_digest(task.config)[:12]}... differs from "
             f"the checkpointed run's {ckpt.config[:12]}...; resuming it "
             "would silently diverge"
         )
-    expected = {k: v for k, v in scan.iteration_digests.items()
-                if k > ckpt.iteration}
+    recorded = None
+    if gathered and ckpt is not None:
+        recorded = _recorded_inputs(scan, ckpt.iteration)
+        if recorded is None:
+            ckpt = None
+    expected = scan.iteration_digests
+    if ckpt is not None:
+        expected = {k: v for k, v in expected.items() if k > ckpt.iteration}
     runtime = RecoveryRuntime(
-        rcfg,
-        quarantine=quarantine,
-        expected_digests=expected,
-        resumed=ckpt.tip,
-        start_segment=scan.next_segment,
+        rcfg, quarantine=quarantine, expected_digests=expected,
+        resumed=ckpt.tip if ckpt is not None else None,
+        cold_restart=ckpt is None, start_segment=scan.next_segment,
     )
-    # The checkpointed state is the graph: config, fleet, coordinator,
-    # store, fault plan and observer.
-    runtime.bind(**ckpt.state)
-    return _run_to_horizon(task, runtime=runtime, control=control,
-                           **ckpt.state)
+    return ckpt, runtime, recorded
+
+
+def _recorded_inputs(scan, upto: int):
+    """The pass inputs instants ``0..upto`` recorded, from the journal's
+    ``gather`` records (``None`` for an instant without a powered
+    machine); ``None`` when a record is missing."""
+    from repro.recovery.journal import decode_pass
+
+    bodies = {rec.body["k"]: rec.body for rec in scan.records()
+              if rec.body.get("kind") == "gather" and rec.body["k"] <= upto}
+    if len(bodies) != upto + 1:
+        return None
+    return [decode_pass(bodies[k]) for k in range(upto + 1)]
 
 
 #: Fallback reasons already logged by this process (one line per reason,
@@ -414,11 +412,8 @@ def _resolve_kernel(
     ``fleet.ensure_columns()``.  A bound recovery runtime does not block
     the columnar pass: it journals the rows either pass admits at the
     end of each iteration, and the checkpoints it takes carry the
-    mirror, so a resumed run continues on the same kernel.  A
-    full-replay shard's coordinator is eligible: the pass draws the
-    full roster and materialises only the owned slice.  A plan without
-    recovery that is eligible never gets here: its workers gather
-    (:func:`gather_shard`) and the parent runs the pass.
+    mirror, so a resumed run continues on the same kernel.  The parent
+    of a gathered plan makes the same choice in :func:`collect_gathered`.
     """
     if cfg.kernel == "object":
         return
@@ -434,54 +429,110 @@ def _resolve_kernel(
         _announce_fallback(reason, observer)
 
 
-def gather_shard(task: ShardTask, *, control=None) -> ShardOutcome:
+def gather_shard(task: ShardTask, *, control=None,
+                 runtime: Optional[RecoveryRuntime] = None) -> ShardOutcome:
     """Simulate one shard's own machines and record their pass inputs.
 
-    The worker half of a gathered plan (:mod:`repro.shard.gather`): the
-    fleet builds only the owned labs' machines and agents, and a
-    :class:`~repro.shard.gather.PassRecorder`
-    records the owned powered rows at every iteration instant.  No
-    ``"ddc"`` or ``"nbench"`` draw happens here; the parent makes them
-    all in :func:`collect_gathered`.  ``control`` is a campaign
-    worker's steering endpoint, driven after each record as
-    :func:`run_shard` drives it after each iteration; a worker that
-    honoured STOP returns a ``stopped`` outcome with nothing gathered.
+    The worker half of a plan (:mod:`repro.shard.gather`): the fleet
+    builds only the owned labs' machines and agents, and a
+    :class:`~repro.shard.gather.PassRecorder` records the owned powered
+    rows at every iteration instant.  No ``"ddc"`` or ``"nbench"`` draw,
+    fault hook or control-plane call happens here: the parent's
+    :func:`collect_gathered` makes them all.  ``control`` is a campaign
+    worker's steering endpoint; with a ``runtime`` the recorder journals
+    each instant's inputs and the runtime checkpoints the owned fleet.
     """
     cfg = task.config
-    fleet = FleetSimulator(cfg, labs=task.labs,
-                           owned_labs=frozenset(task.shard.labs))
-    recorder = PassRecorder(fleet.ensure_columns(), fleet.sim,
-                            cfg.ddc.sample_period, cfg.horizon,
-                            control=control)
+    observer = Observer() if task.instrument else None
+    with maybe_phase(observer, "build"):
+        fleet = FleetSimulator(cfg, labs=task.labs,
+                               owned_labs=frozenset(task.shard.labs),
+                               observer=observer)
+        recorder = PassRecorder(fleet.ensure_columns(), fleet.sim,
+                                cfg.ddc.sample_period, cfg.horizon)
+    if runtime is not None:
+        runtime.bind(config=cfg, fleet=fleet, recorder=recorder,
+                     observer=observer)
+    return _gather_to_horizon(task, config=cfg, fleet=fleet,
+                              recorder=recorder, observer=observer,
+                              runtime=runtime, control=control)
+
+
+def resume_gathered(task: ShardTask, *, control=None) -> ShardOutcome:
+    """Continue a gathered shard from its own recovery directory.
+
+    The regranted-lease and campaign-resume path.  The recorder revived
+    from the latest checkpoint gets its recorded rows back from the
+    journal (:func:`_resume_prologue`), and the shard continues to the
+    horizon with every regenerated instant verified against the
+    journaled digests; without a usable checkpoint it cold-restarts
+    under the same verification.
+    """
+    ckpt, runtime, recorded = _resume_prologue(task, gathered=True)
+    if ckpt is None:
+        return gather_shard(task, control=control, runtime=runtime)
+    # The checkpointed state: config, owned fleet, recorder, observer.
+    state = ckpt.state
+    state["recorder"].restore(recorded)
+    runtime.bind(**state)
+    return _gather_to_horizon(task, runtime=runtime, control=control,
+                              **state)
+
+
+def _gather_to_horizon(
+    task: ShardTask,
+    *,
+    config: ExperimentConfig,
+    fleet: FleetSimulator,
+    recorder: PassRecorder,
+    observer: Optional[Observer],
+    runtime: Optional[RecoveryRuntime],
+    control,
+) -> ShardOutcome:
+    """Simulate a fresh or revived gathered shard to the horizon; a
+    worker that honoured STOP returns a ``stopped`` outcome with nothing
+    gathered, its journal sealed so the campaign stays resumable."""
+    recorder.control = control
     if control is not None:
         control.bind(fleet.sim)
-    fleet.start()
-    recorder.start()
-    fleet.sim.run_until(cfg.horizon)
+    with maybe_phase(observer, "simulate"):
+        fleet.start()
+        recorder.start()
+        try:
+            fleet.sim.run_until(config.horizon)
+        except BaseException:
+            if runtime is not None:
+                # Emulates the process dying: handles drop, no seal.
+                runtime.hard_stop()
+            raise
+    info = runtime.finish() if runtime is not None else None
     outcome = ShardOutcome(shard_index=task.shard.index, store=None,
-                           fleet=fleet, config=cfg)
+                           recovery=info, fleet=fleet, observer=observer,
+                           config=config)
     if control is not None and control.stopped:
         outcome.stopped = True
         outcome.last_iteration = control.last_iteration
         return outcome
-    outcome.gathered = recorder.rows(task.labs, task.collect_nbench)
+    outcome.gathered = recorder.rows(task.labs, task.collect_nbench,
+                                     task.faults, task.strict_postcollect)
     outcome.last_iteration = len(outcome.gathered.powered) - 1
     return outcome
 
 
 def collect_gathered(outcomes: Sequence[ShardOutcome],
-                     owned_labs: Optional[frozenset] = None) -> TraceStore:
-    """The parent half of a gathered plan: one pass, then NBench.
+                     owned_labs: Optional[frozenset] = None,
+                     observer: Optional[Observer] = None) -> TraceStore:
+    """The parent half of a plan: one pass, then NBench.
 
-    Builds the roster's specs (no machine), merges the shards' rows into
-    roster order and runs the single columnar pass over them on a
-    coordinator of its own -- the same iteration chain, availability
-    draws and ``"ddc"`` stream as the sequential run -- then benchmarks
-    every machine once from the one ``"nbench"`` stream.  ``outcomes``
-    are ordered by shard index.  ``owned_labs`` restricts the trace to
-    those labs' machines, as a full-replay shard owning them would
-    (a degraded campaign's survivors); the pass still reads every
-    shard's powered state.
+    Merges the shards' rows (``outcomes`` ordered by shard index) into
+    roster order and runs the one probing pass the sequential run would
+    take (:mod:`repro.compat` and ``kernel`` choose it) on a coordinator
+    of its own, with the shards' fault plan and post-collect strictness
+    and ``observer``: the columnar pass reads the rows directly, the
+    object pass probes a row-backed roster reloaded before each pass.
+    Then it benchmarks every machine once from the one ``"nbench"``
+    stream.  ``owned_labs`` keeps only those labs' rows and counters (a
+    degraded campaign's survivors); the pass still probes every machine.
     """
     cfg = outcomes[0].config
     first = outcomes[0].gathered
@@ -494,22 +545,46 @@ def collect_gathered(outcomes: Sequence[ShardOutcome],
     store = TraceStore(meta)
     streams = RandomStreams(cfg.seed)
     sim = Simulator()
+    obs = observer if observer is not None and observer.enabled else None
+    if obs is not None:
+        obs.bind_clock(sim)
+    faults = first.faults
+    reason = compat.columnar_reason(compat.switches(
+        faults=faults is not None and not faults.empty,
+        policy=cfg.ddc.resilience is not None,
+        observer=obs is not None,
+        retries=cfg.ddc.retry_limit != 0,
+    ))
+    columnar = cfg.kernel != "object" and reason is None
+    machines = () if columnar else [
+        SimMachine(spec, SmartDisk(spec.disk_serial, spec.disk_bytes))
+        for spec in specs
+    ]
     coordinator = DdcCoordinator(
-        (), sim, cfg.ddc, W32Probe(), SamplePostCollector(store),
-        streams.stream("ddc"), horizon=cfg.horizon, owned_labs=owned_labs,
+        machines, sim, cfg.ddc, W32Probe(),
+        SamplePostCollector(store, strict=first.strict_postcollect),
+        streams.stream("ddc"), horizon=cfg.horizon, faults=faults,
+        observer=observer, owned_labs=owned_labs,
     )
-    coordinator.enable_columnar(passes)
-    coordinator.start()
-    sim.run_until(cfg.horizon)
-    if coordinator.iterations_scheduled != passes.n_passes:
-        raise TraceFormatError(
-            f"the workers recorded {passes.n_passes} passes but the "
-            f"parent scheduled {coordinator.iterations_scheduled}"
-        )
-    coordinator.finalize_meta(meta)
-    if first.collect_nbench:
-        attach_nbench_indexes(specs, streams.stream("nbench"), meta,
-                              owned_labs=owned_labs)
+    if columnar:
+        coordinator.enable_columnar(passes)
+    else:
+        if cfg.kernel != "object":
+            _announce_fallback(reason, observer)
+        passes.reload_before_passes(machines, sim, cfg.ddc.sample_period)
+    with maybe_phase(obs, "collect"):
+        coordinator.start()
+        sim.run_until(cfg.horizon)
+        if coordinator.iterations_scheduled != passes.n_passes:
+            raise TraceFormatError(
+                f"the workers recorded {passes.n_passes} passes but the "
+                f"parent scheduled {coordinator.iterations_scheduled}"
+            )
+        coordinator.finalize_meta(meta)
+        if first.collect_nbench:
+            attach_nbench_indexes(specs, streams.stream("nbench"), meta,
+                                  owned_labs=owned_labs)
+    _count_faults(obs, faults)
     return store
 
 
@@ -518,27 +593,19 @@ def execute_shard_task(task: ShardTask, *, control=None) -> ShardOutcome:
 
     The single worker-process entry point, called by the campaign
     worker loop of :mod:`repro.shard.net.worker` on forked and TCP
-    workers alike: routes ``task.gather`` through :func:`gather_shard`
-    (with the campaign's steering ``control``, if any),
-    builds the worker-side observer when the task asks for
-    instrumentation, routes ``task.resume`` through :func:`resume_shard`
-    (where the observer comes from the checkpoint), snapshots the
-    metrics and drops the live objects so the outcome crosses the
-    process boundary.
+    workers alike: gathers the shard under the campaign's steering
+    ``control`` (:func:`resume_gathered` when ``task.resume``),
+    snapshots the worker's observer when the task asks for
+    instrumentation and drops the live objects.
     """
-    observer = Observer() if task.instrument else None
-    if task.gather:
-        outcome = gather_shard(task, control=control)
-    elif task.resume:
-        outcome = resume_shard(task, observer=observer, control=control)
+    if task.resume:
+        outcome = resume_gathered(task, control=control)
     else:
         runtime = (fresh_runtime(task.recovery)
                    if task.recovery is not None else None)
-        outcome = run_shard(task, observer=observer, runtime=runtime,
-                            control=control)
-    # A warm resume revives the *checkpointed* observer; a fresh or
-    # cold-restarted run instruments the one built above.
-    obs = outcome.observer if outcome.observer is not None else observer
+        outcome = gather_shard(task, control=control, runtime=runtime)
+    # A warm resume revives the *checkpointed* observer.
+    obs = outcome.observer
     if task.instrument and obs is not None and obs.enabled \
             and not outcome.stopped:
         outcome.snapshot = obs.snapshot()
@@ -559,16 +626,16 @@ def attach_nbench_indexes(
     The authors collected the indexes in a dedicated NBench-probe pass
     (section 4.1); availability over 77 days guarantees each machine was
     eventually benchmarked, so we benchmark the full roster ``specs``,
-    in roster order, from the ``"nbench"`` stream ``rng``.  A
-    full-replay shard still *runs* the probe on every machine -- the
-    stream must advance identically everywhere -- but records indexes
+    in roster order, from the ``"nbench"`` stream ``rng``.  A degraded
+    campaign's parent still *runs* the probe on every machine -- the
+    stream must advance as in the complete run -- but records indexes
     only for machines in ``owned_labs``.
     """
     probe = NBenchProbe(rng)
     for spec in specs:
         result = probe.benchmark(spec)
         if owned_labs is not None and spec.lab not in owned_labs:
-            continue  # draws consumed; the owning shard records the index
+            continue  # draws consumed; the lost shard's index is not kept
         report = parse_nbench_output(result.stdout)
         static = meta.statics.get(spec.machine_id)
         if static is None:

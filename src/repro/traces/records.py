@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = ["Sample", "StaticInfo", "TraceMeta"]
 
@@ -169,60 +169,6 @@ class TraceMeta:
         if self.attempts == 0:
             return float("nan")
         return self.samples_collected / self.attempts
-
-    #: Counter fields summed across shards by :meth:`merged` (each shard
-    #: accounts only the machines it owns, so sums equal the sequential
-    #: run's counters).
-    _ADDITIVE = (
-        "n_machines", "attempts", "timeouts", "access_denied",
-        "samples_collected", "parse_failures", "retries",
-        "retries_recovered", "retries_skipped", "shed", "breaker_skipped",
-        "hedges", "hedge_wins",
-    )
-    #: Fields every shard must agree on (the coordinator's schedule and
-    #: availability draws are replicated identically in every shard).
-    _COMMON = ("sample_period", "horizon", "iterations_scheduled",
-               "iterations_run")
-
-    @classmethod
-    def merged(cls, metas: Sequence["TraceMeta"]) -> "TraceMeta":
-        """Combine per-shard metas into the experiment-level meta.
-
-        Counter fields are summed; schedule-level fields must agree
-        across shards and per-machine statics must not overlap --
-        violations raise :class:`~repro.errors.TraceFormatError`, since a
-        mismatch means the inputs are not shards of one experiment.
-        """
-        from repro.errors import TraceFormatError
-
-        if not metas:
-            raise TraceFormatError("cannot merge zero trace metas")
-        first = metas[0]
-        for name in cls._COMMON:
-            values = {getattr(m, name) for m in metas}
-            if len(values) > 1:
-                raise TraceFormatError(
-                    f"shard metas disagree on {name}: {sorted(values)!r}"
-                )
-        statics: Dict[int, StaticInfo] = {}
-        for m in metas:
-            overlap = statics.keys() & m.statics.keys()
-            if overlap:
-                raise TraceFormatError(
-                    f"shard metas overlap on machines {sorted(overlap)}"
-                )
-            statics.update(m.statics)
-        out = cls(
-            n_machines=0,
-            sample_period=first.sample_period,
-            horizon=first.horizon,
-            iterations_scheduled=first.iterations_scheduled,
-            iterations_run=first.iterations_run,
-            statics=statics,
-        )
-        for name in cls._ADDITIVE:
-            setattr(out, name, sum(getattr(m, name) for m in metas))
-        return out
 
     def machine_ids(self) -> List[int]:
         """Sorted machine identifiers present in :attr:`statics`."""

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Union
 
 from repro.errors import TraceCorruptionError, TraceFormatError
 from repro.traces.records import Sample, TraceMeta
@@ -204,97 +204,6 @@ class TraceStore:
         """Iterate all samples as :class:`Sample` objects (lazily)."""
         for i in range(len(self)):
             yield self.sample_at(i)
-
-    # ------------------------------------------------------------------
-    # shard merge
-    # ------------------------------------------------------------------
-    #: (attribute, array typecode, numpy dtype) of every numeric buffer.
-    _NUMERIC_BUFFERS = (
-        ("_machine_id", "i", "i4"),
-        ("_iteration", "i", "i4"),
-        ("_t", "d", "f8"),
-        ("_boot_time", "d", "f8"),
-        ("_uptime", "d", "f8"),
-        ("_idle", "d", "f8"),
-        ("_mem", "d", "f8"),
-        ("_swap", "d", "f8"),
-        ("_disk_total", "q", "i8"),
-        ("_disk_free", "q", "i8"),
-        ("_cycles", "q", "i8"),
-        ("_poh", "d", "f8"),
-        ("_sent", "q", "i8"),
-        ("_recv", "q", "i8"),
-        ("_has_session", "b", "i1"),
-        ("_session_start", "d", "f8"),
-    )
-    _STRING_BUFFERS = ("_usernames", "_hostnames", "_labs")
-
-    @classmethod
-    def merge(cls, stores: "Sequence[TraceStore]") -> "TraceStore":
-        """Merge per-shard stores into one deterministically ordered trace.
-
-        Rows are re-ordered by ``(iteration, machine_id)``.  Because the
-        roster is numbered fleet-wide in lab order and probed in that
-        order within every iteration, this sort reproduces the sequential
-        coordinator's append order exactly -- a merged trace is
-        byte-identical to the unsharded run's CSV/JSONL export.
-
-        Metadata merges via :meth:`TraceMeta.merged` (counters summed,
-        schedule fields required to agree).  Guards raise
-        :class:`~repro.errors.TraceFormatError`:
-
-        - no stores, or a mix of with-meta and meta-less stores;
-        - shard metas that disagree on period/horizon/iterations;
-        - overlapping ``machine_id`` sets (two shards claiming the same
-          machine would mean double-counted samples, never a valid plan).
-        """
-        import numpy as np
-
-        stores = list(stores)
-        if not stores:
-            raise TraceFormatError("cannot merge zero trace stores")
-        metas = [st.meta for st in stores]
-        if any(m is None for m in metas) and any(m is not None for m in metas):
-            raise TraceFormatError(
-                "cannot merge stores with and without metadata"
-            )
-        meta = TraceMeta.merged(metas) if metas[0] is not None else None
-        id_arrays = [
-            np.frombuffer(st._machine_id, dtype="i4") for st in stores
-        ]
-        seen: set = set()
-        for st, ids in zip(stores, id_arrays):
-            present = set(np.unique(ids).tolist())
-            overlap = seen & present
-            if overlap:
-                raise TraceFormatError(
-                    f"stores overlap on machine ids {sorted(overlap)[:8]}; "
-                    "shards must own disjoint machine sets"
-                )
-            seen |= present
-        machine_id = np.concatenate(id_arrays)
-        iteration = np.concatenate(
-            [np.frombuffer(st._iteration, dtype="i4") for st in stores]
-        )
-        # lexsort keys run least-significant first; stability is moot
-        # because (iteration, machine_id) pairs are unique per store and
-        # disjoint across stores.
-        perm = np.lexsort((machine_id, iteration))
-        out = cls(meta)
-        for attr, typecode, dtype in cls._NUMERIC_BUFFERS:
-            col = np.concatenate(
-                [np.frombuffer(getattr(st, attr), dtype=dtype)
-                 for st in stores]
-            )[perm]
-            buf = array.array(typecode)
-            buf.frombytes(col.tobytes())
-            setattr(out, attr, buf)
-        for attr in cls._STRING_BUFFERS:
-            combined: List[str] = []
-            for st in stores:
-                combined.extend(getattr(st, attr))
-            setattr(out, attr, [combined[i] for i in perm])
-        return out
 
     # ------------------------------------------------------------------
     # raw column access (consumed by ColumnarTrace)

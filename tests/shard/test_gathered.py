@@ -1,14 +1,15 @@
 """Gathered shard runs equal the sequential run, and replay nothing.
 
-Every fan-out without recovery that takes the columnar pass -- a
-campaign on forked workers or a ``net=`` campaign on TCP workers --
-splits the behaviour: each worker simulates only its own labs and
-records their pass inputs, and the parent runs the one columnar pass
-and NBench (``repro.shard.gather``).  These tests pin that the result
-is the sequential run's, seed after seed, that no worker replays a
-foreign machine or draws a stream the parent owns, that gathered
-campaign workers heartbeat and obey steering, and that a gathered
-campaign which loses a shard settles like a full-replay one.
+Every fan-out -- a campaign on forked workers or a ``net=`` campaign on
+TCP workers, with or without recovery, on either probing pass -- splits
+the behaviour: each worker simulates only its own labs and records
+their pass inputs, and the parent runs the one probing pass and NBench
+(``repro.shard.gather``).  These tests pin that the result is the
+sequential run's, seed after seed and feature by feature, that no
+worker replays a foreign machine or draws a stream the parent owns,
+that gathered campaign workers heartbeat and obey steering, and that a
+campaign which loses a shard keeps the sequential run's rows of the
+survivors' machines.
 
 CI's ``fleet-scale`` job runs :func:`mismatching_seeds` over 24 seeds
 on forked workers.
@@ -30,10 +31,12 @@ from repro.ddc.nbenchprobe import NBenchProbe
 from repro.errors import CampaignStopped, NetworkError, TraceFormatError
 from repro.experiment import MonitoringResult, run_experiment
 from repro.faults.network import NetworkFaultPlan, ShardHolderDrop
+from repro.faults.scenarios import paper_like_plan
 from repro.machines.hardware import TABLE1_LABS
-from repro.obs import health
+from repro.obs import Observer, health
 from repro.recovery.crashtest import result_fingerprint
 from repro.recovery.runtime import RecoveryConfig
+from repro.resilience import ResiliencePolicy
 from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
 from repro.shard.merge import DegradedMergeInfo, merge_degraded, merge_outcomes
 from repro.shard.net.config import NetConfig
@@ -41,8 +44,10 @@ from repro.shard.net.framing import FramedChannel
 from repro.shard.net.protocol import Command, Heartbeat
 from repro.shard.net.worker import NetWorkerControl, NetWorkerPolicy
 from repro.shard.plan import ShardPlan
-from repro.shard.worker import ShardTask, gather_shard, run_shard
+from repro.shard.worker import ShardTask, gather_shard
 from repro.sim.calendar import DAY, HOUR, AcademicCalendar
+from repro.traces.records import TraceMeta
+from repro.traces.store import TraceStore
 
 #: Seeds of the tier-1 sweep; 900101 is a seed where a behavioural event
 #: ties a closing-time pass (a forgotten logout at 04:00 of day 1).
@@ -145,10 +150,12 @@ class TestMechanismChoice:
     def test_object_kernel_pool_keeps_the_full_replay(self, gathered_calls,
                                                       tmp_path):
         """A plain ``shards=2`` run (forked campaign workers, the
-        default policy) under the object pass merges full replays."""
+        default policy) under the object pass gathers: no worker
+        replays a foreign machine, and the parent's one pass replays
+        the full roster's recorded inputs on a row-backed roster."""
         cfg = ExperimentConfig(days=1, seed=11, kernel="object")
         sharded = run_experiment(cfg, shards=2)
-        assert gathered_calls == []
+        assert gathered_calls == [2]
         assert (csv_bytes(sharded.store, tmp_path / "sh.csv")
                 == csv_bytes(run_experiment(cfg).store, tmp_path / "seq.csv"))
 
@@ -159,8 +166,8 @@ class TestMechanismChoice:
 
 
 class TestCampaignsGather:
-    """Campaigns with an explicit policy and ``net=`` campaigns without
-    recovery gather; the object pass and recovery keep the full replay."""
+    """Campaigns with an explicit policy, ``net=`` campaigns, the object
+    pass and recovery campaigns all gather."""
 
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_forked_campaign_equals_sequential(self, seed, gathered_calls):
@@ -186,34 +193,124 @@ class TestCampaignsGather:
 
     def test_object_kernel_campaign_keeps_the_full_replay(
             self, gathered_calls, merged_outcomes):
+        """The workers gather; the parent's object pass replays the full
+        roster's recorded inputs."""
         cfg = ExperimentConfig(days=1, seed=11, kernel="object")
         result = run_experiment(cfg, shards=2, supervise=CampaignPolicy())
-        assert gathered_calls == []
+        assert gathered_calls == [2]
         [outcomes] = merged_outcomes
-        assert all(o.gathered is None and o.store is not None
+        assert all(o.gathered is not None and o.store is None
                    for o in outcomes)
         assert result_fingerprint(result) == result_fingerprint(
             run_experiment(cfg))
 
     def test_recovery_campaign_keeps_the_full_replay(
             self, gathered_calls, merged_outcomes, tmp_path):
+        """A recovery campaign's workers gather and journal their pass
+        inputs; the parent's one pass replays the full roster's."""
         cfg = ExperimentConfig(days=1, seed=11)
         result = run_experiment(
             cfg, shards=2,
             recovery=RecoveryConfig(run_dir=tmp_path / "camp", fsync=False))
-        assert gathered_calls == []
+        assert gathered_calls == [2]
         [outcomes] = merged_outcomes
-        assert all(o.gathered is None and o.store is not None
+        assert all(o.gathered is not None and o.store is None
                    for o in outcomes)
         assert result_fingerprint(result) == result_fingerprint(
             run_experiment(cfg))
 
 
+def resilient_config():
+    """Faults, the resilience control plane and retries all engaged."""
+    cfg = ExperimentConfig(days=1, seed=17)
+    return cfg.replace(ddc=dataclasses.replace(
+        cfg.ddc, resilience=ResiliencePolicy(), retry_limit=2))
+
+
+#: One fan-out per feature the workers or the parent's pass must
+#: honour: ``(config, flags)``; :func:`fanout_kwargs` builds fresh
+#: faults, observers and run directories per run.
+FANOUTS = {
+    "recovery": (ExperimentConfig(days=1, seed=11), {"recovery": True}),
+    "recovery-net": (ExperimentConfig(days=1, seed=11),
+                     {"recovery": True, "net": True}),
+    "object": (ExperimentConfig(days=1, seed=11, kernel="object"), {}),
+    "faults-resilience-retries": (resilient_config(), {"faults": True}),
+    "observer": (ExperimentConfig(days=1, seed=11), {"observer": True}),
+}
+
+
+def fanout_kwargs(cfg, flags, run_dir):
+    """The run_experiment keywords of a fan-out's ``flags``."""
+    kwargs = {}
+    if flags.get("recovery"):
+        kwargs["recovery"] = RecoveryConfig(run_dir=run_dir, fsync=False)
+    if flags.get("faults"):
+        kwargs["faults"] = paper_like_plan(cfg.horizon, labs=("L03",),
+                                           seed=99)
+        kwargs["strict_postcollect"] = False
+    if flags.get("observer"):
+        kwargs["observer"] = Observer()
+    return kwargs
+
+
+class TestEveryFanOutGathers:
+    """Every fan-out gathers: each worker builds only its shard's
+    machines, the parent runs the pass and NBench once, and the result
+    is the sequential run's."""
+
+    @pytest.mark.parametrize("name", sorted(FANOUTS))
+    def test_fanout_gathers(self, name, merged_outcomes, monkeypatch,
+                            tmp_path):
+        cfg, flags = FANOUTS[name]
+        seq = run_experiment(cfg,
+                             **fanout_kwargs(cfg, flags, tmp_path / "seq"))
+        benchmarked = []
+        original = NBenchProbe.benchmark
+
+        def counting(probe, spec):
+            benchmarked.append(spec.machine_id)
+            return original(probe, spec)
+
+        monkeypatch.setattr(NBenchProbe, "benchmark", counting)
+        net = fast_net() if flags.get("net") else None
+        sharded = run_experiment(cfg, shards=2, net=net,
+                                 **fanout_kwargs(cfg, flags,
+                                                 tmp_path / "sharded"))
+        [outcomes] = merged_outcomes
+        plan = ShardPlan.build(TABLE1_LABS, 2)
+        for spec, outcome in zip(plan.specs, outcomes):
+            assert outcome.store is None
+            # the worker's mirror held exactly the shard's machines
+            assert outcome.gathered.owned.tolist() == list(spec.machine_ids)
+        assert benchmarked == [m.spec.machine_id for m in seq.fleet.machines]
+        assert result_fingerprint(sharded) == result_fingerprint(seq)
+        if flags.get("faults"):
+            assert dict(sharded.faults.injected) == dict(seq.faults.injected)
+
+    def test_observed_run_counts_like_the_sequential_one(self):
+        cfg = ExperimentConfig(days=1, seed=11)
+        seq = run_experiment(cfg, observer=Observer()).observer.snapshot()
+        snap = run_experiment(cfg, shards=2,
+                              observer=Observer()).obs_snapshot
+        ddc = [name for name in seq.metric_names()
+               if name.startswith("ddc.")]
+        assert "ddc.samples" in ddc and "ddc.iterations_run" in ddc
+        for name in ddc:
+            if seq.histograms(name):
+                assert ([r["count"] for r in snap.histograms(name)]
+                        == [r["count"] for r in seq.histograms(name)]), name
+            else:
+                assert (snap.counter_by_label(name, "lab")
+                        == seq.counter_by_label(name, "lab")), name
+        assert len(snap.spans) == len(seq.spans)
+        assert ([s["labels"] for s in snap.spans]
+                == [s["labels"] for s in seq.spans])
+
+
 def gathered_tasks(cfg):
-    """A 2-shard plan's tasks as run_experiment builds them for a
-    gathered campaign."""
-    return [ShardTask(config=cfg, shard=spec, labs=tuple(TABLE1_LABS),
-                      gather=True)
+    """A 2-shard plan's tasks as run_experiment builds them."""
+    return [ShardTask(config=cfg, shard=spec, labs=tuple(TABLE1_LABS))
             for spec in ShardPlan.build(TABLE1_LABS, 2).specs]
 
 
@@ -273,8 +370,8 @@ def run_gathered_worker(task, commands=()):
 
 
 class TestGatheredSteering:
-    """Gathered campaign workers heartbeat and obey steering at each
-    recorded instant, as full-replay workers do at each iteration."""
+    """Campaign workers heartbeat and obey steering at each recorded
+    instant, where a sequential run's coordinator ends an iteration."""
 
     def test_heartbeat_per_recorded_instant(self):
         task = gathered_tasks(ExperimentConfig(days=1, seed=5))[0]
@@ -338,28 +435,56 @@ class TestGatheredSteering:
 
 
 class TestGatheredDegradedMerge:
-    """A gathered campaign that loses a shard for good settles exactly
-    as a full-replay campaign would."""
+    """A campaign that loses a shard for good keeps exactly the
+    sequential run's rows of the survivors' machines."""
 
     @staticmethod
-    def full_replay_reference(cfg, lost):
+    def survivor_reference(cfg, lost):
+        """The sequential run restricted to the surviving shards'
+        machines: their rows and statics, with the counters a fault-free
+        pass gives them by the accounting identity."""
         plan = ShardPlan.build(TABLE1_LABS, 2)
-        outcomes = [None if spec.index == lost else
-                    run_shard(ShardTask(config=cfg, shard=spec,
-                                        labs=tuple(TABLE1_LABS)))
-                    for spec in plan.specs]
-        store, _, _, info = merge_degraded(outcomes, plan)
+        kept = {mid for spec in plan.specs if spec.index != lost
+                for mid in spec.machine_ids}
+        seq = run_experiment(cfg)
+        meta = TraceMeta(
+            n_machines=len(kept), sample_period=seq.meta.sample_period,
+            horizon=seq.meta.horizon,
+            iterations_scheduled=seq.meta.iterations_scheduled,
+            iterations_run=seq.meta.iterations_run,
+            statics={mid: info for mid, info in seq.meta.statics.items()
+                     if mid in kept},
+        )
+        store = TraceStore(meta)
+        store.extend(s for s in seq.store.samples() if s.machine_id in kept)
+        meta.attempts = meta.iterations_run * meta.n_machines
+        meta.samples_collected = len(store)
+        meta.timeouts = meta.attempts - meta.samples_collected
+        info = DegradedMergeInfo(
+            lost_shards=(lost,),
+            machines_lost=plan.specs[lost].n_machines,
+            machines_total=sum(spec.n_machines for spec in plan.specs))
         return fingerprint(cfg, store), info
 
     def test_first_shard_lost(self, gathered_calls):
-        cfg = ExperimentConfig(days=1, seed=2005)
+        self.lose_the_first_shard(ExperimentConfig(days=1, seed=2005),
+                                  gathered_calls)
+
+    def test_first_shard_lost_on_the_object_pass(self, gathered_calls):
+        """The object pass probes the lost machines unaccounted, as the
+        columnar pass masks them."""
+        self.lose_the_first_shard(
+            ExperimentConfig(days=1, seed=2005, kernel="object"),
+            gathered_calls)
+
+    def lose_the_first_shard(self, cfg, gathered_calls):
         plan = ShardPlan.build(TABLE1_LABS, 2)
         outcomes = [None, gather_shard(gathered_tasks(cfg)[1])]
         store, faults, snapshot, info = merge_degraded(outcomes, plan)
         assert gathered_calls == [2]
         assert faults is None and snapshot is None
         assert (fingerprint(cfg, store), info) == \
-            self.full_replay_reference(cfg, lost=0)
+            self.survivor_reference(cfg, lost=0)
         assert store.meta.n_machines == plan.specs[1].n_machines
 
     def test_tcp_campaign_losing_a_shard(self, gathered_calls):
@@ -380,7 +505,7 @@ class TestGatheredDegradedMerge:
         # the survivor and the re-simulated lost shard
         assert gathered_calls == [2]
         assert result.campaign.states == {0: health.DONE, 1: health.LOST}
-        reference, info = self.full_replay_reference(cfg, lost=1)
+        reference, info = self.survivor_reference(cfg, lost=1)
         assert info == DegradedMergeInfo(lost_shards=(1,), machines_lost=80,
                                          machines_total=169)
         assert result.degraded == info
@@ -404,8 +529,7 @@ class TestNoReplay:
         monkeypatch.setattr(NBenchProbe, "benchmark", counting)
         plan = ShardPlan.build(TABLE1_LABS, 2)
         outcomes = [gather_shard(ShardTask(config=cfg, shard=spec,
-                                           labs=tuple(TABLE1_LABS),
-                                           gather=True))
+                                           labs=tuple(TABLE1_LABS)))
                     for spec in plan.specs]
         for spec, outcome in zip(plan.specs, outcomes):
             assert len(outcome.fleet.machines) == spec.n_machines
@@ -452,8 +576,7 @@ class TestGatheredEdges:
         cfg = ExperimentConfig(days=2, seed=11)
         plan = ShardPlan.build(labs, 2)
         counts = {spec.n_machines: gather_shard(ShardTask(
-            config=cfg, shard=spec, labs=labs,
-            gather=True)).gathered.powered.sum(axis=1)
+            config=cfg, shard=spec, labs=labs)).gathered.powered.sum(axis=1)
             for spec in plan.specs}
         small, large = counts[2], counts[labs[2].n_machines]
         assert np.any((small == 0) & (large > 0))
@@ -469,8 +592,7 @@ class TestGatheredMergeGuards:
     def outcomes(self):
         cfg = ExperimentConfig(days=1, seed=3)
         labs = tuple(TABLE1_LABS[:3])
-        return [gather_shard(ShardTask(config=cfg, shard=spec, labs=labs,
-                                       gather=True))
+        return [gather_shard(ShardTask(config=cfg, shard=spec, labs=labs))
                 for spec in ShardPlan.build(labs, 2).specs]
 
     def test_overlapping_shards_rejected(self, outcomes):
@@ -483,6 +605,9 @@ class TestGatheredMergeGuards:
             merge_outcomes(outcomes[:1])
 
     def test_mixed_mechanisms_rejected(self, outcomes):
-        replayed = dataclasses.replace(outcomes[1], gathered=None)
-        with pytest.raises(TraceFormatError, match="mechanism"):
+        """A shard that ships a replayed trace instead of its pass
+        inputs is refused: every shard of a plan gathers."""
+        replayed = dataclasses.replace(outcomes[1], gathered=None,
+                                       store=TraceStore(None))
+        with pytest.raises(TraceFormatError, match="no pass inputs"):
             merge_outcomes([outcomes[0], replayed])

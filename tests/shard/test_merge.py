@@ -1,234 +1,260 @@
-"""Deterministic merge primitives: TraceStore, TraceMeta, ObsSnapshot."""
+"""Deterministic merge: the one pass over gathered outcomes, the meta and
+store it fills, and the snapshot merge rule."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.errors import SnapshotFormatError, TraceFormatError
+from repro.experiment import run_experiment
 from repro.faults.plan import FaultPlan
+from repro.faults.scenarios import StdoutCorruption
+from repro.machines.hardware import TABLE1_LABS, build_fleet
 from repro.obs.snapshot import ObsSnapshot
+from repro.resilience import ResiliencePolicy
+from repro.shard.gather import GatheredPasses
 from repro.shard.merge import merge_outcomes
-from repro.shard.worker import ShardOutcome
-from repro.traces.records import Sample, StaticInfo, TraceMeta
+from repro.shard.plan import ShardPlan
+from repro.shard.worker import ShardTask, gather_shard
 from repro.traces.store import TraceStore
 
-
-def make_sample(machine_id, iteration, lab="L01", **overrides):
-    base = dict(
-        machine_id=machine_id,
-        hostname=f"{lab}-M{machine_id:02d}",
-        lab=lab,
-        iteration=iteration,
-        t=900.0 * iteration + 1.5 * machine_id,
-        boot_time=100.0,
-        uptime_s=3600.0,
-        cpu_idle_s=3500.0,
-        mem_load_pct=55.0,
-        swap_load_pct=25.0,
-        disk_total_b=20_000_000_000,
-        disk_free_b=6_000_000_000,
-        smart_cycles=900,
-        smart_poh_h=4100.5,
-        net_sent_b=123_456,
-        net_recv_b=654_321,
-        has_session=False,
-    )
-    base.update(overrides)
-    return Sample(**base)
+CFG = ExperimentConfig(days=1, seed=3)
+LABS = tuple(TABLE1_LABS[:3])
 
 
-def make_meta(n_machines=2, **overrides):
-    base = dict(n_machines=n_machines, sample_period=900.0,
-                horizon=86400.0, iterations_scheduled=96, iterations_run=90)
-    base.update(overrides)
-    return TraceMeta(**base)
+def gathered(config=CFG, shards=2, **task):
+    """Fresh gathered outcomes of a plan over three labs (the merge
+    consumes their rows)."""
+    return [gather_shard(ShardTask(config=config, shard=spec, labs=LABS,
+                                   **task))
+            for spec in ShardPlan.build(LABS, shards).specs]
 
 
-def assert_samples_equal(got, want):
-    """Field equality with NaN-tolerant session_start (NaN != NaN)."""
-    got, want = list(got), list(want)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert math.isnan(g.session_start) == math.isnan(w.session_start)
-        if math.isnan(g.session_start):
-            g = dataclasses.replace(g, session_start=0.0)
-            w = dataclasses.replace(w, session_start=0.0)
-        assert g == w
+def darken(outcome, passes=None):
+    """Make ``outcome`` a shard whose machines were never on, over its
+    first ``passes`` recorded passes (all of them by default)."""
+    rows = outcome.gathered
+    outcome.gathered = dataclasses.replace(
+        rows, powered=np.zeros_like(rows.powered[:passes]),
+        source=rows.source[:0],
+        fields={name: col[:0] for name, col in rows.fields.items()},
+        usernames=[])
 
 
-def make_static(machine_id, lab="L01"):
-    return StaticInfo(
-        machine_id=machine_id, hostname=f"{lab}-M{machine_id:02d}", lab=lab,
-        cpu_name="P3", cpu_mhz=1000.0, os_name="Windows XP", ram_mb=256,
-        swap_mb=384, disk_serial=f"SER{machine_id}", disk_total_b=2 * 10**10,
-        mac=f"00:00:00:00:00:{machine_id:02x}",
-    )
+def csv_bytes(store, path):
+    store.write_csv(path)
+    return path.read_bytes()
 
 
 class TestTraceMetaMerged:
+    """The merged meta: the parent's one pass fills it over every
+    shard's machines, on the schedule the shards recorded."""
+
     def test_sums_counters_and_requires_agreement(self):
-        a = make_meta(n_machines=3, attempts=270, timeouts=100,
-                      samples_collected=170, shed=2, breaker_skipped=1)
-        b = make_meta(n_machines=2, attempts=180, timeouts=40,
-                      samples_collected=140, hedges=5, hedge_wins=2)
-        m = TraceMeta.merged([a, b])
-        assert m.n_machines == 5
-        assert m.attempts == 450
-        assert m.timeouts == 140
-        assert m.samples_collected == 310
-        assert m.shed == 2 and m.breaker_skipped == 1
-        assert m.hedges == 5 and m.hedge_wins == 2
-        assert m.iterations_run == 90
-        assert m.sample_period == 900.0
+        """Counters cover every shard's machines, as the sequential
+        run's do, under the resilience control plane and retries."""
+        cfg = CFG.replace(ddc=dataclasses.replace(
+            CFG.ddc, resilience=ResiliencePolicy(), retry_limit=2))
+        outcomes = gathered(cfg)
+        owned = sum(o.gathered.owned.size for o in outcomes)
+        meta = merge_outcomes(outcomes)[0].meta
+        seq = run_experiment(cfg, labs=LABS).meta
+        assert meta.n_machines == owned == seq.n_machines
+        for name in ("iterations_scheduled", "iterations_run", "attempts",
+                     "timeouts", "samples_collected", "retries",
+                     "retries_recovered", "shed", "breaker_skipped",
+                     "hedges", "hedge_wins"):
+            assert getattr(meta, name) == getattr(seq, name), name
+        assert meta.attempts > 0
+        assert (meta.attempts + meta.shed + meta.breaker_skipped
+                == meta.iterations_run * meta.n_machines)
 
     def test_rejects_disagreeing_schedule(self):
-        a = make_meta()
-        b = make_meta(iterations_run=89)
-        with pytest.raises(TraceFormatError, match="iterations_run"):
-            TraceMeta.merged([a, b])
+        outcomes = gathered()
+        rows = outcomes[1].gathered
+        kept = rows.powered[:-1]
+        outcomes[1].gathered = dataclasses.replace(
+            rows, powered=kept, source=rows.source[:int(kept.sum())])
+        with pytest.raises(TraceFormatError,
+                           match=r"recorded \[\d+, \d+\] passes"):
+            merge_outcomes(outcomes)
 
     def test_rejects_empty(self):
-        with pytest.raises(TraceFormatError):
-            TraceMeta.merged([])
+        """Shards that recorded no pass at all have no schedule to
+        fill a meta with."""
+        outcomes = gathered()
+        for outcome in outcomes:
+            darken(outcome, passes=0)
+        with pytest.raises(TraceFormatError, match=r"recorded \[0\] passes"):
+            merge_outcomes(outcomes)
 
     def test_statics_combine_but_must_not_overlap(self):
-        a = make_meta()
-        a.statics[0] = make_static(0)
-        b = make_meta()
-        b.statics[1] = make_static(1)
-        assert set(TraceMeta.merged([a, b]).statics) == {0, 1}
-        b.statics[0] = make_static(0)
+        outcomes = gathered()
+        owned = [set(o.gathered.owned.tolist()) for o in outcomes]
+        statics = merge_outcomes(outcomes)[0].meta.statics
+        assert set(statics) == set(run_experiment(CFG, labs=LABS)
+                                   .meta.statics)
+        assert all(set(statics) & ids for ids in owned)
+        outcomes = gathered()
+        rows = outcomes[1].gathered
+        claimed = rows.owned.copy()
+        claimed[0] = outcomes[0].gathered.owned[0]
+        outcomes[1].gathered = dataclasses.replace(rows, owned=claimed)
         with pytest.raises(TraceFormatError, match="overlap"):
-            TraceMeta.merged([a, b])
+            merge_outcomes(outcomes)
 
 
 class TestTraceStoreMerge:
-    def build_store(self, rows, meta=None):
-        store = TraceStore(meta)
-        for machine_id, iteration in rows:
-            store.add(make_sample(machine_id, iteration))
-        return store
+    """The merged store: the one pass over every shard's rows
+    (:class:`~repro.shard.gather.GatheredPasses`), in the sequential
+    run's ``(iteration, machine_id)`` order."""
 
     def test_reorders_by_iteration_then_machine(self):
-        a = self.build_store([(0, 0), (1, 0), (0, 1), (1, 1)], make_meta())
-        b = self.build_store([(2, 0), (2, 1)], make_meta(n_machines=1))
-        merged = TraceStore.merge([a, b])
-        order = [(s.iteration, s.machine_id) for s in merged.samples()]
-        assert order == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-        assert merged.meta.n_machines == 3
+        outcomes = gathered()
+        owned = [set(o.gathered.owned.tolist()) for o in outcomes]
+        store, _, _ = merge_outcomes(outcomes[::-1])
+        order = [(s.iteration, s.machine_id) for s in store.samples()]
+        assert order == sorted(order)
+        first = {m for k, m in order if k == order[0][0]}
+        assert all(first & ids for ids in owned)
+        assert store.meta.n_machines == sum(lab.n_machines for lab in LABS)
 
-    def test_single_store_merge_is_identity(self):
-        a = self.build_store([(0, 0), (1, 0), (0, 1)], make_meta())
-        merged = TraceStore.merge([a])
-        assert_samples_equal(merged.samples(), a.samples())
+    def test_single_store_merge_is_identity(self, tmp_path):
+        """A one-shard plan's pass is the sequential run."""
+        store, _, _ = merge_outcomes(gathered(shards=1))
+        seq = run_experiment(CFG, labs=LABS)
+        assert (csv_bytes(store, tmp_path / "sh.csv")
+                == csv_bytes(seq.store, tmp_path / "seq.csv"))
 
     def test_rejects_zero_stores(self):
-        with pytest.raises(TraceFormatError, match="zero"):
-            TraceStore.merge([])
+        with pytest.raises(TraceFormatError, match="recorded no passes"):
+            GatheredPasses(build_fleet(LABS), [])
 
     def test_rejects_overlapping_machines(self):
-        a = self.build_store([(0, 0)], make_meta(n_machines=1))
-        b = self.build_store([(0, 1)], make_meta(n_machines=1))
-        with pytest.raises(TraceFormatError, match="machine ids"):
-            TraceStore.merge([a, b])
+        twins = [gathered()[0].gathered for _ in range(2)]
+        with pytest.raises(TraceFormatError, match="overlap"):
+            GatheredPasses(build_fleet(LABS), twins)
 
     def test_rejects_mixed_meta_presence(self):
-        a = self.build_store([(0, 0)], make_meta(n_machines=1))
-        b = self.build_store([(1, 0)], None)
-        with pytest.raises(TraceFormatError, match="metadata"):
-            TraceStore.merge([a, b])
+        """A shard shipping a fault plan beside one shipping none is
+        refused: the pass would run one shard's plan as the run's."""
+        outcomes = gathered()
+        outcomes[0].gathered.faults = FaultPlan([StdoutCorruption(0.05)],
+                                                seed=3)
+        with pytest.raises(TraceFormatError, match="pass settings"):
+            merge_outcomes(outcomes)
 
     def test_merged_store_round_trips_csv_and_jsonl(self, tmp_path):
-        """A merged store survives both interchange formats byte-for-byte."""
-        a = self.build_store([(0, 0), (0, 2)], make_meta(n_machines=1))
-        b = TraceStore(make_meta(n_machines=1))
-        b.add(make_sample(1, 0, has_session=True, username="u42",
-                          session_start=120.0))
-        b.add(make_sample(1, 1))
-        merged = TraceStore.merge([a, b])
+        """A merged store survives both interchange formats."""
+        merged, _, _ = merge_outcomes(gathered())
+        assert any(s.has_session for s in merged.samples())
 
         csv_path = tmp_path / "merged.csv"
         merged.write_csv(csv_path)
         back = TraceStore.read_csv(csv_path)
-        assert_samples_equal(back.samples(), merged.samples())
         csv_again = tmp_path / "again.csv"
         back.write_csv(csv_again)
         assert csv_again.read_bytes() == csv_path.read_bytes()
 
         jsonl_path = tmp_path / "merged.jsonl"
         merged.write_jsonl(jsonl_path)
-        back2 = TraceStore.read_jsonl(jsonl_path)
-        got = list(back2.samples())
+        got = list(TraceStore.read_jsonl(jsonl_path).samples())
         want = list(merged.samples())
         # NaN session_start defeats == on the one free-machine field
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert (g.machine_id, g.iteration, g.t) == (
-                w.machine_id, w.iteration, w.t)
+            assert (g.machine_id, g.iteration, g.t, g.username) == (
+                w.machine_id, w.iteration, w.t, w.username)
             assert math.isnan(g.session_start) == math.isnan(w.session_start)
 
     def test_empty_stores_merge_to_empty(self):
-        merged = TraceStore.merge([TraceStore(make_meta()),
-                                   TraceStore(make_meta())])
-        assert len(merged) == 0
-        assert merged.meta.n_machines == 4
+        """Shards whose machines were never on merge to no row, with
+        every machine's attempts timed out."""
+        outcomes = gathered()
+        for outcome in outcomes:
+            darken(outcome)
+        store, _, _ = merge_outcomes(outcomes)
+        meta = store.meta
+        assert len(store) == 0
+        assert meta.n_machines == sum(lab.n_machines for lab in LABS)
+        assert meta.attempts == meta.iterations_run * meta.n_machines > 0
+        assert meta.timeouts == meta.attempts
 
 
 class TestMergeOutcomes:
-    """Edge cases of the outcome-level merge (above TraceStore.merge)."""
+    """Edge cases of the outcome-level merge (the one pass)."""
 
-    def outcome(self, index, rows, meta, faults=None):
-        store = TraceStore(meta)
-        for machine_id, iteration in rows:
-            store.add(make_sample(machine_id, iteration))
-        return ShardOutcome(shard_index=index, store=store, faults=faults)
-
-    def test_zero_row_shard_merges_cleanly(self):
-        """A shard owning only always-off machines contributes rows=0
-        but still carries its meta slice (machines, attempts)."""
-        a = self.outcome(0, [(0, 0), (1, 0)],
-                         make_meta(n_machines=2, attempts=180))
-        b = self.outcome(1, [], make_meta(n_machines=1, attempts=90))
-        store, faults, snapshot = merge_outcomes([a, b])
-        assert len(store) == 2
-        assert store.meta.n_machines == 3
-        assert store.meta.attempts == 270
+    def test_outcomes_merge_in_shard_index_order(self, tmp_path):
+        store, faults, snapshot = merge_outcomes(gathered()[::-1])
+        seq = run_experiment(CFG, labs=LABS)
+        assert (csv_bytes(store, tmp_path / "sh.csv")
+                == csv_bytes(seq.store, tmp_path / "seq.csv"))
         assert faults is None and snapshot is None
 
-    def test_outcomes_merge_in_shard_index_order(self):
-        a = self.outcome(1, [(1, 0)], make_meta(n_machines=1, attempts=90),
-                         faults=FaultPlan(seed=1))
-        b = self.outcome(0, [(0, 0)], make_meta(n_machines=1, attempts=90),
-                         faults=FaultPlan(seed=2))
-        store, faults, _ = merge_outcomes([a, b])
-        assert [s.machine_id for s in store.samples()] == [0, 1]
-        # "first shard" means lowest index, not argument order
-        assert faults is b.faults
+    def test_zero_row_shard_merges_cleanly(self):
+        """A shard whose machines were never on contributes no row but
+        still counts its machines' attempts."""
+        outcomes = gathered()
+        dark_ids = set(outcomes[1].gathered.owned.tolist())
+        darken(outcomes[1])
+        store, _, _ = merge_outcomes(outcomes)
+        meta = store.meta
+        assert len(store) > 0
+        assert not {s.machine_id for s in store.samples()} & dark_ids
+        assert meta.n_machines == sum(lab.n_machines for lab in LABS)
+        assert meta.attempts == meta.iterations_run * meta.n_machines
+        assert meta.timeouts == meta.attempts - len(store)
 
-    def test_broken_accounting_identity_raises(self):
-        a = self.outcome(0, [(0, 0)], make_meta(n_machines=1, attempts=90))
-        b = self.outcome(1, [(1, 0)], make_meta(n_machines=1, attempts=89))
+    def test_returns_the_plan_the_pass_ran_with(self):
+        """Workers ship the pristine plan; the parent's pass fills its
+        ledger, once."""
+        plan = FaultPlan([StdoutCorruption(0.05)], seed=3)
+        outcomes = gathered(faults=plan, strict_postcollect=False)
+        shipped = outcomes[0].gathered.faults
+        assert not shipped.injected
+        store, faults, _ = merge_outcomes(outcomes)
+        assert faults is shipped
+        seq = run_experiment(CFG, labs=LABS, strict_postcollect=False,
+                             faults=FaultPlan([StdoutCorruption(0.05)],
+                                              seed=3))
+        assert dict(faults.injected) == dict(seq.faults.injected)
+        assert faults.injected["corruption"] > 0
+        assert store.meta.parse_failures == seq.meta.parse_failures
+
+    def test_broken_accounting_identity_raises(self, monkeypatch):
+        import repro.shard.merge as merge_mod
+
+        original = merge_mod.collect_gathered
+
+        def lose_an_attempt(outcomes, **kwargs):
+            store = original(outcomes, **kwargs)
+            store.meta.attempts -= 1
+            return store
+
+        monkeypatch.setattr(merge_mod, "collect_gathered", lose_an_attempt)
         with pytest.raises(TraceFormatError, match="accounting identity"):
-            merge_outcomes([a, b])
+            merge_outcomes(gathered())
 
     def test_disagreeing_fault_ledgers_raise(self):
+        """Every shard ships the task's plan; ledgers that disagree mean
+        the shards did not run one task."""
         plan_a, plan_b = FaultPlan(seed=1), FaultPlan(seed=1)
         plan_a.injected["machine_crash"] = 3
         plan_b.injected["machine_crash"] = 2
-        a = self.outcome(0, [(0, 0)], make_meta(n_machines=1, attempts=90),
-                         faults=plan_a)
-        b = self.outcome(1, [(1, 0)], make_meta(n_machines=1, attempts=90),
-                         faults=plan_b)
-        with pytest.raises(TraceFormatError, match="fault"):
-            merge_outcomes([a, b])
+        outcomes = gathered()
+        outcomes[0].gathered.faults = plan_a
+        outcomes[1].gathered.faults = plan_b
+        with pytest.raises(TraceFormatError, match="fault plan"):
+            merge_outcomes(outcomes)
 
     def test_mixed_instrumentation_rejected(self):
-        a = self.outcome(0, [(0, 0)], make_meta(n_machines=1, attempts=90))
-        a.snapshot = ObsSnapshot(metrics=[])
-        b = self.outcome(1, [(1, 0)], make_meta(n_machines=1, attempts=90))
+        outcomes = gathered()
+        outcomes[0].snapshot = ObsSnapshot(metrics=[])
         with pytest.raises(TraceFormatError, match="uniform"):
-            merge_outcomes([a, b])
+            merge_outcomes(outcomes)
 
     def test_zero_outcomes_rejected(self):
         with pytest.raises(TraceFormatError, match="zero"):
@@ -236,6 +262,8 @@ class TestMergeOutcomes:
 
 
 class TestObsSnapshotMerge:
+    """Snapshots of one run's processes merge by metric kind."""
+
     def counter_row(self, name, value, **labels):
         return {"kind": "counter", "name": name,
                 "labels": {k: str(v) for k, v in labels.items()},
@@ -254,48 +282,69 @@ class TestObsSnapshotMerge:
                 "min": 0.5 if sum(counts) else None,
                 "max": 1.5 if sum(counts) else None}
 
+    def span(self, name, start):
+        return {"name": name, "start": start, "end": start + 1.0,
+                "depth": 0, "seq": 0, "labels": {}}
+
     def test_rejects_empty(self):
         with pytest.raises(SnapshotFormatError):
             ObsSnapshot.merge([])
 
     def test_sum_max_and_first_policies(self):
+        """Counters sum, gauges take the maximum, and the event
+        sampling rate is the first snapshot's."""
         a = ObsSnapshot(metrics=[
             self.counter_row("ddc.samples", 10, lab="L01"),
-            self.counter_row("engine.events", 500),
+            self.counter_row("sim.events_fired", 500),
+            self.gauge_row("sim.heap_depth_max", 40),
             self.gauge_row("experiment.phase_seconds", 2.0, phase="simulate"),
-        ])
+        ], event_sample_every=4)
         b = ObsSnapshot(metrics=[
             self.counter_row("ddc.samples", 7, lab="L01"),
             self.counter_row("ddc.samples", 3, lab="L02"),
-            self.counter_row("engine.events", 500),
+            self.counter_row("sim.events_fired", 300),
+            self.gauge_row("sim.heap_depth_max", 25),
             self.gauge_row("experiment.phase_seconds", 3.5, phase="simulate"),
-        ])
-        m = ObsSnapshot.merge(
-            [a, b], sum_metrics=frozenset({"ddc.samples"}),
-            max_gauges=frozenset({"experiment.phase_seconds"}),
-        )
+        ], event_sample_every=8)
+        m = ObsSnapshot.merge([a, b])
         assert m.counter_by_label("ddc.samples", "lab") == {
             "L01": 17, "L02": 3}
-        # replicated metric: first shard's value, not the sum
-        assert m.counter_total("engine.events") == 500
+        # each process counted its own engine's events
+        assert m.counter_total("sim.events_fired") == 800
+        assert m.gauge_value("sim.heap_depth_max") == 40
         assert m.gauge_value("experiment.phase_seconds",
                              phase="simulate") == 3.5
+        assert m.event_sample_every == 4
 
     def test_histogram_sum_merges_buckets_and_aggregates(self):
         a = ObsSnapshot(metrics=[self.hist_row("ddc.lab_pass_seconds",
                                                [2, 1], 3.5, lab="L01")])
         b = ObsSnapshot(metrics=[self.hist_row("ddc.lab_pass_seconds",
                                                [1, 4], 6.0, lab="L01")])
-        m = ObsSnapshot.merge(
-            [a, b], sum_metrics=frozenset({"ddc.lab_pass_seconds"}))
+        m = ObsSnapshot.merge([a, b])
         (row,) = m.histograms("ddc.lab_pass_seconds")
         assert row["counts"] == [3, 5]
         assert row["count"] == 8
         assert row["total"] == 9.5
 
+    def test_spans_and_events_concatenate_in_order(self):
+        workers = [ObsSnapshot(events=[{"time": 0.0, "seq": 1, "name": "w"}],
+                               events_seen=64, events_dropped=1),
+                   ObsSnapshot(spans=[self.span("recovery.checkpoint", 7.0)],
+                               events_seen=32)]
+        parent = ObsSnapshot(spans=[self.span("ddc.iteration", 0.0),
+                                    self.span("ddc.iteration", 900.0)],
+                             spans_dropped=2)
+        m = ObsSnapshot.merge([*workers, parent])
+        assert [(s["name"], s["start"]) for s in m.spans] == [
+            ("recovery.checkpoint", 7.0), ("ddc.iteration", 0.0),
+            ("ddc.iteration", 900.0)]
+        assert m.events == workers[0].events
+        assert (m.events_seen, m.events_dropped, m.spans_dropped) == (96, 1, 2)
+
     def test_merge_does_not_mutate_inputs(self):
         a = ObsSnapshot(metrics=[self.hist_row("h", [1, 1], 2.0, lab="L01")])
         b = ObsSnapshot(metrics=[self.hist_row("h", [2, 2], 4.0, lab="L01")])
         before = [dict(r, counts=list(r["counts"])) for r in a.metrics]
-        ObsSnapshot.merge([a, b], sum_metrics=frozenset({"h"}))
+        ObsSnapshot.merge([a, b])
         assert [dict(r, counts=list(r["counts"])) for r in a.metrics] == before

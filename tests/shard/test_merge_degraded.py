@@ -20,9 +20,10 @@ CFG = ExperimentConfig(days=1, seed=77)
 PLAN = ShardPlan.build(TABLE1_LABS, 2)
 
 
-@pytest.fixture(scope="module")
-def outcomes():
-    """Two real shard outcomes over the full Table 1 fleet."""
+def shard_outcomes():
+    """Two real shard outcomes over the full Table 1 fleet.  A merge
+    consumes its outcomes' recorded rows, so each merge takes fresh
+    ones."""
     return [
         execute_shard_task(ShardTask(config=CFG, shard=spec,
                                      labs=tuple(TABLE1_LABS),
@@ -31,15 +32,22 @@ def outcomes():
     ]
 
 
+@pytest.fixture
+def outcomes():
+    return shard_outcomes()
+
+
 class TestMergeDegraded:
     def test_no_holes_matches_strict_merge(self, outcomes):
         store, faults, snapshot, info = merge_degraded(outcomes, PLAN)
-        full_store, full_faults, full_snapshot = merge_outcomes(outcomes)
+        full_store, full_faults, full_snapshot = merge_outcomes(
+            shard_outcomes())
         # repr-compare: NaN session_start on free machines defeats ==
         assert repr(list(store.samples())) \
             == repr(list(full_store.samples()))
         assert store.meta == full_store.meta
-        assert faults is full_faults and snapshot is full_snapshot
+        assert faults is full_faults is None
+        assert snapshot is full_snapshot is None
         assert info.lost_shards == ()
         assert info.machines_lost == 0
         assert info.coverage == 1.0
@@ -50,12 +58,8 @@ class TestMergeDegraded:
         holed = [None if k == dead else outcomes[k] for k in (0, 1)]
         store, _faults, _snapshot, info = merge_degraded(holed, PLAN)
         got_machines = {s.machine_id for s in store.samples()}
-        survivor_machines = {
-            s.machine_id for s in outcomes[survivor].store.samples()
-        }
-        assert got_machines == survivor_machines
-        assert not (got_machines
-                    & {s.machine_id for s in outcomes[dead].store.samples()})
+        assert got_machines
+        assert got_machines <= set(PLAN.specs[survivor].machine_ids)
         assert store.meta.n_machines == PLAN.specs[survivor].n_machines
         assert info.lost_shards == (dead,)
         assert info.machines_lost == PLAN.specs[dead].n_machines

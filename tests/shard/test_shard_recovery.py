@@ -11,6 +11,7 @@ re-checks the same differential at days=2 in CI's
 tier-1 suite.
 """
 
+import json
 import multiprocessing
 import os
 import threading
@@ -18,6 +19,7 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.config import ExperimentConfig
 from repro.errors import CampaignStopped, CheckpointError, ShardWorkerError
 from repro.experiment import run_experiment
@@ -25,9 +27,14 @@ from repro.machines.hardware import TABLE1_LABS
 from repro.obs import health
 from repro.recovery.checkpoint import config_digest
 from repro.recovery.crashtest import CrashSpec, result_fingerprint
-from repro.recovery.manifest import CampaignManifest, write_campaign_state
-from repro.recovery.runtime import RecoveryConfig
+from repro.recovery.manifest import (
+    MANIFEST_VERSION,
+    CampaignManifest,
+    write_campaign_state,
+)
+from repro.recovery.runtime import CRASH_POINTS, RecoveryConfig, shard_dir
 from repro.recovery.smoke import derive_kill_iteration
+from repro.report.recovery import recovery_status
 from repro.shard.coordinator import CampaignCoordinator, CampaignPolicy
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardTask
@@ -169,6 +176,122 @@ class TestExhaustedBudgetAndResume:
         manifest = CampaignManifest.load(rcfg.run_dir)
         assert manifest.state == "merged"
         assert all(s.completed for s in manifest.shards.values())
+
+
+class TestGatheredCrashSafety:
+    """Crash safety per shard: a campaign worker journals the pass
+    inputs it records and checkpoints its own labs' fleet, so every
+    kill point resumes warm from the shard's own checkpoint."""
+
+    #: Checkpoints fall at iterations 7, 15, 23, ...: every kill point
+    #: at iteration 20 resumes from 15.
+    KILL = 20
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_every_kill_point_resumes_warm(self, baseline, tmp_path, point):
+        _, _, base_fp = baseline
+        rcfg = RecoveryConfig(run_dir=tmp_path / "camp", fsync=False,
+                              crash_at=CrashSpec(self.KILL, point),
+                              crash_shard=1)
+        result = run_experiment(CFG, shards=2, recovery=rcfg,
+                                supervise=CHAOS)
+        assert result_fingerprint(result) == base_fp
+        assert result.campaign.restarts == {0: 0, 1: 1}
+        info = result.campaign.recovery[1]
+        assert not info.cold_restart
+        assert info.resumed_from_iteration == 15
+        assert info.replay_verified >= self.KILL - 16
+        assert info.replay_divergences == 0
+
+    def test_missing_input_record_cold_restarts(self, baseline, tmp_path):
+        """A journal that lost a record below the checkpoint cannot
+        refill the revived recorder: the shard cold-restarts, verified
+        against every surviving record, to the same bytes."""
+        _, base_csv, base_fp = baseline
+        rcfg = RecoveryConfig(run_dir=tmp_path / "camp", fsync=False,
+                              segment_records=512,
+                              crash_at=CrashSpec(60, "post_checkpoint"),
+                              crash_shard=1)
+        with pytest.raises(ShardWorkerError):
+            run_experiment(CFG, shards=2, recovery=rcfg,
+                           supervise=NO_REGRANTS)
+        journal = shard_dir(rcfg.run_dir, 1) / "journal"
+        first = sorted(journal.glob("segment-*.jsonl"))[0]
+        lines = first.read_text().splitlines(keepends=True)
+        assert '"kind":"gather"' in lines[4] and '"k":3,' in lines[4]
+        del lines[4]  # instant 3's record (line 0 is the head)
+        first.write_text("".join(lines))
+        resumed = run_experiment(resume_from=rcfg.run_dir)
+        assert csv_bytes(resumed.store, tmp_path / "res.csv") == base_csv
+        assert result_fingerprint(resumed) == base_fp
+        info = resumed.campaign.recovery[1]
+        assert info.cold_restart
+        assert info.replay_verified > 0 and info.replay_divergences == 0
+        assert [e["reason"] for e in info.quarantine_entries] == ["bad_seal"]
+
+
+class TestManifestVersion:
+    def test_full_replay_campaign_refused_before_anything_moves(
+            self, tmp_path, capsys):
+        """A version-1 directory's shards checkpointed coordinator and
+        store; resuming one is refused, by the API and the CLI, with
+        every file left as it was."""
+        rcfg = chaos_recovery(tmp_path / "camp", "post_checkpoint", 0)
+        with pytest.raises(ShardWorkerError):
+            run_experiment(CFG, shards=2, recovery=rcfg,
+                           supervise=NO_REGRANTS)
+        path = rcfg.run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 1
+        path.write_text(json.dumps(manifest))
+        tree = {p: p.read_bytes() for p in sorted(rcfg.run_dir.rglob("*"))
+                if p.is_file()}
+        want = f"version 1; this build reads version {MANIFEST_VERSION}"
+        with pytest.raises(CheckpointError, match=want):
+            run_experiment(resume_from=rcfg.run_dir)
+        assert cli_main(["run", "--resume", "--recover-dir",
+                         str(rcfg.run_dir), "--out",
+                         str(tmp_path / "t.csv")]) == 2
+        assert want in capsys.readouterr().err
+        assert cli_main(["recovery", str(rcfg.run_dir)]) == 2
+        assert want in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in sorted(rcfg.run_dir.rglob("*"))
+                if p.is_file()} == tree
+
+
+@pytest.fixture(scope="module")
+def gathered_campaign(tmp_path_factory):
+    """A finished 2-shard recovery campaign directory."""
+    run_dir = tmp_path_factory.mktemp("gathered") / "camp"
+    run_experiment(CFG, shards=2,
+                   recovery=RecoveryConfig(run_dir=run_dir, fsync=False))
+    return run_dir
+
+
+class TestInputJournalReaders:
+    """A campaign shard's journal holds ``gather`` records: pass inputs,
+    not trace rows."""
+
+    def test_live_replay_refuses_an_input_journal(self, gathered_campaign,
+                                                  tmp_path, capsys):
+        out = tmp_path / "rollups.json"
+        code = cli_main(["live", "--replay",
+                         str(shard_dir(gathered_campaign, 0) / "journal"),
+                         "--rollups-out", str(out)])
+        assert code == 2
+        assert "'gather' records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_status_counts_input_records_as_iterations(self,
+                                                       gathered_campaign):
+        status = recovery_status(gathered_campaign)
+        instants = CFG.horizon / CFG.ddc.sample_period
+        for index in ("0", "1"):
+            shard = status["shards"][index]
+            assert sum(s["iterations"] for s in shard["segments"]) \
+                == instants
+            assert shard["samples_journaled"] == 0
+            assert shard["inputs_journaled"] > 0
 
 
 class TestSupervisedWithoutRecovery:

@@ -8,12 +8,13 @@ a socketpair.  These tests cover that worker source and the
 is covered by ``test_net_campaign.py``.
 """
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro.config import ExperimentConfig
-from repro.errors import ShardWorkerError
+from repro.errors import ProbeError, ShardWorkerError
 from repro.experiment import run_experiment
 from repro.faults import FaultPlan
 from repro.faults.scenarios import StdoutCorruption
@@ -108,13 +109,22 @@ class TestSupervisorClockSeam:
         assert coordinator.report().restarts == {0: 0}
 
 
-class ShardOneCorruption(StdoutCorruption):
-    """Garbles only shard 1's labs (of a two-shard plan)."""
+def raise_in_workers(monkeypatch, shards):
+    """Make the forked workers of ``shards`` raise a ``ProbeError``
+    instead of gathering; children inherit the patched entry point,
+    while the parent's degraded merge still gathers for real."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork so children inherit the patched entry")
+    import repro.shard.worker as worker_mod
 
-    def corrupt_stdout(self, t, machine, stdout, rng):
-        if machine.spec.lab not in ("L02", "L04", "L06", "L08", "L11"):
-            return None
-        return super().corrupt_stdout(t, machine, stdout, rng)
+    real_gather = worker_mod.gather_shard
+
+    def gather(task, **kwargs):
+        if task.shard.index in shards:
+            raise ProbeError("probe report missing keys: ['host']")
+        return real_gather(task, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "gather_shard", gather)
 
 
 class TestTaskFailure:
@@ -123,27 +133,39 @@ class TestTaskFailure:
 
     CFG = ExperimentConfig(days=1, seed=7)
 
-    def test_raising_task_runs_once(self):
-        faults = FaultPlan([ShardOneCorruption(0.05)], seed=3)
+    def test_raising_task_runs_once(self, monkeypatch):
+        raise_in_workers(monkeypatch, {1})
         with pytest.raises(ShardWorkerError, match="ProbeError") as err:
-            run_experiment(self.CFG, shards=2, faults=faults,
-                           strict_postcollect=True, supervise=QUICK)
+            run_experiment(self.CFG, shards=2, supervise=QUICK)
         assert err.value.shard_index == 1
         assert err.value.restarts == 0
         assert "from scratch" in str(err.value)
 
-    def test_every_shard_raising_fails_at_the_first(self):
-        faults = FaultPlan([StdoutCorruption(0.05)], seed=3)
+    def test_every_shard_raising_fails_at_the_first(self, monkeypatch):
+        raise_in_workers(monkeypatch, {0, 1})
         with pytest.raises(ShardWorkerError, match="ProbeError") as err:
-            run_experiment(self.CFG, shards=2, faults=faults,
-                           strict_postcollect=True, supervise=QUICK)
+            run_experiment(self.CFG, shards=2, supervise=QUICK)
         assert err.value.restarts == 0
 
-    def test_raising_task_is_lost_under_allow_partial(self):
-        faults = FaultPlan([ShardOneCorruption(0.05)], seed=3)
+    def test_raising_task_is_lost_under_allow_partial(self, monkeypatch):
+        raise_in_workers(monkeypatch, {1})
         policy = CampaignPolicy(backoff_base=0.01, allow_partial=True)
-        result = run_experiment(self.CFG, shards=2, faults=faults,
-                                strict_postcollect=True, supervise=policy)
+        result = run_experiment(self.CFG, shards=2, supervise=policy)
         assert result.campaign.states == {0: health.DONE, 1: health.LOST}
         assert result.campaign.restarts == {0: 0, 1: 0}
         assert result.degraded.lost_shards == (1,)
+
+    def test_strict_probe_error_raises_from_run_experiment(self):
+        """Corrupt reports reach the post-collector in the parent's one
+        pass, so strict post-collect raises there, as in a sequential
+        run."""
+        def run(**kwargs):
+            faults = FaultPlan([StdoutCorruption(0.05)], seed=3)
+            return run_experiment(self.CFG, faults=faults,
+                                  strict_postcollect=True, **kwargs)
+
+        with pytest.raises(ProbeError) as sequential:
+            run()
+        with pytest.raises(ProbeError) as sharded:
+            run(shards=2, supervise=QUICK)
+        assert str(sharded.value) == str(sequential.value)

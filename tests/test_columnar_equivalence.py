@@ -215,28 +215,15 @@ class TestShardEquivalence:
     def test_columnar_shard_merge_byte_identical(
         self, object_run, tmp_path, n_shards
     ):
-        # The lifted exclusivity: kernel="columnar" composes with shards.
-        # Every worker draws the full roster (cursor chain and "ddc"
-        # stream replicated exactly) and materialises its owned slice, so
-        # the merge is byte-identical to the sequential object run.
+        # kernel="columnar" composes with shards: the workers gather and
+        # the parent's one columnar pass draws the "ddc" stream and the
+        # cursor chain as the sequential run does, so the merge is
+        # byte-identical to the sequential object run.
         cfg, _, obj_csv = object_run
         sharded = run_experiment(cfg.replace(kernel="columnar"),
                                  shards=n_shards)
         path = tmp_path / f"col{n_shards}.csv"
         assert csv_bytes(sharded.store, path) == obj_csv
-
-    def test_sharded_coordinator_is_columnar_eligible(self):
-        # A single owned-labs shard, run in-process, must really engage
-        # the columnar pass (no silent object-path shadowing).
-        from repro.shard.plan import ShardPlan
-        from repro.shard.worker import ShardTask, run_shard
-
-        cfg = ExperimentConfig(days=1, seed=11, kernel="columnar")
-        plan = ShardPlan.build(TABLE1_LABS, 2)
-        outcome = run_shard(ShardTask(config=cfg, shard=plan.specs[0],
-                                      labs=tuple(TABLE1_LABS)))
-        assert outcome.coordinator._cols is not None
-        assert outcome.coordinator.owned_labs is not None
 
     def test_multi_day_sweep_tie_equivalence(self, tmp_path):
         # Closing-staff sweeps land on the tick grid (04:00 is a
@@ -355,6 +342,10 @@ class TestJournalEquivalence:
         assert 0 < len(calls) < RecoveryConfig(run_dir).segment_records
 
     def test_two_shard_campaign_journals_byte_identical(self, tmp_path):
+        """A campaign shard journals its recorded pass inputs, which no
+        kernel touches: the kernel picks only the parent's pass.  The
+        cross-kernel property of pass records is the sequential
+        journals' (CI's "Journal bytes match across kernels" step)."""
         results = {}
         for kernel in ("object", "columnar"):
             results[kernel] = run_experiment(

@@ -169,32 +169,3 @@ class TestPaperScaleAccounting:
         assert coord.iterations_run <= scheduled
         frac = coord.iterations_run / scheduled
         assert frac == pytest.approx(cfg.ddc.coordinator_availability, abs=0.05)
-
-
-def test_owned_labs_pickle_independent_of_hash_seed():
-    """A shard coordinator's owned labs pickle in sorted order, so its
-    checkpoint bytes do not depend on ``PYTHONHASHSEED``."""
-    import os
-    import pickle
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-    from repro.ddc.coordinator import _LabSet
-
-    labs = [f"L{i:02d}" for i in range(1, 12)]
-    code = ("import pickle, sys; from repro.ddc.coordinator import _LabSet; "
-            f"sys.stdout.buffer.write(pickle.dumps(_LabSet({labs!r})))")
-    src = str(Path(repro.__file__).resolve().parents[1])
-    outputs = {
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True,
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
-        ).stdout
-        for seed in ("0", "1")
-    }
-    assert len(outputs) == 1
-    revived = pickle.loads(outputs.pop())
-    assert isinstance(revived, frozenset) and revived == frozenset(labs)
-    assert pickle.loads(pickle.dumps(_LabSet(labs))) == _LabSet(labs)
